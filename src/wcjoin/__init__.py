@@ -20,6 +20,7 @@ from .constraints import (
     compatible_order,
     dependency_graph,
     functional_dependency,
+    guard_relation,
     validate,
 )
 from .core import (
@@ -37,15 +38,13 @@ from .estimators import (
     EstimatorContext,
     FractionalCover,
     InfeasibleCoverError,
-    agm_up,
     build_agm_context,
     build_pm_context,
-    pm_up,
     solve_cover_card,
     solve_cover_degree,
     verify_estimator,
 )
-from .index import RangeCursor, SortedRelation, build
+from .index import Cursors, SortedRelation, build
 from .oracle import chi_square_uniformity, nested_loop_join, prefix_counts
 from .sampler import (
     EmptyAnswerSetError,

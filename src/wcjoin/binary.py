@@ -1,10 +1,10 @@
 """Bitwise re-encoding of a query onto the domain {0,1}.
 
 Every code is expanded to b = ceil(log2(|D|)) bits, MSB first, and each
-variable x becomes the block x#1..x#b of binary variables. MSB-first layout
-keeps the lexicographic row order identical to the original one, so the
-sorted indexes of the binarised relations are the originals expanded in
-place. Answer sets are in one-to-one correspondence.
+variable x becomes the block x#1..x#b of binary variables. Answer sets are
+in one-to-one correspondence. The engine never builds this copy: it binds
+the same bits as code intervals over the original relations (see
+`index.Cursors`); the explicit construction is what the tests compare it to.
 """
 from __future__ import annotations
 

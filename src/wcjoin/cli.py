@@ -99,8 +99,12 @@ def load_spec(path: str | Path) -> LoadedSpec:
     if not isinstance(doc, dict) or "relations" not in doc:
         raise SpecError("spec must be a JSON object with a 'relations' field")
 
+    if not isinstance(doc["relations"], dict):
+        raise SpecError("'relations' must be an object mapping names to relation entries")
     tables = []
     for name, entry in doc["relations"].items():
+        if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
+            raise SpecError(f"relation {name!r}: entry must be an object with a 'path' string")
         csv_path = path.parent / entry["path"]
         try:
             with open(csv_path, newline="", encoding="utf-8") as fh:
@@ -202,24 +206,25 @@ def _write_stats(path, payload: dict) -> None:
         Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _parse_order_flag(text: str | None) -> tuple[str, ...] | None:
-    if text is None:
-        return None
-    return tuple(v.strip() for v in text.split(",") if v.strip())
+def _explicit_order(flag: str | None, spec: LoadedSpec) -> tuple[str, ...] | None:
+    """The --order flag, else the spec's order; it must permute the query variables."""
+    order = tuple(v.strip() for v in (flag or "").split(",") if v.strip()) or spec.order
+    if order is not None and sorted(order) != sorted(set(spec.query.order)):
+        raise SpecError(f"order {','.join(order)} is not a permutation of the query variables")
+    return order
 
 
 def cmd_join(args) -> int:
     spec = load_spec(args.spec)
-    order = _parse_order_flag(args.order) or spec.order
+    order = _explicit_order(args.order, spec)
     query, cs = spec.query, spec.constraint_set
     started = time.perf_counter()
     answers: list[tuple[int, ...]] = []
     try:
+        effective = resolve_order(query, cs, order)
         if args.no_binarise:
-            effective = resolve_order(query, cs, order)
             stats = wcj(query, answers.append, effective)
         else:
-            effective = resolve_order(query, cs, order)
             stats = wcj_binarised(query, answers.append, cs, effective)
     except (CyclicConstraintsError, IncompatibleOrderError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -261,13 +266,15 @@ def _sample_cover(spec: LoadedSpec, estimator: str):
 
 
 def cmd_sample(args) -> int:
+    if args.count < 1:
+        raise SpecError(f"--count must be at least 1, got {args.count}")
     spec = load_spec(args.spec)
+    order = _explicit_order(args.order, spec)
     try:
         cs, cover = _sample_cover(spec, args.estimator)
     except InfeasibleCoverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCOMPATIBLE
-    order = _parse_order_flag(args.order) or spec.order
     try:
         sampler = Sampler(spec.query, cs, cover, order)
     except (CyclicConstraintsError, IncompatibleOrderError) as exc:

@@ -65,10 +65,6 @@ class ConstraintSet:
             if c.guard not in self.edges:
                 raise ValueError(f"guard of {c.describe()} is not a hyperedge")
 
-    def edges_without_cardinality(self) -> list[frozenset[str]]:
-        guarded = {c.guard for c in self.constraints if c.is_cardinality}
-        return [e for e in self.edges if e not in guarded]
-
     def uncovered_variables(self) -> list[str]:
         """Variables in no B - A, i.e. not coverable by the bound LP."""
         covered = set()
@@ -92,7 +88,8 @@ class ValidationEntry:
     note: str = ""
 
 
-def _guard_relation(query: JoinQuery, guard: frozenset[str]) -> Relation | None:
+def guard_relation(query: JoinQuery, guard: frozenset[str]) -> Relation | None:
+    """The first relation of the query whose variable set is the guard."""
     for rel in query.relations:
         if frozenset(rel.variables) == guard:
             return rel
@@ -103,7 +100,7 @@ def validate(query: JoinQuery, cs: ConstraintSet) -> list[ValidationEntry]:
     """Check every constraint against the instance; failures carry a witness."""
     report = []
     for c in cs.constraints:
-        rel = _guard_relation(query, c.guard)
+        rel = guard_relation(query, c.guard)
         if rel is None:
             report.append(ValidationEntry(c, False, None, None, "no guard relation"))
             continue

@@ -1,21 +1,21 @@
 """Branch-and-bound join enumeration.
 
 wcj() is the plain algorithm: bind variables in order, try every domain code,
-backtrack as soon as some relation has no matching row. wcj_binarised() runs
-the same search on the bit-expanded query, which prunes whole blocks of
-useless codes after a single bit and is what makes the search worst-case
-optimal; answers are decoded back before reaching the sink.
+backtrack as soon as some relation has no matching row. wcj_binarised() binds
+codes one bit at a time, MSB first, which prunes whole blocks of useless
+codes after a single bit and is what makes the search worst-case optimal.
+Both walk the levels of one `index.Cursors` over the original sorted
+relations, depth first from an explicit stack, so the depth n*b of the bit
+search is not limited by Python's recursion limit.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .binary import bin_query, debin_row, make_layout
 from .constraints import ConstraintSet, check_compatible, compatible_order
 from .core import JoinQuery
-from .index import build
+from .index import Cursors
 
 Sink = Callable[[tuple[int, ...]], None]
 
@@ -46,57 +46,7 @@ def wcj(query: JoinQuery, sink: Sink, order: Sequence[str] | None = None) -> Enu
     The sink receives one code tuple per answer, aligned with the variable
     order used for the search.
     """
-    order = tuple(order) if order is not None else query.order
-    if set(order) != set(query.order) or len(order) != len(query.order):
-        raise ValueError("order must be a permutation of the query variables")
-    n = len(order)
-    domain = query.domain_size
-    pos = {v: i for i, v in enumerate(order)}
-
-    # Per-relation cursor stacks: narrowing pushes a range, backtracking pops.
-    stacks: list[list[tuple[int, int]]] = []
-    affected: list[list[tuple[list[int], list[tuple[int, int]]]]] = [[] for _ in range(n)]
-    for rel in query.relations:
-        sr = build(rel, order)
-        stack = [(0, len(sr.rows) - 1)]
-        stacks.append(stack)
-        for j, v in enumerate(sr.variables):
-            affected[pos[v]].append((sr.columns[j], stack))
-
-    checked = [stacks] + [[st for _, st in affected[p]] for p in range(n)]
-    stats = EnumerationStats(per_depth_calls=[0] * (n + 1))
-    assignment = [0] * n
-    per_depth = stats.per_depth_calls
-
-    def recurse(depth: int) -> None:
-        stats.recursive_calls += 1
-        per_depth[depth] += 1
-        for st in checked[depth]:
-            lo, hi = st[-1]
-            if lo > hi:
-                return
-        stats.consistent_calls += 1
-        if depth == n:
-            stats.answers_emitted += 1
-            sink(tuple(assignment))
-            return
-        aff = affected[depth]
-        nxt = depth + 1
-        for d in range(domain):
-            for col, st in aff:
-                lo, hi = st[-1]
-                l2 = bisect_left(col, d, lo, hi + 1)
-                if l2 > hi or col[l2] != d:
-                    st.append((l2, l2 - 1))
-                else:
-                    st.append((l2, bisect_right(col, d, l2, hi + 1) - 1))
-            assignment[depth] = d
-            recurse(nxt)
-            for _, st in aff:
-                st.pop()
-
-    recurse(0)
-    return stats
+    return _search(query, sink, order if order is not None else query.order, bits=False)
 
 
 def wcj_binarised(
@@ -105,20 +55,61 @@ def wcj_binarised(
     constraint_set: ConstraintSet | None = None,
     order: Sequence[str] | None = None,
 ) -> EnumerationStats:
-    """Worst-case optimal path: binarise, enumerate bit by bit, decode answers.
+    """Worst-case optimal path: enumerate bit by bit, MSB first.
 
     With a constraint set, the variable order defaults to a compatible one;
     an explicit order is checked against the dependency graph. The returned
-    stats describe the binarised search (depth n*b).
+    stats describe the bit-level search (depth n*b); the sink receives code
+    tuples, as from wcj().
     """
-    order = resolve_order(query, constraint_set, order)
-    layout = make_layout(order, query.domain_size)
-    bq = bin_query(query, layout)
+    return _search(query, sink, resolve_order(query, constraint_set, order), bits=True)
 
-    def bit_sink(bits: tuple[int, ...]) -> None:
-        sink(debin_row(bits, layout))
 
-    return wcj(bq, bit_sink, layout.bin_order)
+def _search(query: JoinQuery, sink: Sink, order: Sequence[str], bits: bool) -> EnumerationStats:
+    """Depth-first search over the cursor levels, driven from an explicit stack."""
+    order = tuple(order)
+    if set(order) != set(query.order) or len(order) != len(query.order):
+        raise ValueError("order must be a permutation of the query variables")
+    cur = Cursors(query.relations, order, query.domain_size, bits)
+    levels, fanout = cur.levels, cur.fanout
+    bind, unbind = cur.bind, cur.unbind
+    # A node is consistent iff no relation has run out of rows; only the
+    # relations narrowed by the level just bound can have (every relation
+    # at the root).
+    checked = [cur.stacks] + [[st for _, st in aff] for aff in cur.affected]
+    per_depth = [0] * (levels + 1)
+    child = [0] * levels  # the child bound at each level of the current path
+    calls = consistent = emitted = 0
+    depth = 0
+    while True:
+        calls += 1
+        per_depth[depth] += 1
+        for st in checked[depth]:
+            lo, hi = st[-1]
+            if lo == hi:
+                break
+        else:
+            consistent += 1
+            if depth < levels:
+                child[depth] = 0
+                bind(0)
+                depth += 1
+                continue
+            emitted += 1
+            sink(cur.codes())
+        # Move to the next sibling, climbing out of exhausted levels.
+        while depth:
+            depth -= 1
+            unbind()
+            d = child[depth] + 1
+            if d < fanout:
+                child[depth] = d
+                bind(d)
+                depth += 1
+                break
+        else:
+            break
+    return EnumerationStats(calls, consistent, emitted, per_depth)
 
 
 def resolve_order(

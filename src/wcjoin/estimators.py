@@ -7,28 +7,30 @@ feasible solutions; the programs are tiny (one unknown per constraint) and
 exactness removes any float-feasibility doubt. Objectives are compared
 without logs, as integer powers.
 
-An EstimatorContext holds the sorted guard projections with their cursor
-stacks and evaluates, at the current prefix node, the product bound
+An EstimatorContext is an `index.Cursors` over the query's relations and
+the guard projections R|B, at variable or at bit levels, that evaluates, at
+the current prefix node, the product bound
 
     prod over constraints of N[tau] ^ w,   N[tau] = static N until A is fully
                                            bound, live range count afterwards,
 
 which is 0 on inconsistent prefixes and exactly 1 on full answers. With
 cardinality constraints only, this is the AGM estimator; with degree
-constraints and a compatible order, the polymatroid one.
+constraints and a compatible order, the polymatroid one. At bit levels the
+values equal those of a context over the bit-encoded query
+(`binary.bin_query` with `binary.bin_constraints`) level for level.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .constraints import ConstraintSet, DegreeConstraint
-from .core import JoinQuery, Relation, project
-from .index import build
+from .constraints import ConstraintSet, guard_relation
+from .core import JoinQuery, project
+from .index import Cursors
 
 COVER_SIZE_LIMIT = 20
 
@@ -186,11 +188,13 @@ def solve_cover_degree(cs: ConstraintSet) -> FractionalCover:
     return FractionalCover(_minimise_cover(_coverage_sets(cs), bounds, sorted(cs.variables)))
 
 
-class EstimatorContext:
+class EstimatorContext(Cursors):
     """Cursor-backed evaluation of the product upper bound at a prefix node.
 
     The context is positioned at a node of the trace tree; bind()/unbind()
-    move down and up one variable. One context serves one run at a time.
+    move down and up one level. Levels are variables, or with bits=True the
+    MSB-first bits of each variable's code. One context serves one run at a
+    time.
     """
 
     def __init__(
@@ -199,6 +203,7 @@ class EstimatorContext:
         constraint_set: ConstraintSet,
         cover: FractionalCover,
         order: Sequence[str] | None = None,
+        bits: bool = False,
     ):
         if len(cover.weights) != len(constraint_set.constraints):
             raise ValueError("one weight per constraint required")
@@ -206,77 +211,44 @@ class EstimatorContext:
         self.constraint_set = constraint_set
         self.cover = cover
         self.order = tuple(order) if order is not None else query.order
-        self.domain_size = query.domain_size
-        self.depth = 0
-        self.n = len(self.order)
+
+        # Consistency cursors over every relation of the query, then count
+        # cursors over the deduplicated guard projections R' = R|B.
+        projections = []
+        for c in constraint_set.constraints:
+            guard = guard_relation(query, c.guard)
+            if guard is None:
+                raise ValueError(f"no relation on guard of {c.describe()}")
+            projections.append(project(guard, c.B))
+        super().__init__(query.relations + tuple(projections), self.order, query.domain_size, bits)
+        self._rel_stacks = self.stacks[: len(query.relations)]
+        # A term uses its static N until every level of A is bound.
         pos = {v: i for i, v in enumerate(self.order)}
-
-        # Consistency cursors over every relation of the query.
-        self._rel_stacks: list[list[tuple[int, int]]] = []
-        self._rels_at: list[list[tuple[list[int], list[tuple[int, int]]]]] = [
-            [] for _ in range(self.n)
-        ]
-        for rel in query.relations:
-            sr = build(rel, self.order)
-            stack = [(0, len(sr.rows) - 1)]
-            self._rel_stacks.append(stack)
-            for j, v in enumerate(sr.variables):
-                self._rels_at[pos[v]].append((sr.columns[j], stack))
-
-        # Count cursors over the deduplicated guard projections R' = R|B.
         self._terms: list[tuple[float, float, int, list[tuple[int, int]]]] = []
-        self._cons_at: list[list[tuple[list[int], list[tuple[int, int]]]]] = [
-            [] for _ in range(self.n)
-        ]
-        for c, w in zip(constraint_set.constraints, cover.weights):
-            guard_rel = self._find_guard(query, c)
-            proj = build(project(guard_rel, c.B), self.order)
-            stack = [(0, len(proj.rows) - 1)]
-            ready = 1 + max((pos[a] for a in c.A), default=-1)
-            self._terms.append((float(w), math.log(c.N), ready, stack))
-            for j, v in enumerate(proj.variables):
-                self._cons_at[pos[v]].append((proj.columns[j], stack))
+        guard_stacks = self.stacks[len(query.relations):]
+        for c, w, st in zip(constraint_set.constraints, cover.weights, guard_stacks):
+            ready = self.per_var * (1 + max((pos[a] for a in c.A), default=-1))
+            self._terms.append((float(w), math.log(c.N), ready, st))
 
-    @staticmethod
-    def _find_guard(query: JoinQuery, c: DegreeConstraint) -> Relation:
-        for rel in query.relations:
-            if frozenset(rel.variables) == c.guard:
-                return rel
-        raise ValueError(f"no relation on guard of {c.describe()}")
-
-    def bind(self, value: int) -> None:
-        p = self.depth
-        for lists in (self._rels_at[p], self._cons_at[p]):
-            for col, st in lists:
-                lo, hi = st[-1]
-                l2 = bisect_left(col, value, lo, hi + 1)
-                if l2 > hi or col[l2] != value:
-                    st.append((l2, l2 - 1))
-                else:
-                    st.append((l2, bisect_right(col, value, l2, hi + 1) - 1))
-        self.depth += 1
-
-    def unbind(self) -> None:
-        self.depth -= 1
-        p = self.depth
-        for lists in (self._rels_at[p], self._cons_at[p]):
-            for _, st in lists:
-                st.pop()
+    # Bound under the context's own names, so that perfbench's tracer times
+    # the estimator's cursor moves apart from the enumerator's.
+    bind, unbind = Cursors.bind, Cursors.unbind
 
     def node_consistent(self) -> bool:
-        return all(st[-1][0] <= st[-1][1] for st in self._rel_stacks)
+        return all(st[-1][0] < st[-1][1] for st in self._rel_stacks)
 
     def estimate(self) -> float:
         """Upper bound on answers below the current node; 0 iff inconsistent."""
         if not self.node_consistent():
             return 0.0
+        depth = self.depth
         log_total = 0.0
         for w, log_n, ready, stack in self._terms:
-            if self.depth < ready:
+            if depth < ready:
                 log_total += w * log_n
             else:
                 lo, hi = stack[-1]
-                count = hi - lo + 1
+                count = hi - lo
                 if count <= 0:
                     return 0.0
                 if count > 1:
@@ -319,14 +291,6 @@ def build_pm_context(
     return EstimatorContext(query, constraint_set, cover, order)
 
 
-def agm_up(ctx: EstimatorContext) -> float:
-    return ctx.estimate()
-
-
-def pm_up(ctx: EstimatorContext) -> float:
-    return ctx.estimate()
-
-
 @dataclass
 class EstimatorReport:
     superadditivity_violations: list = field(default_factory=list)
@@ -352,33 +316,37 @@ def verify_estimator(ctx: EstimatorContext, rel_tol: float = 1e-9) -> EstimatorR
     """
     report = EstimatorReport()
     prefix: list[int] = []
-
-    def walk() -> float:
+    path: list[list[float]] = []  # [value, sum of walked children] per inner node above
+    while True:
         value = ctx.estimate()
-        consistent = ctx.node_consistent()
-        if not consistent:
+        if not ctx.node_consistent():
             if value != 0.0:
                 report.zero_violations.append((tuple(prefix), value))
-            return value
-        if value <= 0.0:
-            report.zero_violations.append((tuple(prefix), value))
-        if ctx.depth == ctx.n:
+        else:
+            if value <= 0.0:
+                report.zero_violations.append((tuple(prefix), value))
+            if ctx.depth < ctx.levels:
+                path.append([value, 0.0])
+                prefix.append(0)
+                ctx.bind(0)
+                continue
             if abs(value - 1.0) > rel_tol:
                 report.answer_violations.append((tuple(prefix), value))
-            return value
-        child_sum = 0.0
-        for d in range(ctx.domain_size):
-            ctx.bind(d)
-            prefix.append(d)
-            child_sum += walk()
-            prefix.pop()
+        # Hand the value to the parent and move to the next sibling, closing
+        # every node whose children have all been walked.
+        while path:
+            path[-1][1] += value
+            d = prefix.pop() + 1
             ctx.unbind()
-        slack = child_sum - value
-        if slack > rel_tol * max(value, 1.0):
-            report.superadditivity_violations.append((tuple(prefix), value, child_sum))
-            rel = slack / max(value, 1.0)
-            report.max_relative_violation = max(report.max_relative_violation, rel)
-        return value
-
-    walk()
-    return report
+            if d < ctx.fanout:
+                prefix.append(d)
+                ctx.bind(d)
+                break
+            value, child_sum = path.pop()
+            slack = child_sum - value
+            if slack > rel_tol * max(value, 1.0):
+                report.superadditivity_violations.append((tuple(prefix), value, child_sum))
+                rel = slack / max(value, 1.0)
+                report.max_relative_violation = max(report.max_relative_violation, rel)
+        else:
+            return report

@@ -7,7 +7,8 @@ probability, so that each answer is returned with probability exactly
 walked again; on instances with no answers the memoized root value reaches 0
 after finitely many updates, which is how emptiness is detected.
 
-The sampler always runs on the binarised query (branching factor 2).
+Sampler walks the bit levels of the original relations (branching factor
+2, see `index.Cursors`); the functions below take any EstimatorContext.
 Repetition yields i.i.d. uniform answers with geometric trial counts.
 """
 from __future__ import annotations
@@ -16,7 +17,6 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .binary import bin_constraints, bin_query, debin_row, make_layout
 from .constraints import ConstraintSet, cardinality_constraints
 from .core import JoinQuery
 from .enumerator import resolve_order
@@ -72,8 +72,8 @@ class SamplerStats:
 class UpMemo:
     """Sparse residual upper bounds learned from exhausted subtrees.
 
-    Keys are prefix code tuples; entries appear only along failed walks that
-    bottomed out, so memory stays bounded by work done.
+    Keys are prefixes as tuples of child indices; entries appear only along
+    failed walks that bottomed out, so memory stays bounded by work done.
     """
 
     def __init__(self):
@@ -90,7 +90,7 @@ def children_values(ctx: EstimatorContext, memo: UpMemo, prefix: Sequence[int]) 
     """Memo-adjusted estimator value of every child of the current node."""
     values = []
     base = tuple(prefix)
-    for d in range(ctx.domain_size):
+    for d in range(ctx.fanout):
         ctx.bind(d)
         values.append(memo.adjusted(base + (d,), ctx.estimate()))
         ctx.unbind()
@@ -110,7 +110,7 @@ def _refute(ctx: EstimatorContext, memo: UpMemo, prefix: list[int]) -> None:
         prefix.pop()
         base = tuple(prefix)
         settled, total = True, 0.0
-        for d in range(ctx.domain_size):
+        for d in range(ctx.fanout):
             key = base + (d,)
             if key in memo.overrides:
                 total += memo.overrides[key]
@@ -130,7 +130,7 @@ def _refute(ctx: EstimatorContext, memo: UpMemo, prefix: list[int]) -> None:
 
 
 def sample_once(ctx: EstimatorContext, memo: UpMemo, rng: random.Random) -> tuple[int, ...] | None:
-    """One guided walk: an answer tuple, or None on failure.
+    """One guided walk: an answer's code tuple, or None on failure.
 
     Each answer comes out with probability 1 / (memo-adjusted root value).
     Walks that prove a subtree empty record that in the memo.
@@ -140,8 +140,8 @@ def sample_once(ctx: EstimatorContext, memo: UpMemo, rng: random.Random) -> tupl
     if value <= 0.0:
         return None
     while True:
-        if len(prefix) == ctx.n:
-            answer = tuple(prefix)
+        if len(prefix) == ctx.levels:
+            answer = ctx.codes()
             while prefix:
                 ctx.unbind()
                 prefix.pop()
@@ -205,7 +205,7 @@ def sample(
 
 
 class Sampler:
-    """End-to-end sampler over the binarised query, emitting decoded code rows."""
+    """End-to-end sampler walking bit levels, emitting code rows."""
 
     def __init__(
         self,
@@ -220,15 +220,11 @@ class Sampler:
         if cover is None:
             cover = solve_cover_degree(constraint_set)
         self.cover = cover
-        self.layout = make_layout(self.order, query.domain_size)
-        bq = bin_query(query, self.layout)
-        bcs = bin_constraints(constraint_set, self.layout)
-        self.ctx = EstimatorContext(bq, bcs, cover, self.layout.bin_order)
+        self.ctx = EstimatorContext(query, constraint_set, cover, self.order, bits=True)
         self.memo = UpMemo()
 
     def sample(
         self, k: int, rng: random.Random, max_work: int | None = None
     ) -> tuple[list[tuple[int, ...]], SamplerStats]:
         """k uniform answers as code tuples aligned with the sampler's order."""
-        bits, stats = sample(self.ctx, k, rng, max_work=max_work, memo=self.memo)
-        return [debin_row(row, self.layout) for row in bits], stats
+        return sample(self.ctx, k, rng, max_work=max_work, memo=self.memo)

@@ -2,6 +2,7 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from wcjoin.constraints import (
     ConstraintSet,
@@ -9,6 +10,11 @@ from wcjoin.constraints import (
     cardinality_constraints,
 )
 from wcjoin.core import JoinQuery, encode_instance
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite's verdict never depends on earlier runs.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 TRIANGLE_ORDER = ("x1", "x2", "x3")
 

@@ -73,16 +73,34 @@ class TestLoadSpec:
         assert fd.guard == frozenset({"x1", "x3"})
 
     def test_malformed_specs_exit_2(self, tmp_path, capsys):
+        def exits_2(argv):
+            assert main(argv) == EXIT_PARSE
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error:"), err
+
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        assert main(["join", str(bad)]) == EXIT_PARSE
-        assert "error:" in capsys.readouterr().err
+        exits_2(["join", str(bad)])
         path = write_instance(tmp_path, extra={"constraints": ["x9 oops"]})
-        assert main(["join", path]) == EXIT_PARSE
+        exits_2(["join", path])
         path = write_instance(
             tmp_path, extra={"constraints": [{"A": [], "B": ["x1", "x2", "x3"], "N": 1}]}
         )
-        assert main(["join", path]) == EXIT_PARSE  # nothing can guard B
+        exits_2(["join", path])  # nothing can guard B
+        path = write_instance(tmp_path)
+        doc = json.loads(open(path).read())
+        for relations in (
+            {**doc["relations"], "R": {"file": "R.csv"}},  # no path
+            {**doc["relations"], "R": "R.csv"},  # not an object
+            list(doc["relations"].values()),  # relations not an object
+        ):
+            bad.write_text(json.dumps({"relations": relations}))
+            exits_2(["join", str(bad)])
+        for order in ("x1,x2", "x1,x2,x9", "x1,x2,x3,x1"):
+            exits_2(["join", path, "--order", order])
+            exits_2(["sample", path, "--order", order])
+        exits_2(["sample", path, "--count", "0"])
+        exits_2(["sample", path, "--count", "-3"])
 
 
 class TestJoin:

@@ -1,9 +1,13 @@
 """Branch-and-bound enumeration: correctness, pruning shape, call bound."""
+import csv
+import json
 import random
+from collections import defaultdict
 
 import pytest
 
-from wcjoin.binary import bin_query, bin_tuple, make_layout
+from wcjoin.binary import bin_query, bin_tuple, bit_width, make_layout
+from wcjoin.cli import main
 from wcjoin.constraints import ConstraintSet, functional_dependency
 from wcjoin.core import encode_instance, is_consistent
 from wcjoin.enumerator import (
@@ -146,3 +150,56 @@ class TestCallBound:
             bq = bin_query(q)
             _, bstats = run_bin(q)
             assert bstats.recursive_calls <= 3 * (1 + sum(prefix_counts(bq)))
+
+
+def deep_path_tables(n_vars=121, pool=1000, seed=12):
+    """A path R0(x0, x1), R1(x1, x2), ... with three full chains and dead-end chaff."""
+    rng = random.Random(seed)
+    chains = [[str(rng.randrange(pool)) for _ in range(n_vars)] for _ in range(3)]
+    tables = []
+    for i in range(n_vars - 1):
+        rows = {(chain[i], chain[i + 1]) for chain in chains}
+        rows.add((chains[0][i], str(rng.randrange(pool))))
+        for _ in range(2):
+            rows.add((str(rng.randrange(pool)), str(rng.randrange(pool))))
+        tables.append((f"R{i}", (f"x{i}", f"x{i + 1}"), [list(r) for r in sorted(rows)]))
+    return tables
+
+
+def path_join(tables):
+    """Raw answers of a path query, joining one relation at a time."""
+    partial = [tuple(r) for r in tables[0][2]]
+    for _, _, rows in tables[1:]:
+        succ = defaultdict(list)
+        for a, b in rows:
+            succ[a].append(b)
+        partial = [p + (b,) for p in partial for b in succ[p[-1]]]
+    return partial
+
+
+class TestDeepQuery:
+    def test_path_deeper_than_the_recursion_limit(self, tmp_path):
+        # 121 variables x 10 bits: the bit search is 1210 levels deep.
+        tables = deep_path_tables()
+        order = tuple(f"x{i}" for i in range(121))
+        q = encode_instance(tables, order)
+        assert bit_width(q.domain_size) == 10
+        expected = sorted(
+            tuple(q.dictionary.encode(v) for v in row) for row in path_join(tables)
+        )
+        assert len(expected) >= 3
+        out, stats = run_bin(q)
+        assert out == expected
+        assert len(stats.per_depth_calls) == 121 * 10 + 1
+
+        spec = {"relations": {}}
+        for name, header, rows in tables:
+            with open(tmp_path / f"{name}.csv", "w", newline="") as fh:
+                csv.writer(fh).writerows([header, *rows])
+            spec["relations"][name] = {"path": f"{name}.csv"}
+        (tmp_path / "q.json").write_text(json.dumps(spec))
+        assert main(["join", str(tmp_path / "q.json"), "--output", str(tmp_path / "a.csv")]) == 0
+        with open(tmp_path / "a.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert tuple(header) == order
+        assert sorted(map(tuple, rows)) == sorted(path_join(tables))

@@ -18,12 +18,10 @@ from wcjoin.estimators import (
     CoverSizeError,
     FractionalCover,
     InfeasibleCoverError,
-    agm_up,
     build_agm_context,
     build_pm_context,
     check_coverage,
     parse_weights,
-    pm_up,
     solve_cover_card,
     solve_cover_degree,
     verify_estimator,
@@ -123,7 +121,7 @@ class TestCoverLP:
 class TestAgmEstimator:
     def test_triangle_values(self, triangle_query):
         ctx = build_agm_context(triangle_query)
-        assert agm_up(ctx) == pytest.approx(8.0)  # sqrt(4^3)
+        assert ctx.estimate() == pytest.approx(8.0)  # sqrt(4^3)
         ctx.bind(0)
         assert ctx.estimate() == pytest.approx(2.0)  # sqrt(1*2*2)
         ctx.bind(0)
@@ -134,7 +132,7 @@ class TestAgmEstimator:
         ctx.bind(3)
         assert ctx.estimate() == 0.0  # x1 = 3 is inconsistent
         ctx.unbind()
-        assert agm_up(ctx) == pytest.approx(8.0)  # context restored
+        assert ctx.estimate() == pytest.approx(8.0)  # context restored
 
     def test_rejects_degree_constraints(self, triangle_query):
         cs = ConstraintSet(
@@ -159,8 +157,8 @@ class TestAgmEstimator:
             expected = solve_cover_degree(cs).log2_bound(
                 [c.N for c in cs.constraints]
             )
-            assert math.log2(agm_up(ctx)) == pytest.approx(expected, abs=1e-9)
-            assert agm_up(ctx) >= len(nested_loop_join(q)) - 1e-9
+            assert math.log2(ctx.estimate()) == pytest.approx(expected, abs=1e-9)
+            assert ctx.estimate() >= len(nested_loop_join(q)) - 1e-9
 
     def test_axioms_hold_exhaustively(self):
         rng = random.Random(43)
@@ -213,7 +211,7 @@ class TestPmEstimator:
         ctx = build_pm_context(q, cs)
         answers = nested_loop_join(q)
         # The bound is tight here: exactly |ans| up to float rounding.
-        assert pm_up(ctx) == pytest.approx(len(answers), rel=1e-9)
+        assert ctx.estimate() == pytest.approx(len(answers), rel=1e-9)
         report = verify_estimator(ctx)
         assert report.ok, report
 
@@ -226,7 +224,7 @@ class TestPmEstimator:
             ctx = build_pm_context(q, cs)
             report = verify_estimator(ctx)
             assert report.ok, report
-            assert pm_up(ctx) >= len(nested_loop_join(q)) - 1e-9
+            assert ctx.estimate() >= len(nested_loop_join(q)) - 1e-9
 
     def test_axioms_hold_after_binarisation(self):
         rng = random.Random(59)
@@ -241,7 +239,7 @@ class TestPmEstimator:
             ctx = build_pm_context(bq, bcs, solve_cover_degree(cs))
             report = verify_estimator(ctx)
             assert report.ok, report
-            assert pm_up(ctx) >= len(nested_loop_join(bq)) - 1e-9
+            assert ctx.estimate() >= len(nested_loop_join(bq)) - 1e-9
 
 
 class TestFriedgutInequality:

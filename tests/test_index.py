@@ -1,10 +1,16 @@
-"""Sorted-array indexes and range-cursor narrowing."""
+"""Sorted-array indexes and the cursor engine's narrowing."""
 import random
 
+from wcjoin.binary import bin_value, bit_width
 from wcjoin.core import Relation, filter_relation
-from wcjoin.index import RangeCursor, build
+from wcjoin.index import Cursors, build
 
 from conftest import TRIANGLE_ORDER, random_query
+
+
+def count(stack):
+    lo, hi = stack[-1]
+    return hi - lo
 
 
 class TestBuild:
@@ -23,50 +29,92 @@ class TestBuild:
     def test_empty_relation(self):
         sr = build(Relation(("x1",), frozenset()), ("x1",))
         assert len(sr) == 0
-        c = sr.full_cursor()
-        assert c == RangeCursor(0, -1, 0)
-        assert c.is_empty() and c.count() == 0
-        assert sr.narrow(c, 3).is_empty()
+        cur = Cursors([Relation(("x1",), frozenset())], ("x1",), 4, bits=False)
+        assert cur.stacks == [[(0, 0)]]
+        cur.bind(3)
+        assert count(cur.stacks[0]) == 0
 
 
 class TestNarrow:
     def test_triangle_narrowing(self, triangle_query):
-        sr = build(triangle_query.relations[0], TRIANGLE_ORDER)
-        c = sr.full_cursor()
-        assert c == RangeCursor(0, 3, 0)
-        c1 = sr.narrow(c, 1)
-        assert c1 == RangeCursor(1, 2, 1)
-        assert c1.count() == 2
-        assert sr.narrow(c1, 0) == RangeCursor(1, 1, 2)
-        assert sr.narrow(c1, 2).is_empty()
-        assert sr.narrow(c, 3).is_empty()
+        r = triangle_query.relations[0]  # (x1, x2): (0,0) (1,0) (1,1) (2,1)
+        cur = Cursors([r], TRIANGLE_ORDER, 4, bits=False)
+        (stack,) = cur.stacks
+        assert (cur.levels, cur.fanout) == (3, 4)
+        assert stack == [(0, 4)]
+        cur.bind(1)
+        assert stack[-1] == (1, 3)
+        cur.bind(0)
+        assert stack[-1] == (1, 2)
+        assert cur.codes() == (1, 0)
+        cur.unbind()
+        cur.bind(2)
+        assert count(stack) == 0
+        cur.unbind()
+        cur.unbind()
+        cur.bind(3)
+        assert count(stack) == 0
+        cur.unbind()
+        assert stack == [(0, 4)] and cur.depth == 0
+
+    def test_triangle_bit_narrowing(self, triangle_query):
+        # Two bits per variable: x1's top bit 0 keeps codes [0, 2), then its
+        # low bit 1 keeps code 1.
+        r = triangle_query.relations[0]
+        cur = Cursors([r], TRIANGLE_ORDER, 4, bits=True)
+        (stack,) = cur.stacks
+        assert (cur.levels, cur.fanout) == (6, 2)
+        cur.bind(0)
+        assert stack[-1] == (0, 3)
+        assert cur.codes() == ()
+        cur.bind(1)
+        assert stack[-1] == (1, 3)
+        assert cur.codes() == (1,)
+        cur.bind(1)  # x2 in [2, 4): none
+        assert count(stack) == 0
 
     def test_empty_cursor_stays_empty(self, triangle_query):
-        sr = build(triangle_query.relations[0], TRIANGLE_ORDER)
-        empty = sr.narrow(sr.full_cursor(), 3)
-        assert sr.narrow(empty, 0).is_empty()
+        cur = Cursors(triangle_query.relations[:1], TRIANGLE_ORDER, 4, bits=False)
+        cur.bind(3)
+        cur.bind(0)
+        assert count(cur.stacks[0]) == 0
 
     def test_counts_partition_the_parent_range(self):
         rng = random.Random(5)
-        for _ in range(50):
+        for bits in [False, True] * 50:
             q = random_query(rng)
-            r = rng.choice(q.relations)
-            sr = build(r, q.order)
-            c = sr.full_cursor()
-            while c.depth < len(sr.variables) and not c.is_empty():
-                children = [sr.narrow(c, v) for v in range(q.domain_size)]
-                assert sum(ch.count() for ch in children) == c.count()
-                c = rng.choice([ch for ch in children if not ch.is_empty()])
+            cur = Cursors(q.relations, q.order, q.domain_size, bits)
+            while cur.depth < cur.levels:
+                affected = {id(st) for _, st in cur.affected[cur.depth]}
+                parents = [count(st) for st in cur.stacks]
+                children = []
+                for d in range(cur.fanout):
+                    cur.bind(d)
+                    children.append([count(st) for st in cur.stacks])
+                    cur.unbind()
+                for i, st in enumerate(cur.stacks):
+                    got = [child[i] for child in children]
+                    if id(st) in affected:
+                        assert sum(got) == parents[i]
+                    else:
+                        assert got == [parents[i]] * cur.fanout
+                live = [d for d, child in enumerate(children) if all(child)]
+                if not live:
+                    break
+                cur.bind(rng.choice(live))
 
     def test_cursor_agrees_with_filter(self):
         rng = random.Random(9)
-        for _ in range(100):
+        for bits in [False, True] * 100:
             q = random_query(rng)
             r = rng.choice(q.relations)
-            sr = build(r, q.order)
-            c = sr.full_cursor()
+            cur = Cursors([r], q.order, q.domain_size, bits)
+            b = bit_width(q.domain_size)
             t = {}
-            for v in sr.variables:
-                t[v] = rng.randrange(q.domain_size or 1)
-                c = sr.narrow(c, t[v])
-                assert c.count() == filter_relation(r, t).size
+            for v in q.order:
+                code = rng.randrange(q.domain_size or 1)
+                for bit in bin_value(code, b) if bits else (code,):
+                    cur.bind(bit)
+                t[v] = code
+                assert cur.codes() == tuple(t.values())
+                assert count(cur.stacks[0]) == filter_relation(r, t).size

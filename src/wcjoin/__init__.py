@@ -4,11 +4,9 @@ from .binary import (
     BitLayout,
     bin_constraints,
     bin_query,
-    bin_tuple,
     bin_value,
     bit_width,
     debin_row,
-    debin_tuple,
     make_layout,
 )
 from .constraints import (
@@ -31,7 +29,6 @@ from .core import (
     filter_relation,
     is_consistent,
     project,
-    restrict,
 )
 from .enumerator import EnumerationStats, IncompatibleOrderError, wcj, wcj_binarised
 from .estimators import (
@@ -50,7 +47,6 @@ from .sampler import (
     EmptyAnswerSetError,
     Sampler,
     SamplerStats,
-    UpMemo,
     WorkBudgetError,
     children_values,
     sample,

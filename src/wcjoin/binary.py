@@ -46,15 +46,13 @@ class BitLayout:
     domain_size: int
     bin_order: tuple[str, ...]
     var_map: Mapping[str, tuple[str, ...]]  # x -> (x#1, ..., x#b)
-    inverse: Mapping[str, tuple[str, int]]  # x#i -> (x, i)
 
 
 def make_layout(order: Sequence[str], domain_size: int) -> BitLayout:
     b = bit_width(domain_size)
     var_map = {x: tuple(bin_var(x, i) for i in range(1, b + 1)) for x in order}
-    inverse = {bv: (x, i) for x in order for i, bv in enumerate(var_map[x], start=1)}
     bin_order = tuple(bv for x in order for bv in var_map[x])
-    return BitLayout(b, tuple(order), domain_size, bin_order, var_map, inverse)
+    return BitLayout(b, tuple(order), domain_size, bin_order, var_map)
 
 
 def bin_relation(rel: Relation, layout: BitLayout) -> Relation:
@@ -75,14 +73,6 @@ def bin_query(query: JoinQuery, layout: BitLayout | None = None) -> JoinQuery:
     return JoinQuery(layout.bin_order, relations, 2, dictionary)
 
 
-def bin_tuple(t: Mapping[str, int], layout: BitLayout) -> dict[str, int]:
-    out = {}
-    for x, code in t.items():
-        for bv, bit in zip(layout.var_map[x], bin_value(code, layout.b)):
-            out[bv] = bit
-    return out
-
-
 def debin_row(bits: Sequence[int], layout: BitLayout) -> tuple[int, ...]:
     """Decode a full row of bits (aligned with bin_order) back to codes."""
     b = layout.b
@@ -95,22 +85,6 @@ def debin_row(bits: Sequence[int], layout: BitLayout) -> tuple[int, ...]:
             raise DebinError(f"decoded code {code} >= domain size {layout.domain_size}")
         codes.append(code)
     return tuple(codes)
-
-
-def debin_tuple(t: Mapping[str, int], layout: BitLayout) -> dict[str, int]:
-    """Inverse of bin_tuple on tuples assigning complete bit blocks."""
-    out = {}
-    for x in layout.source_order:
-        block = layout.var_map[x]
-        if block[0] not in t:
-            continue
-        code = 0
-        for bv in block:
-            code = (code << 1) | t[bv]
-        if code >= layout.domain_size:
-            raise DebinError(f"decoded code {code} >= domain size {layout.domain_size}")
-        out[x] = code
-    return out
 
 
 def bin_constraints(cs: ConstraintSet, layout: BitLayout) -> ConstraintSet:

@@ -72,8 +72,15 @@ class LoadedSpec:
     order: tuple[str, ...] | None  # explicit order from the spec file
 
 
+def _names(value, what: str) -> list[str]:
+    """A JSON list of strings, or SpecError naming `what`."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise SpecError(f"{what} must be a list of variable names")
+    return value
+
+
 def _parse_fd(text: str) -> tuple[frozenset[str], str]:
-    if "->" not in text:
+    if not isinstance(text, str) or "->" not in text:
         raise SpecError(f"malformed functional dependency {text!r}")
     left, right = text.split("->", 1)
     source = frozenset(v.strip() for v in left.split(",") if v.strip())
@@ -115,12 +122,14 @@ def load_spec(path: str | Path) -> LoadedSpec:
             raise SpecError(f"relation {name!r}: missing CSV header")
         header, data = rows[0], rows[1:]
         declared = entry.get("variables")
-        if declared is not None and list(declared) != header:
+        if declared is not None and _names(declared, f"relation {name!r}: 'variables'") != header:
             raise SpecError(f"relation {name!r}: header does not match declared variables")
         tables.append((name, header, data))
 
     order = doc.get("order")
-    if order is None:
+    if order is not None:
+        _names(order, "'order'")
+    else:
         seen: list[str] = []
         for _, header, _ in tables:
             for v in header:
@@ -134,6 +143,8 @@ def load_spec(path: str | Path) -> LoadedSpec:
 
     constraint_set = None
     raw_constraints = doc.get("constraints")
+    if raw_constraints is not None and not isinstance(raw_constraints, list):
+        raise SpecError("'constraints' must be a list")
     if raw_constraints:
         edges = []
         for rel in query.relations:
@@ -152,15 +163,18 @@ def load_spec(path: str | Path) -> LoadedSpec:
                 guard = _pick_guard(edges, source | {target}, entry["fd"])
                 parsed.append(functional_dependency(source, target, guard))
                 continue
-            try:
-                a = frozenset(entry["A"])
-                b = frozenset(entry["B"])
-                n = int(entry["N"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SpecError(f"malformed constraint {entry!r}") from exc
-            guard = frozenset(entry["guard"]) if "guard" in entry else _pick_guard(
-                edges, b, f"constraint {entry!r}"
-            )
+            if not isinstance(entry, dict) or not {"A", "B", "N"} <= entry.keys():
+                raise SpecError(f"malformed constraint {entry!r}")
+            what = f"constraint {entry!r}"
+            a = frozenset(_names(entry["A"], f"{what}: 'A'"))
+            b = frozenset(_names(entry["B"], f"{what}: 'B'"))
+            n = entry["N"]
+            if type(n) is not int:  # also refuses true/false, which are ints in Python
+                raise SpecError(f"{what}: 'N' must be an integer")
+            if "guard" in entry:
+                guard = frozenset(_names(entry["guard"], f"{what}: 'guard'"))
+            else:
+                guard = _pick_guard(edges, b, what)
             if guard not in edges:
                 raise SpecError(f"guard {sorted(guard)} is not a relation variable set")
             try:
@@ -174,6 +188,8 @@ def load_spec(path: str | Path) -> LoadedSpec:
 
     weights = None
     if doc.get("weights") is not None:
+        if not isinstance(doc["weights"], list):
+            raise SpecError("'weights' must be a list")
         try:
             weights = parse_weights(doc["weights"])
         except (ValueError, TypeError) as exc:

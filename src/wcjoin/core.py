@@ -124,12 +124,6 @@ def encode_instance(
     return JoinQuery(order, tuple(relations), len(backward), dictionary)
 
 
-def restrict(t: Mapping[str, int], variables: Iterable[str]) -> dict[str, int]:
-    """Restriction of a tuple to a variable set; absent variables are ignored."""
-    keep = set(variables)
-    return {v: c for v, c in t.items() if v in keep}
-
-
 def filter_relation(rel: Relation, t: Mapping[str, int]) -> Relation:
     """R[t]: rows agreeing with t on shared variables, projected off t's variables."""
     shared = [i for i, v in enumerate(rel.variables) if v in t]

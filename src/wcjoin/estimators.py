@@ -7,9 +7,10 @@ feasible solutions; the programs are tiny (one unknown per constraint) and
 exactness removes any float-feasibility doubt. Objectives are compared
 without logs, as integer powers.
 
-An EstimatorContext is an `index.Cursors` over the query's relations and
-the guard projections R|B, at variable or at bit levels, that evaluates, at
-the current prefix node, the product bound
+An EstimatorContext is an `index.Cursors` with one cursor per distinct
+relation among the query's relations and the guard projections R|B (a
+projection on the whole guard is the guard itself), at variable or at bit
+levels. It evaluates, at the current prefix node, the product bound
 
     prod over constraints of N[tau] ^ w,   N[tau] = static N until A is fully
                                            bound, live range count afterwards,
@@ -28,8 +29,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .constraints import ConstraintSet, guard_relation
+from .constraints import ConstraintSet, cardinality_constraints, guard_relation
 from .core import JoinQuery, project
+from .enumerator import resolve_order
 from .index import Cursors
 
 COVER_SIZE_LIMIT = 20
@@ -207,35 +209,35 @@ class EstimatorContext(Cursors):
     ):
         if len(cover.weights) != len(constraint_set.constraints):
             raise ValueError("one weight per constraint required")
-        self.query = query
-        self.constraint_set = constraint_set
-        self.cover = cover
         self.order = tuple(order) if order is not None else query.order
 
-        # Consistency cursors over every relation of the query, then count
-        # cursors over the deduplicated guard projections R' = R|B.
+        # One cursor per distinct relation among the query's relations and
+        # the guard projections R' = R|B; a projection on the whole guard is
+        # the guard itself and shares its cursor.
         projections = []
         for c in constraint_set.constraints:
             guard = guard_relation(query, c.guard)
             if guard is None:
                 raise ValueError(f"no relation on guard of {c.describe()}")
             projections.append(project(guard, c.B))
-        super().__init__(query.relations + tuple(projections), self.order, query.domain_size, bits)
-        self._rel_stacks = self.stacks[: len(query.relations)]
+        relations = list(dict.fromkeys(query.relations + tuple(projections)))
+        super().__init__(relations, self.order, query.domain_size, bits)
+        stack_of = dict(zip(relations, self.stacks))
         # A term uses its static N until every level of A is bound.
         pos = {v: i for i, v in enumerate(self.order)}
         self._terms: list[tuple[float, float, int, list[tuple[int, int]]]] = []
-        guard_stacks = self.stacks[len(query.relations):]
-        for c, w, st in zip(constraint_set.constraints, cover.weights, guard_stacks):
+        for c, w, proj in zip(constraint_set.constraints, cover.weights, projections):
             ready = self.per_var * (1 + max((pos[a] for a in c.A), default=-1))
-            self._terms.append((float(w), math.log(c.N), ready, st))
+            self._terms.append((float(w), math.log(c.N), ready, stack_of[proj]))
 
     # Bound under the context's own names, so that perfbench's tracer times
     # the estimator's cursor moves apart from the enumerator's.
     bind, unbind = Cursors.bind, Cursors.unbind
 
     def node_consistent(self) -> bool:
-        return all(st[-1][0] < st[-1][1] for st in self._rel_stacks)
+        # A projection is nonempty whenever its guard is, so checking every
+        # stack is the same test as checking the query's relations.
+        return all(st[-1][0] < st[-1][1] for st in self.stacks)
 
     def estimate(self) -> float:
         """Upper bound on answers below the current node; 0 iff inconsistent."""
@@ -248,11 +250,8 @@ class EstimatorContext(Cursors):
                 log_total += w * log_n
             else:
                 lo, hi = stack[-1]
-                count = hi - lo
-                if count <= 0:
-                    return 0.0
-                if count > 1:
-                    log_total += w * math.log(count)
+                if hi - lo > 1:
+                    log_total += w * math.log(hi - lo)
         return math.exp(log_total) if log_total != 0.0 else 1.0
 
 
@@ -263,8 +262,6 @@ def build_agm_context(
     order: Sequence[str] | None = None,
 ) -> EstimatorContext:
     """AGM estimator context for a cardinality class (bounds default to |R|)."""
-    from .constraints import cardinality_constraints
-
     cs = constraint_set if constraint_set is not None else cardinality_constraints(query)
     if any(not c.is_cardinality for c in cs.constraints):
         raise ValueError("AGM estimator takes cardinality constraints only")
@@ -280,12 +277,7 @@ def build_pm_context(
     order: Sequence[str] | None = None,
 ) -> EstimatorContext:
     """Polymatroid estimator context; the order must be constraint-compatible."""
-    from .constraints import check_compatible, compatible_order
-
-    if order is None:
-        order = compatible_order(constraint_set)
-    elif not check_compatible(constraint_set, order):
-        raise ValueError("order is not compatible with the degree constraints")
+    order = resolve_order(query, constraint_set, order)
     if cover is None:
         cover = solve_cover_degree(constraint_set)
     return EstimatorContext(query, constraint_set, cover, order)

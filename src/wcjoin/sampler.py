@@ -3,9 +3,10 @@
 A single trial walks the trace tree from the root, choosing child d with
 probability value(d) / value(parent) and failing outright with the leftover
 probability, so that each answer is returned with probability exactly
-1 / up(root). Subtrees proven empty are memoized to 0 so they are never
-walked again; on instances with no answers the memoized root value reaches 0
-after finitely many updates, which is how emptiness is detected.
+1 / up(root). The memo is the set of prefixes proven answer-free: a node is
+added when all its children are 0, and a memo prefix counts 0 without being
+bound again. On instances with no answers the root prefix joins the set after
+finitely many refutations, which is how emptiness is detected.
 
 Sampler walks the bit levels of the original relations (branching factor
 2, see `index.Cursors`); the functions below take any EstimatorContext.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .constraints import ConstraintSet, cardinality_constraints
 from .core import JoinQuery
@@ -28,7 +29,7 @@ from .estimators import (
 
 
 class EmptyAnswerSetError(Exception):
-    """The query is provably answer-free (memo-adjusted root value hit 0)."""
+    """The query is provably answer-free (the root prefix is refuted, or its value is 0)."""
 
     def __init__(self, stats: "SamplerStats"):
         self.stats = stats
@@ -69,74 +70,50 @@ class SamplerStats:
         }
 
 
-class UpMemo:
-    """Sparse residual upper bounds learned from exhausted subtrees.
-
-    Keys are prefixes as tuples of child indices; entries appear only along
-    failed walks that bottomed out, so memory stays bounded by work done.
-    """
-
-    def __init__(self):
-        self.overrides: dict[tuple[int, ...], float] = {}
-
-    def adjusted(self, key: tuple[int, ...], estimate: float) -> float:
-        return self.overrides.get(key, estimate)
-
-    def __len__(self) -> int:
-        return len(self.overrides)
+# Prefixes (tuples of child indices) proven to have no answer below them.
+Memo = set[tuple[int, ...]]
 
 
-def children_values(ctx: EstimatorContext, memo: UpMemo, prefix: Sequence[int]) -> list[float]:
-    """Memo-adjusted estimator value of every child of the current node."""
+def children_values(ctx: EstimatorContext, memo: Memo, prefix: Sequence[int]) -> list[float]:
+    """Estimator value of every child of the current node; 0 for a refuted child."""
     values = []
     base = tuple(prefix)
     for d in range(ctx.fanout):
+        if base + (d,) in memo:
+            values.append(0.0)
+            continue
         ctx.bind(d)
-        values.append(memo.adjusted(base + (d,), ctx.estimate()))
+        values.append(ctx.estimate())
         ctx.unbind()
     return values
 
 
-def _refute(ctx: EstimatorContext, memo: UpMemo, prefix: list[int]) -> None:
-    """Mark the current node empty and propagate 0 up while siblings allow it.
+def _refute(ctx: EstimatorContext, memo: Memo, prefix: list[int]) -> None:
+    """Add the current node to the memo, then every ancestor whose children are all 0.
 
-    A parent is overridden (with the sum of its children's residuals, 0 in
-    practice) once every child is either overridden or plainly inconsistent.
     Restores the context to the root.
     """
-    memo.overrides[tuple(prefix)] = 0.0
+    memo.add(tuple(prefix))
     while prefix:
         ctx.unbind()
         prefix.pop()
-        base = tuple(prefix)
-        settled, total = True, 0.0
-        for d in range(ctx.fanout):
-            key = base + (d,)
-            if key in memo.overrides:
-                total += memo.overrides[key]
-                continue
-            ctx.bind(d)
-            live = ctx.estimate()
-            ctx.unbind()
-            if live != 0.0:
-                settled = False
-                break
-        if not settled:
+        if any(children_values(ctx, memo, prefix)):
             break
-        memo.overrides[base] = total
+        memo.add(tuple(prefix))
     while prefix:
         ctx.unbind()
         prefix.pop()
 
 
-def sample_once(ctx: EstimatorContext, memo: UpMemo, rng: random.Random) -> tuple[int, ...] | None:
+def sample_once(ctx: EstimatorContext, memo: Memo, rng: random.Random) -> tuple[int, ...] | None:
     """One guided walk: an answer's code tuple, or None on failure.
 
-    Each answer comes out with probability 1 / (memo-adjusted root value).
-    Walks that prove a subtree empty record that in the memo.
+    Each answer comes out with probability 1 / up(root); once the root is in
+    the memo every walk fails. Walks that prove a subtree empty add its
+    prefix to the memo.
     """
     prefix: list[int] = []
-    value = memo.adjusted((), ctx.estimate())
+    value = 0.0 if () in memo else ctx.estimate()
     if value <= 0.0:
         return None
     while True:
@@ -176,20 +153,23 @@ def sample(
     k: int,
     rng: random.Random,
     max_work: int | None = None,
-    memo: UpMemo | None = None,
+    memo: Memo | None = None,
 ) -> tuple[list[tuple[int, ...]], SamplerStats]:
     """k i.i.d. uniform answers (with replacement), or prove the query empty.
 
-    Raises EmptyAnswerSetError once the memo-adjusted root value reaches 0,
-    and WorkBudgetError when max_work trials pass without finishing.
+    Raises EmptyAnswerSetError once the root prefix is in the memo (or the
+    root value is 0), and WorkBudgetError when max_work trials pass without
+    finishing.
     """
-    memo = memo if memo is not None else UpMemo()
+    memo = memo if memo is not None else set()
     stats = SamplerStats(up_root=ctx.estimate())
     answers: list[tuple[int, ...]] = []
-    while len(answers) < k:
-        root = memo.adjusted((), ctx.estimate())
-        stats.final_up_root = root
-        if root <= 0.0:
+    while True:
+        # The root estimate is static; only a refutation of the root moves it.
+        stats.final_up_root = 0.0 if () in memo else stats.up_root
+        if len(answers) >= k:
+            return answers, stats
+        if stats.final_up_root <= 0.0:
             raise EmptyAnswerSetError(stats)
         if max_work is not None and stats.trials >= max_work:
             raise WorkBudgetError(stats, answers)
@@ -200,8 +180,6 @@ def sample(
         else:
             answers.append(out)
             stats.answers_returned += 1
-    stats.final_up_root = memo.adjusted((), ctx.estimate())
-    return answers, stats
 
 
 class Sampler:
@@ -219,9 +197,8 @@ class Sampler:
         self.order = resolve_order(query, constraint_set, order)
         if cover is None:
             cover = solve_cover_degree(constraint_set)
-        self.cover = cover
         self.ctx = EstimatorContext(query, constraint_set, cover, self.order, bits=True)
-        self.memo = UpMemo()
+        self.memo: Memo = set()
 
     def sample(
         self, k: int, rng: random.Random, max_work: int | None = None

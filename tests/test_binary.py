@@ -8,12 +8,10 @@ from wcjoin.binary import (
     bin_constraints,
     bin_query,
     bin_relation,
-    bin_tuple,
     bin_value,
     bin_var,
     bit_width,
     debin_row,
-    debin_tuple,
     make_layout,
 )
 from wcjoin.constraints import (
@@ -66,7 +64,6 @@ class TestLayout:
         assert lay.b == 2
         assert lay.bin_order == ("x1#1", "x1#2", "x2#1", "x2#2", "x3#1", "x3#2")
         assert lay.var_map["x2"] == ("x2#1", "x2#2")
-        assert lay.inverse["x3#2"] == ("x3", 2)
         assert bin_var("x1", 1) == "x1#1"
 
 
@@ -118,11 +115,6 @@ class TestBinQuery:
 
 
 class TestTupleCodecs:
-    def test_bin_tuple(self):
-        lay = make_layout(TRIANGLE_ORDER, 4)
-        assert bin_tuple({"x1": 2}, lay) == {"x1#1": 1, "x1#2": 0}
-        assert debin_tuple({"x1#1": 1, "x1#2": 0}, lay) == {"x1": 2}
-
     def test_round_trip_random(self):
         rng = random.Random(8)
         for _ in range(200):
@@ -130,8 +122,6 @@ class TestTupleCodecs:
             order = tuple(f"x{i}" for i in range(n))
             d = rng.randint(1, 40)
             lay = make_layout(order, d)
-            t = {v: rng.randrange(d) for v in rng.sample(order, rng.randint(0, n))}
-            assert debin_tuple(bin_tuple(t, lay), lay) == t
             row = tuple(rng.randrange(d) for _ in order)
             bits = tuple(bit for c in row for bit in bin_value(c, lay.b))
             assert debin_row(bits, lay) == row
@@ -140,8 +130,6 @@ class TestTupleCodecs:
         lay = make_layout(("x1",), 3)  # 2 bits, codes 0..2
         with pytest.raises(DebinError):
             debin_row((1, 1), lay)
-        with pytest.raises(DebinError):
-            debin_tuple({"x1#1": 1, "x1#2": 1}, lay)
 
 
 class TestBinConstraints:

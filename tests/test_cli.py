@@ -101,6 +101,27 @@ class TestLoadSpec:
             exits_2(["sample", path, "--order", order])
         exits_2(["sample", path, "--count", "0"])
         exits_2(["sample", path, "--count", "-3"])
+        card = {"A": [], "B": ["x1", "x2"], "N": 4}
+        for extra in (
+            {"order": 5},
+            {"order": ["x1", 2, "x3"]},
+            {"constraints": 5},
+            {"constraints": [{"fd": 5}]},
+            {"constraints": [5]},
+            {"constraints": [{**card, "guard": 5}]},
+            {"constraints": [{**card, "A": "x1"}]},
+            {"constraints": [{**card, "B": 5}]},
+            {"constraints": [{**card, "N": 2.5}]},
+            {"constraints": [{**card, "N": True}]},
+            {"constraints": [{**card, "N": "4"}]},
+            {"weights": "111"},
+        ):
+            bad.write_text(json.dumps({**doc, **extra}))
+            exits_2(["join", str(bad)])
+            exits_2(["sample", str(bad)])
+        relations = {**doc["relations"], "R": {"path": "R.csv", "variables": 5}}
+        bad.write_text(json.dumps({"relations": relations}))
+        exits_2(["join", str(bad)])
 
 
 class TestJoin:

@@ -10,7 +10,6 @@ from wcjoin.core import (
     filter_relation,
     is_consistent,
     project,
-    restrict,
 )
 
 from conftest import TRIANGLE_ANSWERS, TRIANGLE_ORDER, TRIANGLE_TABLES, random_query
@@ -70,10 +69,6 @@ class TestEncodeInstance:
 
 
 class TestAlgebra:
-    def test_restrict(self):
-        assert restrict({"x1": 1, "x2": 0}, {"x2", "x3"}) == {"x2": 0}
-        assert restrict({}, {"x1"}) == {}
-
     def test_filter_triangle_examples(self, triangle_query):
         r = triangle_query.relations[0]
         assert filter_relation(r, {"x1": 1}) == rel(("x2",), {(0,), (1,)})

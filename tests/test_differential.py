@@ -20,7 +20,7 @@ from wcjoin.constraints import (
 from wcjoin.core import encode_instance
 from wcjoin.enumerator import wcj, wcj_binarised
 from wcjoin.estimators import EstimatorContext, solve_cover_degree
-from wcjoin.sampler import EmptyAnswerSetError, Sampler, UpMemo, WorkBudgetError, sample
+from wcjoin.sampler import EmptyAnswerSetError, Sampler, WorkBudgetError, sample
 
 from conftest import random_query
 
@@ -109,7 +109,7 @@ def test_sampler_matches_the_bit_encoded_query(instance, seed, k):
     ctx = EstimatorContext(
         bin_query(q, lay), bin_constraints(cs, lay), solve_cover_degree(cs), lay.bin_order
     )
-    memo = UpMemo()
+    memo = set()
     want = outcome(
         lambda: sample(ctx, k, random.Random(seed), max_work=300, memo=memo),
         lambda bits: debin_row(bits, lay),

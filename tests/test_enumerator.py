@@ -6,7 +6,7 @@ from collections import defaultdict
 
 import pytest
 
-from wcjoin.binary import bin_query, bin_tuple, bit_width, make_layout
+from wcjoin.binary import bin_query, bit_width, make_layout
 from wcjoin.cli import main
 from wcjoin.constraints import ConstraintSet, functional_dependency
 from wcjoin.core import encode_instance, is_consistent
@@ -96,7 +96,7 @@ class TestBinarisedEnumeration:
         # prefix (1, 1) for x1 is already inconsistent:
         lay = make_layout(triangle_query.order, 4)
         bq = bin_query(triangle_query, lay)
-        assert not is_consistent(bq, bin_tuple({"x1": 3}, lay))
+        assert not is_consistent(bq, {"x1#1": 1, "x1#2": 1})
         _, stats = run_bin(triangle_query)
         pc = [1] + prefix_counts(bq, lay.bin_order)
         assert stats.per_depth_calls == [1] + [2 * c for c in pc[:-1]]

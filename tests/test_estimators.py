@@ -134,6 +134,11 @@ class TestAgmEstimator:
         ctx.unbind()
         assert ctx.estimate() == pytest.approx(8.0)  # context restored
 
+    def test_one_cursor_per_relation(self, triangle_query):
+        # Each cardinality constraint's projection is its guard relation.
+        ctx = build_agm_context(triangle_query)
+        assert len(ctx.stacks) == 3
+
     def test_rejects_degree_constraints(self, triangle_query):
         cs = ConstraintSet(
             V3,
@@ -205,6 +210,41 @@ class TestPmEstimator:
             build_pm_context(q, cs, order=("x2", "x1", "x3"))
         ctx = build_pm_context(q, cs)
         assert ctx.order == compatible_order(cs)
+
+    def test_constraints_on_a_whole_guard_share_its_cursor(self):
+        q, cs = self.pm_fixture()
+        ctx = build_pm_context(q, cs)
+        assert len(ctx.stacks) == 3
+        # Constraint i's count is read from its guard relation's stack.
+        guards = [q.relations[2], q.relations[0], q.relations[1]]  # T, R, S
+        assert [frozenset(r.variables) for r in guards] == [c.guard for c in cs.constraints]
+        for (_, _, _, stack), rel in zip(ctx._terms, guards):
+            assert stack is ctx.stacks[q.relations.index(rel)]
+
+    def test_projected_guard_keeps_its_own_cursor(self):
+        # U has 4 distinct (x1, x2) pairs, each with 2 values of x3: the
+        # bound 4 * 2 goes through the projection U|{x1,x2}.
+        rows = [[str(i), str(i % 2), str(j)] for i in range(4) for j in range(2)]
+        q = encode_instance([("U", ("x1", "x2", "x3"), rows)], ("x1", "x2", "x3"))
+        e12 = frozenset({"x1", "x2"})
+        cs = ConstraintSet(
+            V3,
+            (V3,),
+            (
+                DegreeConstraint(frozenset(), V3, 9, V3),
+                DegreeConstraint(frozenset(), e12, 4, V3),
+                DegreeConstraint(e12, V3, 2, V3),
+            ),
+        )
+        ctx = build_pm_context(q, cs)
+        assert solve_cover_degree(cs).weights == (F(0), F(1), F(1))
+        assert len(ctx.stacks) == 2  # U and U|{x1,x2}
+        stacks = [term[3] for term in ctx._terms]
+        assert stacks[0] is stacks[2] is ctx.stacks[0]
+        assert stacks[1] is ctx.stacks[1]
+        assert ctx.estimate() == pytest.approx(8.0)
+        report = verify_estimator(ctx)
+        assert report.ok, report
 
     def test_bound_and_soundness(self):
         q, cs = self.pm_fixture()

@@ -11,14 +11,27 @@ from wcjoin.oracle import chi_square_uniformity, nested_loop_join
 from wcjoin.sampler import (
     EmptyAnswerSetError,
     Sampler,
-    UpMemo,
     WorkBudgetError,
     children_values,
     sample,
     sample_once,
 )
 
-from conftest import TRIANGLE_ANSWERS, TRIANGLE_TABLES, random_query
+from conftest import (
+    TRIANGLE_ANSWERS,
+    TRIANGLE_TABLES,
+    random_degree_instance,
+    random_query,
+)
+
+
+# Answer-free although every relation is nonempty and every prefix of length
+# one extends.
+ANSWER_FREE_TABLES = [
+    ("R", ("x1", "x2"), [["0", "1"], ["1", "0"]]),
+    ("S", ("x2", "x3"), [["1", "1"], ["0", "0"]]),
+    ("T", ("x1", "x3"), [["0", "0"], ["1", "1"]]),
+]
 
 
 def bin_ctx(query):
@@ -28,14 +41,16 @@ def bin_ctx(query):
 class TestChildrenValues:
     def test_triangle_root_children(self, triangle_query):
         ctx = bin_ctx(triangle_query)
-        memo = UpMemo()
+        memo = set()
         values = children_values(ctx, memo, ())
         assert len(values) == 2
         assert ctx.depth == 0  # context restored
         # Root value 8 splits between the x1#1 = 0 and x1#1 = 1 subtrees.
         assert sum(values) <= ctx.estimate() + 1e-9
-        memo.overrides[(0,)] = 0.0
-        assert children_values(ctx, memo, ())[0] == 0.0
+        assert values[0] > 0.0
+        memo.add((0,))  # a refuted child counts 0
+        assert children_values(ctx, memo, ()) == [0.0, values[1]]
+        assert ctx.depth == 0
 
 
 class TestSampleOnce:
@@ -44,7 +59,7 @@ class TestSampleOnce:
         # probability 1 / up(root) = 1/8; check all four within 3 sigma.
         ctx = bin_ctx(triangle_query)
         rng = random.Random(101)
-        memo = UpMemo()
+        memo = set()
         trials = 20000
         counts: dict[tuple[int, ...], int] = {}
         for _ in range(trials):
@@ -61,8 +76,7 @@ class TestSampleOnce:
 
     def test_root_zero_fails_immediately(self, triangle_query):
         ctx = bin_ctx(triangle_query)
-        memo = UpMemo()
-        memo.overrides[()] = 0.0
+        memo = {()}
         assert sample_once(ctx, memo, random.Random(0)) is None
         assert ctx.depth == 0
 
@@ -113,14 +127,8 @@ class TestSample:
         assert exc.value.stats.final_up_root == 0.0
 
     def test_structurally_nonempty_but_answer_free(self):
-        # Every relation is nonempty and every prefix of length one extends,
-        # yet the join is empty; refutation memos must drive the root to 0.
-        tables = [
-            ("R", ("x1", "x2"), [["0", "1"], ["1", "0"]]),
-            ("S", ("x2", "x3"), [["1", "1"], ["0", "0"]]),
-            ("T", ("x1", "x3"), [["0", "0"], ["1", "1"]]),
-        ]
-        q = encode_instance(tables, ("x1", "x2", "x3"))
+        # The refutation memo must drive the root to 0.
+        q = encode_instance(ANSWER_FREE_TABLES, ("x1", "x2", "x3"))
         assert nested_loop_join(q) == set()
         s = Sampler(q)
         with pytest.raises(EmptyAnswerSetError) as exc:
@@ -129,15 +137,14 @@ class TestSample:
         assert exc.value.stats.trials >= 1
 
     def test_memo_entries_are_sound(self, triangle_query):
-        # Every memoized override marks a genuinely answer-free bit prefix.
+        # Every memo prefix is a genuinely answer-free bit prefix.
         ctx = bin_ctx(triangle_query)
-        memo = UpMemo()
+        memo = set()
         rng = random.Random(11)
         answers_bits = nested_loop_join(bin_query(triangle_query))
         _, _ = sample(ctx, 200, rng, memo=memo)
-        assert memo.overrides  # the walk hit dead subtrees
-        for prefix, value in memo.overrides.items():
-            assert value == 0.0
+        assert memo  # the walk hit dead subtrees
+        for prefix in memo:
             assert not any(
                 bits[: len(prefix)] == prefix for bits in answers_bits
             )
@@ -163,3 +170,90 @@ class TestSample:
         answers, stats = s.sample(20, random.Random(9))
         assert answers == [(0,)] * 20
         assert stats.trials == 20 and stats.failures == 0
+
+
+class TestPinnedOutput:
+    """Seeded runs against answers, stats and memo sizes recorded once.
+
+    Any change to what a seeded run draws, to how it consumes the RNG, or to
+    which prefixes it refutes shows up here, also across versions.
+    """
+
+    @staticmethod
+    def triangle_indices(answers):
+        # Each triangle answer as its index into sorted(TRIANGLE_ANSWERS).
+        index = {a: str(i) for i, a in enumerate(sorted(TRIANGLE_ANSWERS))}
+        return "".join(index[a] for a in answers)
+
+    def test_agm_triangle(self, triangle_query):
+        s = Sampler(triangle_query)
+        answers, stats = s.sample(200, random.Random(42))
+        assert self.triangle_indices(answers) == (
+            "00333012323121132102321110222210333301212031013033111221101130"
+            "12233300200033122311330221333200121102223322000203332222120000"
+            "02220031132332021031312231231001320122332103011333022232023320"
+            "33020012220310"
+        )
+        assert stats.as_dict() == {
+            "trials": 355,
+            "failures": 155,
+            "answers_returned": 200,
+            "up_root": 7.999999999999998,
+            "final_up_root": 7.999999999999998,
+            "mean_trials_per_success": 1.775,
+        }
+        assert len(s.memo) == 5
+
+    def test_pm_with_a_projected_guard(self):
+        q, cs = random_degree_instance(
+            random.Random(196), max_vars=3, max_rels=3, max_tuples=12
+        )
+        # B = {x1, x3} is a strict subset of its guard {x1, x2, x3}.
+        assert any(c.B < c.guard for c in cs.constraints)
+        s = Sampler(q, cs)
+        answers, stats = s.sample(30, random.Random(7))
+        assert answers == [
+            (0, 2, 2), (4, 4, 1), (2, 0, 1), (2, 0, 1), (1, 4, 3), (4, 3, 1),
+            (4, 3, 1), (4, 4, 1), (0, 2, 2), (1, 4, 3), (4, 0, 2), (1, 4, 3),
+            (4, 4, 3), (0, 2, 2), (2, 0, 1), (4, 0, 2), (2, 0, 1), (4, 3, 1),
+            (4, 4, 3), (0, 2, 2), (4, 4, 1), (1, 0, 4), (1, 0, 4), (1, 3, 1),
+            (1, 4, 3), (0, 2, 2), (1, 4, 3), (1, 4, 3), (1, 4, 3), (4, 0, 2),
+        ]
+        assert stats.as_dict() == {
+            "trials": 36,
+            "failures": 6,
+            "answers_returned": 30,
+            "up_root": 12.0,
+            "final_up_root": 12.0,
+            "mean_trials_per_success": 1.2,
+        }
+        assert len(s.memo) == 6
+
+    def test_answer_free_triangle(self):
+        s = Sampler(encode_instance(ANSWER_FREE_TABLES, ("x1", "x2", "x3")))
+        with pytest.raises(EmptyAnswerSetError) as exc:
+            s.sample(1, random.Random(3))
+        assert exc.value.stats.as_dict() == {
+            "trials": 2,
+            "failures": 2,
+            "answers_returned": 0,
+            "up_root": 2.82842712474619,
+            "final_up_root": 0.0,
+            "mean_trials_per_success": None,
+        }
+        assert len(s.memo) == 5
+
+    def test_work_budget(self, triangle_query):
+        s = Sampler(triangle_query)
+        with pytest.raises(WorkBudgetError) as exc:
+            s.sample(10 ** 6, random.Random(2), max_work=50)
+        assert self.triangle_indices(exc.value.answers) == "33130311322000321031022200030"
+        assert exc.value.stats.as_dict() == {
+            "trials": 50,
+            "failures": 21,
+            "answers_returned": 29,
+            "up_root": 7.999999999999998,
+            "final_up_root": 7.999999999999998,
+            "mean_trials_per_success": 1.7241379310344827,
+        }
+        assert len(s.memo) == 5

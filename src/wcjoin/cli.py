@@ -35,7 +35,6 @@ from .constraints import (
     CyclicConstraintsError,
     DegreeConstraint,
     cardinality_constraints,
-    check_compatible,
     compatible_order,
     functional_dependency,
     validate,
@@ -80,7 +79,7 @@ def _names(value, what: str) -> list[str]:
 
 
 def _parse_fd(text: str) -> tuple[frozenset[str], str]:
-    if not isinstance(text, str) or "->" not in text:
+    if "->" not in text:
         raise SpecError(f"malformed functional dependency {text!r}")
     left, right = text.split("->", 1)
     source = frozenset(v.strip() for v in left.split(",") if v.strip())
@@ -90,7 +89,7 @@ def _parse_fd(text: str) -> tuple[frozenset[str], str]:
     return source, target
 
 
-def _pick_guard(edges: list[frozenset[str]], b: frozenset[str], what: str) -> frozenset[str]:
+def _pick_guard(edges: tuple[frozenset[str], ...], b: frozenset[str], what: str) -> frozenset[str]:
     for e in edges:
         if b <= e:
             return e
@@ -100,8 +99,8 @@ def _pick_guard(edges: list[frozenset[str]], b: frozenset[str], what: str) -> fr
 def load_spec(path: str | Path) -> LoadedSpec:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SpecError(f"cannot read spec {path}: {exc}") from exc
     if not isinstance(doc, dict) or "relations" not in doc:
         raise SpecError("spec must be a JSON object with a 'relations' field")
@@ -116,7 +115,7 @@ def load_spec(path: str | Path) -> LoadedSpec:
         try:
             with open(csv_path, newline="", encoding="utf-8") as fh:
                 rows = list(csv.reader(fh))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError, csv.Error) as exc:
             raise SpecError(f"cannot read relation {name!r}: {exc}") from exc
         if not rows:
             raise SpecError(f"relation {name!r}: missing CSV header")
@@ -126,16 +125,12 @@ def load_spec(path: str | Path) -> LoadedSpec:
             raise SpecError(f"relation {name!r}: header does not match declared variables")
         tables.append((name, header, data))
 
+    variables = list(dict.fromkeys(v for _, header, _ in tables for v in header))
     order = doc.get("order")
-    if order is not None:
-        _names(order, "'order'")
-    else:
-        seen: list[str] = []
-        for _, header, _ in tables:
-            for v in header:
-                if v not in seen:
-                    seen.append(v)
-        order = seen
+    if order is None:
+        order = variables
+    elif sorted(_names(order, "'order'")) != sorted(variables):
+        raise SpecError("'order' is not a permutation of the relations' variables")
     try:
         query = encode_instance(tables, order)
     except ValueError as exc:
@@ -146,24 +141,16 @@ def load_spec(path: str | Path) -> LoadedSpec:
     if raw_constraints is not None and not isinstance(raw_constraints, list):
         raise SpecError("'constraints' must be a list")
     if raw_constraints:
-        edges = []
-        for rel in query.relations:
-            e = frozenset(rel.variables)
-            if e not in edges:
-                edges.append(e)
+        edges = cardinality_constraints(query).edges
         parsed = []
         for entry in raw_constraints:
-            if isinstance(entry, str):
-                source, target = _parse_fd(entry)
-                guard = _pick_guard(edges, source | {target}, entry)
+            fd = entry.get("fd", entry) if isinstance(entry, dict) else entry
+            if isinstance(fd, str):  # "A -> y", bare or as {"fd": "A -> y"}
+                source, target = _parse_fd(fd)
+                guard = _pick_guard(edges, source | {target}, fd)
                 parsed.append(functional_dependency(source, target, guard))
                 continue
-            if isinstance(entry, dict) and "fd" in entry:
-                source, target = _parse_fd(entry["fd"])
-                guard = _pick_guard(edges, source | {target}, entry["fd"])
-                parsed.append(functional_dependency(source, target, guard))
-                continue
-            if not isinstance(entry, dict) or not {"A", "B", "N"} <= entry.keys():
+            if not isinstance(entry, dict) or "fd" in entry or not {"A", "B", "N"} <= entry.keys():
                 raise SpecError(f"malformed constraint {entry!r}")
             what = f"constraint {entry!r}"
             a = frozenset(_names(entry["A"], f"{what}: 'A'"))
@@ -181,10 +168,7 @@ def load_spec(path: str | Path) -> LoadedSpec:
                 parsed.append(DegreeConstraint(a, b, n, guard))
             except ValueError as exc:
                 raise SpecError(str(exc)) from exc
-        try:
-            constraint_set = ConstraintSet(frozenset(query.order), tuple(edges), tuple(parsed))
-        except ValueError as exc:
-            raise SpecError(str(exc)) from exc
+        constraint_set = ConstraintSet(frozenset(query.order), edges, tuple(parsed))
 
     weights = None
     if doc.get("weights") is not None:
@@ -192,7 +176,7 @@ def load_spec(path: str | Path) -> LoadedSpec:
             raise SpecError("'weights' must be a list")
         try:
             weights = parse_weights(doc["weights"])
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise SpecError(f"malformed weights: {exc}") from exc
 
     explicit = tuple(doc["order"]) if doc.get("order") else None
@@ -232,24 +216,17 @@ def _explicit_order(flag: str | None, spec: LoadedSpec) -> tuple[str, ...] | Non
 
 def cmd_join(args) -> int:
     spec = load_spec(args.spec)
-    order = _explicit_order(args.order, spec)
-    query, cs = spec.query, spec.constraint_set
+    query = spec.query
     started = time.perf_counter()
+    order = resolve_order(query, spec.constraint_set, _explicit_order(args.order, spec))
     answers: list[tuple[int, ...]] = []
-    try:
-        effective = resolve_order(query, cs, order)
-        if args.no_binarise:
-            stats = wcj(query, answers.append, effective)
-        else:
-            stats = wcj_binarised(query, answers.append, cs, effective)
-    except (CyclicConstraintsError, IncompatibleOrderError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCOMPATIBLE
+    search = wcj if args.no_binarise else wcj_binarised
+    stats = search(query, answers.append, order=order)
     elapsed = time.perf_counter() - started
-    _write_answers(args.output, effective, query, answers)
+    _write_answers(args.output, order, query, answers)
     payload = stats.as_dict()
     payload["wall_time_s"] = elapsed
-    payload["order"] = list(effective)
+    payload["order"] = list(order)
     payload["binarised"] = not args.no_binarise
     _write_stats(args.stats_out, payload)
     return EXIT_OK
@@ -282,23 +259,17 @@ def _sample_cover(spec: LoadedSpec, estimator: str):
 
 
 def cmd_sample(args) -> int:
-    if args.count < 1:
-        raise SpecError(f"--count must be at least 1, got {args.count}")
+    for flag, value in (("--count", args.count), ("--max-work", args.max_work)):
+        if value is not None and value < 1:
+            raise SpecError(f"{flag} must be at least 1, got {value}")
+    try:
+        seed = args.seed if args.seed is not None else int(os.environ.get("SEED", "0"))
+    except ValueError as exc:
+        raise SpecError(f"SEED must be an integer, got {os.environ['SEED']!r}") from exc
     spec = load_spec(args.spec)
     order = _explicit_order(args.order, spec)
-    try:
-        cs, cover = _sample_cover(spec, args.estimator)
-    except InfeasibleCoverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCOMPATIBLE
-    try:
-        sampler = Sampler(spec.query, cs, cover, order)
-    except (CyclicConstraintsError, IncompatibleOrderError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCOMPATIBLE
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("SEED", "0"))
+    cs, cover = _sample_cover(spec, args.estimator)
+    sampler = Sampler(spec.query, cs, cover, order)
     rng = random.Random(seed)
     try:
         answers, stats = sampler.sample(args.count, rng, max_work=args.max_work)
@@ -320,11 +291,7 @@ def cmd_cover(args) -> int:
     cs = spec.constraint_set
     if cs is None:
         cs = cardinality_constraints(spec.query)
-    try:
-        cover = solve_cover_degree(cs)
-    except InfeasibleCoverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCOMPATIBLE
+    cover = solve_cover_degree(cs)
     bounds = [c.N for c in cs.constraints]
     for c, w in zip(cs.constraints, cover.weights):
         print(f"{c.describe()}  weight {w}")
@@ -406,13 +373,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # The one place a failure becomes an exit code. The first matching clause
+    # wins, so an InfeasibleCoverError (a CoverError) exits 3.
     try:
         code = args.func(args)
-    except (SpecError, CoverError) as exc:
+    except (CyclicConstraintsError, IncompatibleOrderError, InfeasibleCoverError) as exc:
+        code = EXIT_INCOMPATIBLE
         print(f"error: {exc}", file=sys.stderr)
+    except (SpecError, CoverError) as exc:
         code = EXIT_PARSE
+        print(f"error: {exc}", file=sys.stderr)
     if argv is None:
         sys.exit(code)
     return code

@@ -11,7 +11,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .core import JoinQuery, Relation, filter_relation, project
+from .core import JoinQuery, Relation, project
 
 
 class CyclicConstraintsError(ValueError):
@@ -104,13 +104,18 @@ def validate(query: JoinQuery, cs: ConstraintSet) -> list[ValidationEntry]:
         if rel is None:
             report.append(ValidationEntry(c, False, None, None, "no guard relation"))
             continue
-        a_vars = tuple(v for v in rel.variables if v in c.A)
+        a_idx = [i for i, v in enumerate(rel.variables) if v in c.A]
+        b_idx = [i for i, v in enumerate(rel.variables) if v in c.B]
+        b_rows: dict[tuple[int, ...], set[tuple[int, ...]]] = {}  # distinct B-rows per A-row
+        for row in rel.rows:
+            key = tuple(row[i] for i in a_idx)
+            b_rows.setdefault(key, set()).add(tuple(row[i] for i in b_idx))
         worst, witness = 0, None
+        # The witness is the first A-row of the worst degree in this walk.
         for a_row in project(rel, c.A).rows:
-            t = dict(zip(a_vars, a_row))
-            degree = project(filter_relation(rel, t), c.B).size
+            degree = len(b_rows[a_row])
             if degree > worst:
-                worst, witness = degree, t
+                worst, witness = degree, {rel.variables[i]: x for i, x in zip(a_idx, a_row)}
         passed = worst <= c.N
         report.append(ValidationEntry(c, passed, worst, None if passed else witness))
     return report
@@ -128,31 +133,18 @@ def dependency_graph(cs: ConstraintSet) -> DependencyGraph:
 
 
 def _find_cycle(succ: Mapping[str, set[str]], nodes: set[str]) -> list[str]:
-    color = {v: 0 for v in nodes}
-    stack: list[str] = []
+    """A cycle among the nodes a topological sort left over, first node repeated last.
 
-    def dfs(v: str) -> list[str] | None:
-        color[v] = 1
-        stack.append(v)
-        for w in succ.get(v, ()):
-            if w not in color:
-                continue
-            if color[w] == 1:
-                return stack[stack.index(w):] + [w]
-            if color[w] == 0:
-                found = dfs(w)
-                if found:
-                    return found
-        color[v] = 2
-        stack.pop()
-        return None
-
-    for v in sorted(nodes):
-        if color[v] == 0:
-            found = dfs(v)
-            if found:
-                return found
-    raise AssertionError("no cycle found in cyclic graph")
+    Each of them keeps a predecessor among them, so a walk along predecessors
+    comes back to a node it passed; that stretch, reversed, is a cycle.
+    """
+    pred = {w: v for v in sorted(nodes) for w in succ[v] if w in nodes}
+    walk = [min(nodes)]
+    seen = {walk[0]: 0}
+    while (v := pred[walk[-1]]) not in seen:
+        seen[v] = len(walk)
+        walk.append(v)
+    return (walk[seen[v]:] + [v])[::-1]
 
 
 def compatible_order(cs: ConstraintSet) -> tuple[str, ...]:

@@ -72,11 +72,15 @@ class TestLoadSpec:
         assert fd.N == 1
         assert fd.guard == frozenset({"x1", "x3"})
 
-    def test_malformed_specs_exit_2(self, tmp_path, capsys):
+    def test_malformed_specs_exit_2(self, tmp_path, capsys, monkeypatch):
         def exits_2(argv):
             assert main(argv) == EXIT_PARSE
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error:"), err
+
+        def every_command_exits_2(spec):
+            for command in ("join", "sample", "cover", "validate"):
+                exits_2([command, spec])
 
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -115,13 +119,35 @@ class TestLoadSpec:
             {"constraints": [{**card, "N": True}]},
             {"constraints": [{**card, "N": "4"}]},
             {"weights": "111"},
+            {"weights": ["1/0"]},
+            {"order": ["x1", "x2", "x3", "x1"]},
+            {"order": ["x1", "x2", "x3", "x9"]},  # x9 is in no relation
+            {"order": ["x1", "x2", "x3", "x9"], "constraints": [card]},
+            {"constraints": [{**card, "fd": 5}]},
         ):
             bad.write_text(json.dumps({**doc, **extra}))
-            exits_2(["join", str(bad)])
-            exits_2(["sample", str(bad)])
+            every_command_exits_2(str(bad))
         relations = {**doc["relations"], "R": {"path": "R.csv", "variables": 5}}
         bad.write_text(json.dumps({"relations": relations}))
         exits_2(["join", str(bad)])
+        # Bytes that are not UTF-8, in the spec and in a CSV file; a CSV field
+        # past the csv module's size limit; a CSV row short of the header.
+        bad.write_bytes(json.dumps(doc).encode()[:-1] + b', "note": "\xff"}')
+        every_command_exits_2(str(bad))
+        for name, data in (
+            ("latin1.csv", b"x1,x2\n\xff,1\n"),
+            ("wide.csv", b"x1,x2\n" + b"a" * 200_000 + b",1\n"),
+            ("ragged.csv", b"x1,x2\n0,0\n1\n"),
+        ):
+            (tmp_path / name).write_bytes(data)
+            bad.write_text(json.dumps({"relations": {**doc["relations"], "R": {"path": name}}}))
+            every_command_exits_2(str(bad))
+        exits_2(["sample", path, "--max-work", "0"])
+        # The weights cover the triangle, but the bound e^(3000 ln 4) overflows a float.
+        bad.write_text(json.dumps({**doc, "weights": ["1000", "1000", "1000"]}))
+        exits_2(["sample", str(bad)])
+        monkeypatch.setenv("SEED", "abc")
+        exits_2(["sample", path])
 
 
 class TestJoin:

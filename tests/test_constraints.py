@@ -143,6 +143,20 @@ class TestDependencyGraph:
         cycle = exc.value.cycle
         assert cycle[0] == cycle[-1] and set(cycle) == {"x1", "x2"}
 
+    def test_long_cycle_is_found_without_recursion(self):
+        # Deeper than Python's default recursion limit.
+        n = 1200
+        names = [f"x{i}" for i in range(n)]
+        edges = tuple(frozenset({names[i], names[(i + 1) % n]}) for i in range(n))
+        fds = tuple(
+            functional_dependency({names[i]}, names[(i + 1) % n], e) for i, e in enumerate(edges)
+        )
+        with pytest.raises(CyclicConstraintsError) as exc:
+            compatible_order(ConstraintSet(frozenset(names), edges, fds))
+        cycle = exc.value.cycle
+        assert cycle[0] == cycle[-1] and len(cycle) == n + 1
+        assert all(succ == f"x{(int(v[1:]) + 1) % n}" for v, succ in zip(cycle, cycle[1:]))
+
     def test_multi_variable_determinant_is_not_cyclic(self):
         e = frozenset({"a", "b", "c"})
         cs = ConstraintSet(

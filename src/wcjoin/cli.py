@@ -330,8 +330,15 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a SpecError (exit 2, one error line)."""
+
+    def error(self, message):
+        raise SpecError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="wcjoin", description=__doc__.split("\n")[0])
+    parser = _Parser(prog="wcjoin", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_join = sub.add_parser("join", help="enumerate all answers")
@@ -373,10 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     # The one place a failure becomes an exit code. The first matching clause
     # wins, so an InfeasibleCoverError (a CoverError) exits 3.
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
     except (CyclicConstraintsError, IncompatibleOrderError, InfeasibleCoverError) as exc:
         code = EXIT_INCOMPATIBLE

@@ -65,13 +65,6 @@ class ConstraintSet:
             if c.guard not in self.edges:
                 raise ValueError(f"guard of {c.describe()} is not a hyperedge")
 
-    def uncovered_variables(self) -> list[str]:
-        """Variables in no B - A, i.e. not coverable by the bound LP."""
-        covered = set()
-        for c in self.constraints:
-            covered.update(c.B - c.A)
-        return sorted(self.variables - covered)
-
 
 @dataclass(frozen=True)
 class DependencyGraph:

@@ -2,10 +2,10 @@
 
 The cover LP minimizes sum(w_j * log N_j) subject to: every variable is
 covered with total weight >= 1 by the constraints that can introduce it
-(x in B - A). It is solved exactly over the rationals by enumerating basic
-feasible solutions; the programs are tiny (one unknown per constraint) and
-exactness removes any float-feasibility doubt. Objectives are compared
-without logs, as integer powers.
+(x in B - A). It is solved exactly over the rationals by a simplex on its
+dual, with the right-hand sides perturbed so that ties go to the
+lexicographically smallest cover; exactness removes any float-feasibility
+doubt. Sums of logs are compared without logs, as integer powers.
 
 An EstimatorContext is an `index.Cursors` with one cursor per distinct
 relation among the query's relations and the guard projections R|B (a
@@ -26,16 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 from .constraints import ConstraintSet, cardinality_constraints, guard_relation
 from .core import JoinQuery, project
 from .enumerator import resolve_order
 from .index import Cursors
-
-COVER_SIZE_LIMIT = 20
-
 
 class CoverError(ValueError):
     pass
@@ -45,10 +41,6 @@ class InfeasibleCoverError(CoverError):
     def __init__(self, variable: str):
         self.variable = variable
         super().__init__(f"variable {variable!r} cannot be covered by any constraint")
-
-
-class CoverSizeError(CoverError):
-    """Program too large for exact vertex enumeration; supply weights explicitly."""
 
 
 @dataclass(frozen=True)
@@ -96,38 +88,23 @@ def check_coverage(
     return None
 
 
-def _objective_cmp(
-    w1: Sequence[Fraction], w2: Sequence[Fraction], bounds: Sequence[int]
-) -> int:
-    """Sign of sum(w1*log N) - sum(w2*log N), computed exactly as integer powers."""
-    diffs = [a - b for a, b in zip(w1, w2)]
-    q = math.lcm(*(d.denominator for d in diffs)) if diffs else 1
+def _sign(r: Sequence[Fraction], bounds: Sequence[int]) -> int:
+    """Sign of sum(r_k * (log N_k + eps^k)) for an infinitesimal eps > 0.
+
+    The log part is compared exactly as integer powers; when it is 0, the
+    first nonzero r_k decides.
+    """
+    q = math.lcm(*(x.denominator for x in r))
     num = den = 1
-    for d, n in zip(diffs, bounds):
-        e = int(d * q)
+    for x, n in zip(r, bounds):
+        e = int(x * q)
         if e > 0:
             num *= n ** e
         elif e < 0:
             den *= n ** (-e)
-    return (num > den) - (num < den)
-
-
-def _solve_square(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Gaussian elimination over the rationals; None when singular."""
-    m = len(rows)
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][m] for r in range(m)]
+    if num != den:
+        return 1 if num > den else -1
+    return next((1 if x > 0 else -1 for x in r if x), 0)
 
 
 def _minimise_cover(
@@ -135,43 +112,43 @@ def _minimise_cover(
     bounds: Sequence[int],
     variables: Sequence[str],
 ) -> tuple[Fraction, ...]:
-    m = len(cover_sets)
+    """Optimal cover, the lexicographically smallest among ties.
+
+    A primal simplex on the dual packing LP: maximise sum(y_x) subject to
+    sum(y_x for x in S_j) <= log N_j + eps^j, y >= 0, from y = 0 and the
+    slack basis. A tableau row is [coefficients over the variables | a row
+    of B^-1]; read as sum(r_k * (log N_k + eps^k)), the B^-1 part is also
+    the row's right-hand side. The eps^j terms make every pivot gain, and
+    make the optimal prices w_j = -(profit of slack j) the smallest optimal
+    cover in lexicographic order.
+    """
     variables = sorted(variables)
-    n = len(variables)
-    if m + n > COVER_SIZE_LIMIT:
-        raise CoverSizeError(
-            f"{m} constraints + {n} variables exceed the exact-LP guard ({COVER_SIZE_LIMIT})"
-        )
     for x in variables:
         if not any(x in s for s in cover_sets):
             raise InfeasibleCoverError(x)
+    m, n = len(cover_sets), len(variables)
     one, zero = Fraction(1), Fraction(0)
-    # Inequality rows a.w >= rhs: coverage rows first, then nonnegativity.
-    ineqs = [
-        ([one if x in s else zero for s in cover_sets], one) for x in variables
-    ] + [
-        ([one if j == k else zero for j in range(m)], zero) for k in range(m)
+    rows = [
+        [one if x in s else zero for x in variables] + [one if k == j else zero for k in range(m)]
+        for j, s in enumerate(cover_sets)
     ]
-    best: tuple[Fraction, ...] | None = None
-    for picked in combinations(range(len(ineqs)), m):
-        w = _solve_square([ineqs[i][0][:] for i in picked], [ineqs[i][1] for i in picked])
-        if w is None:
-            continue
-        feasible = all(
-            sum(a * v for a, v in zip(coeffs, w)) >= rhs for coeffs, rhs in ineqs
-        )
-        if not feasible:
-            continue
-        cand = tuple(w)
-        if best is None:
-            best = cand
-            continue
-        cmp = _objective_cmp(cand, best, bounds)
-        if cmp < 0 or (cmp == 0 and cand < best):
-            best = cand
-    if best is None:
-        raise InfeasibleCoverError(variables[0] if variables else "?")
-    return best
+    profit = [one] * n + [zero] * m
+    while True:
+        col = next((c for c, p in enumerate(profit) if p > 0), None)
+        if col is None:
+            return tuple(-p for p in profit[n:])
+        # Ratio test; the rows of B^-1 are independent, so no two ratios tie.
+        i = None
+        for k, row in enumerate(rows):
+            if row[col] > 0 and (i is None or _sign(
+                [a / row[col] - b / rows[i][col] for a, b in zip(row[n:], rows[i][n:])], bounds
+            ) < 0):
+                i = k
+        pivot = rows[i] = [v / rows[i][col] for v in rows[i]]
+        for k, row in enumerate(rows):
+            if k != i and row[col]:
+                rows[k] = [a - row[col] * b for a, b in zip(row, pivot)]
+        profit = [a - profit[col] * b for a, b in zip(profit, pivot)]
 
 
 def solve_cover_card(
@@ -183,9 +160,6 @@ def solve_cover_card(
 
 def solve_cover_degree(cs: ConstraintSet) -> FractionalCover:
     """Optimal weights for the degree-constraint bound LP."""
-    uncovered = cs.uncovered_variables()
-    if uncovered:
-        raise InfeasibleCoverError(uncovered[0])
     bounds = [c.N for c in cs.constraints]
     return FractionalCover(_minimise_cover(_coverage_sets(cs), bounds, sorted(cs.variables)))
 

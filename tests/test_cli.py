@@ -143,6 +143,10 @@ class TestLoadSpec:
             bad.write_text(json.dumps({"relations": {**doc["relations"], "R": {"path": name}}}))
             every_command_exits_2(str(bad))
         exits_2(["sample", path, "--max-work", "0"])
+        # Command lines that argparse itself rejects.
+        exits_2(["sample", path, "--count", "abc"])
+        exits_2(["join", path, "--bogus"])
+        exits_2(["nosuch"])
         # The weights cover the triangle, but the bound e^(3000 ln 4) overflows a float.
         bad.write_text(json.dumps({**doc, "weights": ["1000", "1000", "1000"]}))
         exits_2(["sample", str(bad)])

@@ -64,15 +64,6 @@ class TestDegreeConstraint:
                 (DegreeConstraint(frozenset(), E2, 1, E2),),  # guard not an edge
             )
 
-    def test_uncovered_variables(self):
-        cs = ConstraintSet(
-            V3, (E1, E2, E3), (functional_dependency({"x3"}, "x2", E2),)
-        )
-        assert cs.uncovered_variables() == ["x1", "x3"]
-        # The degree class covers x1 and x2 twice over but nothing puts x3
-        # in a B - A set, so the bound LP alone cannot pay for it.
-        assert degree_class(4).uncovered_variables() == ["x3"]
-
 
 class TestValidate:
     def test_triangle_constraints(self, triangle_query):

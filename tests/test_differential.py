@@ -1,12 +1,17 @@
-"""The bit-level cursor engine against the explicit bit-encoded query.
+"""The bit-level cursor engine against the explicit bit-encoded query, and the
+cover LP's simplex against vertex enumeration.
 
 `wcj_binarised` and `Sampler` bind bits over the original relations; the
 reference runs the plain engine on `bin_query`'s bit-level copy, whose
 search tree is the same node for node. Answers, their order, every counter,
 seeded samples and memo sizes must agree exactly.
 """
+import math
 import random
+from fractions import Fraction
+from itertools import combinations
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -19,7 +24,12 @@ from wcjoin.constraints import (
 )
 from wcjoin.core import encode_instance
 from wcjoin.enumerator import wcj, wcj_binarised
-from wcjoin.estimators import EstimatorContext, solve_cover_degree
+from wcjoin.estimators import (
+    EstimatorContext,
+    InfeasibleCoverError,
+    solve_cover_card,
+    solve_cover_degree,
+)
 from wcjoin.sampler import EmptyAnswerSetError, Sampler, WorkBudgetError, sample
 
 from conftest import random_query
@@ -117,3 +127,68 @@ def test_sampler_matches_the_bit_encoded_query(instance, seed, k):
     assert sampler.order == order
     assert got == want
     assert len(sampler.memo) == len(memo)
+
+
+def _solve_tight(rows):
+    """The w that makes every row [a | b] tight (a.w == b), or None if singular."""
+    m = len(rows)
+    aug = [list(r) for r in rows]
+    for c in range(m):
+        p = next((r for r in range(c, m) if aug[r][c]), None)
+        if p is None:
+            return None
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [v / aug[c][c] for v in aug[c]]
+        for r in range(m):
+            if r != c:
+                aug[r] = [x - aug[r][c] * y for x, y in zip(aug[r], aug[c])]
+    return tuple(r[m] for r in aug)
+
+
+def cover_by_vertex_enumeration(sets, bounds, variables):
+    """The cheapest vertex of {w >= 0 : every x covered >= 1}, the smallest
+    tuple among equally cheap ones; None if there is no vertex. Costs
+    prod N_j^w_j are compared exactly, raised to a common integer power."""
+    m = len(sets)
+    one, zero = Fraction(1), Fraction(0)
+    rows = [[one if x in s else zero for s in sets] + [one] for x in variables]
+    rows += [[one if j == k else zero for j in range(m)] + [zero] for k in range(m)]
+    best = None
+    for picked in combinations(rows, m):
+        w = _solve_tight(picked)
+        if w is None or any(sum(a * v for a, v in zip(r, w)) < r[m] for r in rows):
+            continue
+        q = math.lcm(*(v.denominator for v in w)) if w else 1
+        cost = math.prod(n ** int(v * q) for n, v in zip(bounds, w))
+        if best is None or (cost ** best[1], w) < (best[0] ** q, best[2]):
+            best = (cost, q, w)
+    return None if best is None else best[2]
+
+
+@st.composite
+def cover_programs(draw):
+    """Sets over x1..xn, some repeated, with m + n <= 10; the bounds give zero
+    costs (N = 1) and linearly dependent logs (2, 4, 8, 16 and 3, 9, 27).
+    Half the programs start from the cycle x1x2, x2x3, ..., xnx1, whose
+    optimal covers are often fractional."""
+    n = draw(st.integers(1, 5))
+    variables = [f"x{i + 1}" for i in range(n)]
+    sets = [frozenset({v, variables[i - 1]}) for i, v in enumerate(variables)]
+    sets = sets if draw(st.booleans()) else []
+    sets += draw(st.lists(st.frozensets(st.sampled_from(variables)), max_size=10 - n - len(sets)))
+    if sets:
+        sets += draw(st.lists(st.sampled_from(sets), max_size=10 - n - len(sets)))
+    bounds = [draw(st.sampled_from([4, 8, 2, 16, 9, 3, 27, 1])) for _ in sets]
+    return sets, bounds, draw(st.permutations(variables))
+
+
+@given(cover_programs())
+def test_cover_lp_matches_vertex_enumeration(program):
+    sets, bounds, variables = program
+    want = cover_by_vertex_enumeration(sets, bounds, sorted(variables))
+    if want is None:
+        with pytest.raises(InfeasibleCoverError) as exc:
+            solve_cover_card(sets, bounds, variables)
+        assert exc.value.variable == min(v for v in variables if not any(v in s for s in sets))
+    else:
+        assert solve_cover_card(sets, bounds, variables).weights == want

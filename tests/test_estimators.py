@@ -15,7 +15,6 @@ from wcjoin.constraints import (
 )
 from wcjoin.core import encode_instance
 from wcjoin.estimators import (
-    CoverSizeError,
     FractionalCover,
     InfeasibleCoverError,
     build_agm_context,
@@ -70,10 +69,10 @@ class TestCoverLP:
             solve_cover_card([E1], [4], ["x1", "x2", "x3"])
         assert exc.value.variable == "x3"
 
-    def test_size_guard(self):
+    def test_programs_past_the_old_guard(self):
         edges = [frozenset({f"x{i}"}) for i in range(15)]
-        with pytest.raises(CoverSizeError):
-            solve_cover_card(edges, [2] * 15, [f"x{i}" for i in range(15)])
+        cover = solve_cover_card(edges, [2] * 15, [f"x{i}" for i in range(15)])
+        assert cover.weights == (F(1),) * 15
 
     def test_degree_constraints_beat_agm(self):
         # Triangle with both x1 and x2 functionally determined by x3: the
@@ -99,8 +98,9 @@ class TestCoverLP:
         cs = ConstraintSet(
             V3, (E1, E2, E3), (functional_dependency({"x3"}, "x2", E2),)
         )
-        with pytest.raises(InfeasibleCoverError):
+        with pytest.raises(InfeasibleCoverError) as exc:
             solve_cover_degree(cs)
+        assert exc.value.variable == "x1"  # the first of x1, x3 in sorted order
 
     def test_check_coverage_and_parse(self):
         sets = [E1, E2]

@@ -145,10 +145,13 @@ def _minimise_cover(
             ) < 0):
                 i = k
         pivot = rows[i] = [v / rows[i][col] for v in rows[i]]
+        # Most tableau entries are 0; skipping them spares the Fraction arithmetic.
         for k, row in enumerate(rows):
             if k != i and row[col]:
-                rows[k] = [a - row[col] * b for a, b in zip(row, pivot)]
-        profit = [a - profit[col] * b for a, b in zip(profit, pivot)]
+                f = row[col]
+                rows[k] = [a - f * b if b else a for a, b in zip(row, pivot)]
+        f = profit[col]
+        profit = [a - f * b if b else a for a, b in zip(profit, pivot)]
 
 
 def solve_cover_card(

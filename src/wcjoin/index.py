@@ -99,3 +99,11 @@ class Cursors:
     def codes(self) -> tuple[int, ...]:
         """Codes of the fully bound variables, in order; the answer at a leaf."""
         return tuple(self._start[self.per_var - 1 : self.depth : self.per_var])
+
+    def prefix_codes(self, prefix: Sequence[int]) -> tuple[int, ...]:
+        """The codes a full prefix of child indices binds, without binding it."""
+        w, p = self._width, self.per_var
+        return tuple(
+            sum(d * w[level] for level, d in enumerate(prefix[i : i + p], i))
+            for i in range(0, self.levels, p)
+        )

@@ -5,6 +5,8 @@ import random
 from collections import defaultdict
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wcjoin.binary import bin_query, bit_width, make_layout
 from wcjoin.cli import main
@@ -19,6 +21,7 @@ from wcjoin.enumerator import (
 from wcjoin.oracle import nested_loop_join, prefix_counts
 
 from conftest import TRIANGLE_ANSWERS, random_query
+from test_differential import queries
 
 
 def run(query, order=None):
@@ -31,6 +34,14 @@ def run_bin(query, constraint_set=None, order=None):
     out = []
     stats = wcj_binarised(query, out.append, constraint_set, order)
     return out, stats
+
+
+@given(queries(), st.data())
+def test_both_searches_match_the_nested_loop_oracle(q, data):
+    order = data.draw(st.permutations(q.order))
+    want = nested_loop_join(q, order)
+    for out, _ in (run(q, order), run_bin(q, None, order)):
+        assert len(out) == len(want) and set(out) == want
 
 
 class TestPlainEnumeration:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from wcjoin import sampler as sampler_module
 from wcjoin.binary import bin_query
 from wcjoin.core import encode_instance
 from wcjoin.estimators import build_agm_context
@@ -170,6 +171,125 @@ class TestSample:
         answers, stats = s.sample(20, random.Random(9))
         assert answers == [(0,)] * 20
         assert stats.trials == 20 and stats.failures == 0
+
+
+class TestValueStore:
+    def test_each_prefix_is_estimated_once(self, triangle_query, monkeypatch):
+        s = Sampler(triangle_query)
+        expanded = set()
+        estimates = 0
+        children, estimate = sampler_module.children_values, s.ctx.estimate
+
+        def recording_children(ctx, memo, prefix):
+            expanded.add(tuple(prefix))
+            return children(ctx, memo, prefix)
+
+        def counting_estimate():
+            nonlocal estimates
+            estimates += 1
+            return estimate()
+
+        monkeypatch.setattr(sampler_module, "children_values", recording_children)
+        monkeypatch.setattr(s.ctx, "estimate", counting_estimate)
+        s.sample(200, random.Random(42))
+        # One block of child estimates per expanded prefix, plus the root.
+        assert estimates <= s.ctx.fanout * len(expanded) + 1
+        assert s.ctx.depth == 0
+
+    def test_context_returns_to_the_root_on_every_exit(self, triangle_query):
+        s = Sampler(encode_instance(ANSWER_FREE_TABLES, ("x1", "x2", "x3")))
+        with pytest.raises(EmptyAnswerSetError):
+            s.sample(1, random.Random(3))
+        assert s.ctx.depth == 0
+        s = Sampler(triangle_query)
+        with pytest.raises(WorkBudgetError):
+            s.sample(10 ** 6, random.Random(2), max_work=50)
+        assert s.ctx.depth == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_blocks_are_the_child_values_under_the_final_memo(self, seed):
+        # A refutation zeroes exactly the slots whose prefixes joined the memo,
+        # so every stored block is what children_values gives now.
+        q, cs = random_degree_instance(random.Random(seed), max_vars=3, max_rels=3)
+        s = Sampler(q, cs)
+        try:
+            s.sample(50, random.Random(seed), max_work=200)
+        except (EmptyAnswerSetError, WorkBudgetError):
+            pass
+        ctx, store = s.ctx, s.store
+        blocks = 0
+        pending = [((), 0)]  # (prefix, slot)
+        while pending:
+            prefix, slot = pending.pop()
+            at = store.child[slot]
+            if at < 0:
+                continue
+            blocks += 1
+            for d in prefix:
+                ctx.bind(d)
+            assert list(store.values[at : at + ctx.fanout]) == children_values(ctx, s.memo, prefix)
+            while ctx.depth:
+                ctx.unbind()
+            pending.extend((prefix + (d,), at + d) for d in range(ctx.fanout))
+        assert blocks * ctx.fanout + 1 == len(store.values)
+
+
+def walk_probabilities(ctx, memo):
+    """The probability that one walk returns each leaf, by expanding the whole
+    trace tree over the child values the sampler draws from: the product of
+    v_child / v_parent along the leaf's path."""
+    root = 0.0 if () in memo else ctx.estimate()
+    probs = {}
+
+    def descend(prefix, value, p):
+        if len(prefix) == ctx.levels:
+            probs[ctx.codes()] = p
+            return
+        for d, vd in enumerate(children_values(ctx, memo, prefix)):
+            if vd > 0.0:
+                ctx.bind(d)
+                descend(prefix + [d], vd, p * vd / value)
+                ctx.unbind()
+
+    if root > 0.0:
+        descend([], root, 1.0)
+    return root, probs
+
+
+class TestExactUniformity:
+    """The paper's sampling claim with no RNG: every answer, and nothing else,
+    comes out of one walk with probability 1 / up(root)."""
+
+    @staticmethod
+    def check(query, constraint_set=None):
+        s = Sampler(query, constraint_set)
+        answers = nested_loop_join(query, s.order)
+        memos = [set()]
+        try:
+            s.sample(20, random.Random(1), max_work=100)
+        except (EmptyAnswerSetError, WorkBudgetError):
+            pass
+        memos.append(s.memo)  # refutations must not move any answer's mass
+        for memo in memos:
+            root, probs = walk_probabilities(s.ctx, memo)
+            assert set(probs) == answers
+            for p in probs.values():
+                assert p == pytest.approx(1.0 / root, rel=1e-9)
+            assert s.ctx.depth == 0
+
+    def test_triangle(self, triangle_query):
+        self.check(triangle_query)
+
+    def test_answer_free(self):
+        self.check(encode_instance(ANSWER_FREE_TABLES, ("x1", "x2", "x3")))
+
+    # Seeds whose instance has a degree constraint and at least three answers.
+    @pytest.mark.parametrize("seed", [0, 35, 106, 118, 181, 196])
+    def test_pm_random_instances(self, seed):
+        q, cs = random_degree_instance(
+            random.Random(seed), max_vars=3, max_rels=3, max_tuples=12
+        )
+        self.check(q, cs)
 
 
 class TestPinnedOutput:

@@ -27,7 +27,6 @@ from .core import (
     Relation,
     encode_instance,
     filter_relation,
-    is_consistent,
     project,
 )
 from .enumerator import EnumerationStats, IncompatibleOrderError, wcj, wcj_binarised

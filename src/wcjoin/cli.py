@@ -1,7 +1,7 @@
 """Batch command line front end.
 
-Subcommands: join, sample, cover, validate (plus a hidden oracle command for
-debugging). Inputs are CSV relations plus a JSON query spec:
+Subcommands: join, sample, cover, validate. Inputs are CSV relations plus a
+JSON query spec:
 
     {
       "relations": {"R": {"path": "R.csv"}, ...},        # CSV header = variables
@@ -49,7 +49,6 @@ from .estimators import (
     parse_weights,
     solve_cover_degree,
 )
-from .oracle import nested_loop_join
 from .sampler import EmptyAnswerSetError, Sampler, WorkBudgetError
 
 EXIT_OK = 0
@@ -322,14 +321,6 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(args) -> int:
-    spec = load_spec(args.spec)
-    query = spec.query
-    answers = sorted(nested_loop_join(query))
-    _write_answers(args.output, query.order, query, answers)
-    return EXIT_OK
-
-
 class _Parser(argparse.ArgumentParser):
     """Reports a bad command line as a SpecError (exit 2, one error line)."""
 
@@ -370,11 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate = sub.add_parser("validate", help="check constraints against the data")
     p_validate.add_argument("spec")
     p_validate.set_defaults(func=cmd_validate)
-
-    p_oracle = sub.add_parser("oracle")  # debugging aid, brute force
-    p_oracle.add_argument("spec")
-    p_oracle.add_argument("--output")
-    p_oracle.set_defaults(func=cmd_oracle)
 
     return parser
 

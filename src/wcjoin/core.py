@@ -142,16 +142,3 @@ def project(rel: Relation, variables: Iterable[str]) -> Relation:
     keep = [i for i, v in enumerate(rel.variables) if v in keep_set]
     rows = frozenset(tuple(row[i] for i in keep) for row in rel.rows)
     return Relation(tuple(rel.variables[i] for i in keep), rows)
-
-
-def is_consistent(query: JoinQuery, t: Mapping[str, int]) -> bool:
-    """True iff no relation of the query becomes empty when filtered by t.
-
-    Equivalently, t is an answer of the query projected onto t's variables.
-    """
-    for rel in query.relations:
-        shared = [i for i, v in enumerate(rel.variables) if v in t]
-        target = tuple(t[rel.variables[i]] for i in shared)
-        if not any(tuple(row[i] for i in shared) == target for row in rel.rows):
-            return False
-    return True

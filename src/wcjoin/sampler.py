@@ -3,21 +3,20 @@
 A single trial walks the trace tree from the root, choosing child d with
 probability value(d) / value(parent) and failing outright with the leftover
 probability, so that each answer is returned with probability exactly
-1 / up(root). The memo is the set of prefixes proven answer-free: a node is
-added when all its children are 0, and a memo prefix counts 0 without being
-bound again. On instances with no answers the root prefix joins the set after
-finitely many refutations, which is how emptiness is detected.
+1 / up(root). Sampler walks the bit levels of the original relations
+(branching factor 2, see `index.Cursors`); the functions below take any
+EstimatorContext. Repetition yields i.i.d. uniform answers with geometric
+trial counts.
 
-Sampler walks the bit levels of the original relations (branching factor
-2, see `index.Cursors`); the functions below take any EstimatorContext.
-Repetition yields i.i.d. uniform answers with geometric trial counts.
-
-Next to its memo, a Sampler keeps a ValueStore: the child values of every
+A Sampler's only learned state is its ValueStore: the child values of every
 prefix its walks have expanded, each estimated once. A walk draws from the
 store without touching a cursor, binds only at the first prefix the store
-lacks, and reads an answer's codes off its prefix. The store is unbounded
-but holds one block per consistent inner node reached, so it never outgrows
-the join's own recursive-call bound.
+lacks, and reads an answer's codes off its prefix. A node whose children are
+all 0 is proven answer-free: its slot is zeroed, and so is every ancestor's
+whose children are then all 0. On instances with no answers the root's slot
+reaches 0 after finitely many refutations, which is how emptiness is
+detected. The store is unbounded but holds one block per consistent inner
+node reached, so it never outgrows the join's own recursive-call bound.
 """
 from __future__ import annotations
 
@@ -37,7 +36,7 @@ from .estimators import (
 
 
 class EmptyAnswerSetError(Exception):
-    """The query is provably answer-free (the root prefix is refuted, or its value is 0)."""
+    """The query is provably answer-free: the root's value is 0, estimated or refuted."""
 
     def __init__(self, stats: "SamplerStats"):
         self.stats = stats
@@ -78,36 +77,28 @@ class SamplerStats:
         }
 
 
-# Prefixes (tuples of child indices) proven to have no answer below them.
-Memo = set[tuple[int, ...]]
-
-
 class ValueStore:
     """Child values of every prefix the walks have expanded, as a trie of flat blocks.
 
-    Slot 0 holds the root's estimate. Expanding a node appends one block of
-    `fanout` child values to `values` and a parallel block of -1s to `child`,
-    and points the node's slot in `child` at the block's offset. The values
-    are the very floats `children_values` returned; a refutation only zeroes
-    the slot of the refuted child (the root's refutation lives in the memo).
+    Slot 0 holds the root's estimate, taken when the store is built with its
+    context at the root and kept as `up_root`. Expanding a node appends one
+    block of `fanout` child values to `values` and a parallel block of -1s to
+    `child`, and points the node's slot in `child` at the block's offset. The
+    values are the very floats `children_values` returned; a refutation zeroes
+    the refuted node's slot (slot 0 for the root) and counts it in `refuted`.
 
     The store is not bounded: it holds one block per consistent inner node a
     walk has reached, so at most `fanout` values per node of the trace tree
     that the join itself calls, the join's recursive-call bound.
     """
 
-    __slots__ = ("values", "child")
+    __slots__ = ("values", "child", "up_root", "refuted")
 
-    def __init__(self) -> None:
-        self.values = array("d")
-        self.child = array("i")
-
-    def root(self, ctx: EstimatorContext) -> float:
-        """The root's estimate, computed on the first call; ctx must be at the root."""
-        if not self.values:
-            self.values.append(ctx.estimate())
-            self.child.append(-1)
-        return self.values[0]
+    def __init__(self, ctx: EstimatorContext) -> None:
+        self.up_root = ctx.estimate()
+        self.values = array("d", [self.up_root])
+        self.child = array("i", [-1])
+        self.refuted = 0
 
     def add(self, slot: int, block: list[float]) -> int:
         """Record the child values of the node in `slot`; the offset of its block."""
@@ -118,54 +109,47 @@ class ValueStore:
         return at
 
 
-def children_values(ctx: EstimatorContext, memo: Memo, prefix: Sequence[int]) -> list[float]:
-    """Estimator value of every child of the current node; 0 for a refuted child."""
+def children_values(ctx: EstimatorContext) -> list[float]:
+    """Estimator value of every child of the current node."""
     values = []
-    base = tuple(prefix)
     for d in range(ctx.fanout):
-        if base + (d,) in memo:
-            values.append(0.0)
-            continue
         ctx.bind(d)
         values.append(ctx.estimate())
         ctx.unbind()
     return values
 
 
-def _refute(store: ValueStore, memo: Memo, prefix: list[int], slots: list[int], fanout: int) -> None:
-    """Add the current node to the memo, then every ancestor whose children are all 0.
+def _refute(store: ValueStore, slots: list[int], fanout: int) -> None:
+    """Zero the current node's slot, then that of every ancestor whose children are all 0.
 
-    `slots[i]` is the store slot of the node at depth i on the walk. Each
-    refuted child's slot is zeroed in its parent's block; nothing is estimated.
+    `slots[i]` is the store slot of the node at depth i on the walk; nothing
+    is estimated.
     """
     values, child = store.values, store.child
-    memo.add(tuple(prefix))
-    for i in range(len(prefix), 0, -1):
+    for i in range(len(slots) - 1, -1, -1):
         values[slots[i]] = 0.0
-        at = child[slots[i - 1]]
-        if any(values[at : at + fanout]):
-            return
-        memo.add(tuple(prefix[: i - 1]))
+        store.refuted += 1
+        if i:
+            at = child[slots[i - 1]]
+            if any(values[at : at + fanout]):
+                return
 
 
 def sample_once(
-    ctx: EstimatorContext, memo: Memo, rng: random.Random, store: ValueStore | None = None
+    ctx: EstimatorContext, store: ValueStore, rng: random.Random
 ) -> tuple[int, ...] | None:
     """One guided walk: an answer's code tuple, or None on failure.
 
-    Each answer comes out with probability 1 / up(root); once the root is in
-    the memo every walk fails. Walks that prove a subtree empty add its
-    prefix to the memo. The walk draws from the store's cached values and
-    binds cursors only to expand the first node the store lacks; the
-    context is back at the root on return.
+    Each answer comes out with probability 1 / up(root); once the root's slot
+    is 0 every walk fails. Walks that prove a subtree empty zero its slot.
+    The walk draws from the store's cached values and binds cursors only to
+    expand the first node the store lacks; the context is back at the root
+    on return.
     """
-    if () in memo:
-        return None
-    store = store if store is not None else ValueStore()
-    value = store.root(ctx)
+    values, child = store.values, store.child
+    value = values[0]
     if value <= 0.0:
         return None
-    values, child = store.values, store.child
     fanout, levels = ctx.fanout, ctx.levels
     prefix: list[int] = []
     slots = [0]
@@ -175,9 +159,9 @@ def sample_once(
             if at < 0:
                 for d in prefix[ctx.depth :]:
                     ctx.bind(d)
-                block = children_values(ctx, memo, prefix)
+                block = children_values(ctx)
                 if sum(block) <= 0.0:
-                    _refute(store, memo, prefix, slots, fanout)
+                    _refute(store, slots, fanout)
                     return None
                 at = store.add(slots[-1], block)
             # One uniform draw against cumulative child values; mass beyond the
@@ -204,23 +188,21 @@ def sample(
     k: int,
     rng: random.Random,
     max_work: int | None = None,
-    memo: Memo | None = None,
     store: ValueStore | None = None,
 ) -> tuple[list[tuple[int, ...]], SamplerStats]:
     """k i.i.d. uniform answers (with replacement), or prove the query empty.
 
-    Raises EmptyAnswerSetError once the root prefix is in the memo (or the
-    root value is 0), and WorkBudgetError when max_work trials pass without
-    finishing. Pass the same memo and store to later calls to keep what
-    earlier walks learned.
+    Raises EmptyAnswerSetError once the root's slot is 0 (refuted, or an
+    estimate of 0), and WorkBudgetError when max_work trials pass without
+    finishing. Pass the same store to later calls to keep what earlier walks
+    learned.
     """
-    memo = memo if memo is not None else set()
-    store = store if store is not None else ValueStore()
-    stats = SamplerStats(up_root=store.root(ctx))
+    store = store if store is not None else ValueStore(ctx)
+    stats = SamplerStats(up_root=store.up_root)
     answers: list[tuple[int, ...]] = []
     while True:
         # The root estimate is static; only a refutation of the root moves it.
-        stats.final_up_root = 0.0 if () in memo else stats.up_root
+        stats.final_up_root = store.values[0]
         if len(answers) >= k:
             return answers, stats
         if stats.final_up_root <= 0.0:
@@ -228,7 +210,7 @@ def sample(
         if max_work is not None and stats.trials >= max_work:
             raise WorkBudgetError(stats, answers)
         stats.trials += 1
-        out = sample_once(ctx, memo, rng, store)
+        out = sample_once(ctx, store, rng)
         if out is None:
             stats.failures += 1
         else:
@@ -252,11 +234,10 @@ class Sampler:
         if cover is None:
             cover = solve_cover_degree(constraint_set)
         self.ctx = EstimatorContext(query, constraint_set, cover, self.order, bits=True)
-        self.memo: Memo = set()
-        self.store = ValueStore()
+        self.store = ValueStore(self.ctx)
 
     def sample(
         self, k: int, rng: random.Random, max_work: int | None = None
     ) -> tuple[list[tuple[int, ...]], SamplerStats]:
         """k uniform answers as code tuples aligned with the sampler's order."""
-        return sample(self.ctx, k, rng, max_work=max_work, memo=self.memo, store=self.store)
+        return sample(self.ctx, k, rng, max_work=max_work, store=self.store)

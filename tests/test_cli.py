@@ -342,12 +342,3 @@ class TestCoverAndValidate:
         spec = write_instance(tmp_path)
         assert main(["validate", spec]) == EXIT_OK
         assert "no constraints" in capsys.readouterr().out
-
-
-class TestOracleCommand:
-    def test_matches_join(self, tmp_path):
-        spec = write_instance(tmp_path)
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(["oracle", spec, "--output", str(a)]) == EXIT_OK
-        assert main(["join", spec, "--output", str(b)]) == EXIT_OK
-        assert read_answer_csv(a) == read_answer_csv(b)

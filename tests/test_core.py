@@ -1,4 +1,4 @@
-"""Dictionary encoding, relational algebra on encoded rows, consistency."""
+"""Dictionary encoding and relational algebra on encoded rows."""
 import random
 
 import pytest
@@ -8,11 +8,10 @@ from wcjoin.core import (
     Relation,
     encode_instance,
     filter_relation,
-    is_consistent,
     project,
 )
 
-from conftest import TRIANGLE_ANSWERS, TRIANGLE_ORDER, TRIANGLE_TABLES, random_query
+from conftest import TRIANGLE_ORDER, TRIANGLE_TABLES, random_query
 
 
 def rel(variables, rows) -> Relation:
@@ -102,41 +101,3 @@ class TestAlgebra:
             assert filter_relation(project(r, rest | {v}), t) == project(
                 filter_relation(r, t), rest
             )
-
-
-class TestConsistency:
-    def test_triangle_prefixes(self, triangle_query):
-        q = triangle_query
-        assert is_consistent(q, {})
-        assert is_consistent(q, {"x1": 1})
-        assert not is_consistent(q, {"x1": 3})
-        assert is_consistent(q, {"x1": 1, "x2": 0})
-        # (2,1) is in R but no matching T row survives x3 filtering later;
-        # as a prefix it is still consistent because T has an x1=2 row.
-        assert is_consistent(q, {"x1": 2, "x2": 1})
-        assert not is_consistent(q, {"x1": 0, "x2": 1})
-        assert is_consistent(q, {"x1": 1, "x2": 1, "x3": 2})
-        assert not is_consistent(q, {"x1": 1, "x2": 1, "x3": 3})
-
-    def test_consistency_matches_filter_emptiness(self):
-        rng = random.Random(47)
-        for _ in range(100):
-            q = random_query(rng)
-            d = q.domain_size or 1  # all-empty instances have no codes at all
-            k = rng.randint(0, q.num_variables)
-            t = {v: rng.randrange(d) for v in rng.sample(q.order, k)}
-            expected = all(
-                not filter_relation(r, t).is_empty() for r in q.relations
-            )
-            assert is_consistent(q, t) == expected
-
-    def test_full_consistent_tuples_are_the_answers(self, triangle_query):
-        q = triangle_query
-        found = {
-            (a, b, c)
-            for a in range(4)
-            for b in range(4)
-            for c in range(4)
-            if is_consistent(q, {"x1": a, "x2": b, "x3": c})
-        }
-        assert found == TRIANGLE_ANSWERS

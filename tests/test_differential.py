@@ -4,7 +4,7 @@ cover LP's simplex against vertex enumeration.
 `wcj_binarised` and `Sampler` bind bits over the original relations; the
 reference runs the plain engine on `bin_query`'s bit-level copy, whose
 search tree is the same node for node. Answers, their order, every counter,
-seeded samples and memo sizes must agree exactly.
+seeded samples and refutation counts must agree exactly.
 """
 import math
 import random
@@ -30,7 +30,7 @@ from wcjoin.estimators import (
     solve_cover_card,
     solve_cover_degree,
 )
-from wcjoin.sampler import EmptyAnswerSetError, Sampler, WorkBudgetError, sample
+from wcjoin.sampler import EmptyAnswerSetError, Sampler, ValueStore, WorkBudgetError, sample
 
 from conftest import random_query
 
@@ -119,14 +119,14 @@ def test_sampler_matches_the_bit_encoded_query(instance, seed, k):
     ctx = EstimatorContext(
         bin_query(q, lay), bin_constraints(cs, lay), solve_cover_degree(cs), lay.bin_order
     )
-    memo = set()
+    store = ValueStore(ctx)
     want = outcome(
-        lambda: sample(ctx, k, random.Random(seed), max_work=300, memo=memo),
+        lambda: sample(ctx, k, random.Random(seed), max_work=300, store=store),
         lambda bits: debin_row(bits, lay),
     )
     assert sampler.order == order
     assert got == want
-    assert len(sampler.memo) == len(memo)
+    assert sampler.store.refuted == store.refuted
 
 
 def _solve_tight(rows):

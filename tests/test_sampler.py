@@ -12,7 +12,9 @@ from wcjoin.oracle import chi_square_uniformity, nested_loop_join
 from wcjoin.sampler import (
     EmptyAnswerSetError,
     Sampler,
+    ValueStore,
     WorkBudgetError,
+    _refute,
     children_values,
     sample,
     sample_once,
@@ -39,18 +41,55 @@ def bin_ctx(query):
     return build_agm_context(bin_query(query))
 
 
+def stored_slots(ctx, store):
+    """(prefix, stored value, fresh estimate) for every slot of the store."""
+    slots = []
+    pending = [((), 0)]  # (prefix, slot)
+    while pending:
+        prefix, slot = pending.pop()
+        for d in prefix:
+            ctx.bind(d)
+        slots.append((prefix, store.values[slot], ctx.estimate()))
+        while ctx.depth:
+            ctx.unbind()
+        at = store.child[slot]
+        if at >= 0:
+            pending.extend((prefix + (d,), at + d) for d in range(ctx.fanout))
+    return slots
+
+
+def check_refuted_slots(ctx, store, answers_bits):
+    """A refuted slot (0 now, positive fresh estimate) prefixes no answer, every
+    other slot holds its fresh estimate, and `store.refuted` counts the
+    refuted ones; the refuted prefixes."""
+    slots = stored_slots(ctx, store)
+    assert len(slots) == len(store.values)
+    refuted = []
+    for prefix, stored, fresh in slots:
+        if stored == 0.0 and fresh > 0.0:
+            refuted.append(prefix)
+            assert not any(bits[: len(prefix)] == prefix for bits in answers_bits)
+        else:
+            assert stored == fresh
+    assert len(refuted) == store.refuted
+    return refuted
+
+
 class TestChildrenValues:
     def test_triangle_root_children(self, triangle_query):
         ctx = bin_ctx(triangle_query)
-        memo = set()
-        values = children_values(ctx, memo, ())
+        store = ValueStore(ctx)
+        values = children_values(ctx)
         assert len(values) == 2
         assert ctx.depth == 0  # context restored
         # Root value 8 splits between the x1#1 = 0 and x1#1 = 1 subtrees.
         assert sum(values) <= ctx.estimate() + 1e-9
         assert values[0] > 0.0
-        memo.add((0,))  # a refuted child counts 0
-        assert children_values(ctx, memo, ()) == [0.0, values[1]]
+        at = store.add(0, values)
+        _refute(store, [0, at], ctx.fanout)  # a refuted child counts 0
+        assert list(store.values[at : at + 2]) == [0.0, values[1]]
+        assert store.refuted == 1 and store.values[0] == store.up_root
+        assert children_values(ctx) == values
         assert ctx.depth == 0
 
 
@@ -60,11 +99,11 @@ class TestSampleOnce:
         # probability 1 / up(root) = 1/8; check all four within 3 sigma.
         ctx = bin_ctx(triangle_query)
         rng = random.Random(101)
-        memo = set()
+        store = ValueStore(ctx)
         trials = 20000
         counts: dict[tuple[int, ...], int] = {}
         for _ in range(trials):
-            out = sample_once(ctx, memo, rng)
+            out = sample_once(ctx, store, rng)
             if out is not None:
                 counts[out] = counts.get(out, 0) + 1
         p = 1.0 / 8.0
@@ -77,8 +116,9 @@ class TestSampleOnce:
 
     def test_root_zero_fails_immediately(self, triangle_query):
         ctx = bin_ctx(triangle_query)
-        memo = {()}
-        assert sample_once(ctx, memo, random.Random(0)) is None
+        store = ValueStore(ctx)
+        store.values[0] = 0.0  # a refuted root
+        assert sample_once(ctx, store, random.Random(0)) is None
         assert ctx.depth == 0
 
 
@@ -124,31 +164,27 @@ class TestSample:
         q = encode_instance(tables, ("x1", "x2", "x3"))
         s = Sampler(q)
         with pytest.raises(EmptyAnswerSetError) as exc:
-            s.sample(1, random.Random(1))
+            s.sample(1, random.Random(1), max_work=1000)
         assert exc.value.stats.final_up_root == 0.0
 
     def test_structurally_nonempty_but_answer_free(self):
-        # The refutation memo must drive the root to 0.
+        # Refutations must drive the root's slot to 0.
         q = encode_instance(ANSWER_FREE_TABLES, ("x1", "x2", "x3"))
         assert nested_loop_join(q) == set()
         s = Sampler(q)
         with pytest.raises(EmptyAnswerSetError) as exc:
-            s.sample(1, random.Random(3))
+            s.sample(1, random.Random(3), max_work=1000)
         assert exc.value.stats.final_up_root == 0.0
         assert exc.value.stats.trials >= 1
 
     def test_memo_entries_are_sound(self, triangle_query):
-        # Every memo prefix is a genuinely answer-free bit prefix.
+        # Every refuted prefix is a genuinely answer-free bit prefix.
         ctx = bin_ctx(triangle_query)
-        memo = set()
+        store = ValueStore(ctx)
         rng = random.Random(11)
         answers_bits = nested_loop_join(bin_query(triangle_query))
-        _, _ = sample(ctx, 200, rng, memo=memo)
-        assert memo  # the walk hit dead subtrees
-        for prefix in memo:
-            assert not any(
-                bits[: len(prefix)] == prefix for bits in answers_bits
-            )
+        _, _ = sample(ctx, 200, rng, store=store)
+        assert check_refuted_slots(ctx, store, answers_bits)  # the walk hit dead subtrees
 
     def test_work_budget(self, triangle_query):
         s = Sampler(triangle_query)
@@ -179,10 +215,20 @@ class TestValueStore:
         expanded = set()
         estimates = 0
         children, estimate = sampler_module.children_values, s.ctx.estimate
+        bind, unbind = s.ctx.bind, s.ctx.unbind
+        path = []  # the context's bound prefix
 
-        def recording_children(ctx, memo, prefix):
-            expanded.add(tuple(prefix))
-            return children(ctx, memo, prefix)
+        def tracking_bind(d):
+            path.append(d)
+            bind(d)
+
+        def tracking_unbind():
+            path.pop()
+            unbind()
+
+        def recording_children(ctx):
+            expanded.add(tuple(path))
+            return children(ctx)
 
         def counting_estimate():
             nonlocal estimates
@@ -191,15 +237,18 @@ class TestValueStore:
 
         monkeypatch.setattr(sampler_module, "children_values", recording_children)
         monkeypatch.setattr(s.ctx, "estimate", counting_estimate)
+        monkeypatch.setattr(s.ctx, "bind", tracking_bind)
+        monkeypatch.setattr(s.ctx, "unbind", tracking_unbind)
         s.sample(200, random.Random(42))
-        # One block of child estimates per expanded prefix, plus the root.
-        assert estimates <= s.ctx.fanout * len(expanded) + 1
+        # One block of child estimates per expanded prefix; the root was
+        # estimated when the store was built.
+        assert estimates <= s.ctx.fanout * len(expanded)
         assert s.ctx.depth == 0
 
     def test_context_returns_to_the_root_on_every_exit(self, triangle_query):
         s = Sampler(encode_instance(ANSWER_FREE_TABLES, ("x1", "x2", "x3")))
         with pytest.raises(EmptyAnswerSetError):
-            s.sample(1, random.Random(3))
+            s.sample(1, random.Random(3), max_work=1000)
         assert s.ctx.depth == 0
         s = Sampler(triangle_query)
         with pytest.raises(WorkBudgetError):
@@ -208,8 +257,8 @@ class TestValueStore:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_blocks_are_the_child_values_under_the_final_memo(self, seed):
-        # A refutation zeroes exactly the slots whose prefixes joined the memo,
-        # so every stored block is what children_values gives now.
+        # A refutation zeroes exactly the slots of refuted prefixes, so every
+        # other stored value is what a fresh estimate gives now.
         q, cs = random_degree_instance(random.Random(seed), max_vars=3, max_rels=3)
         s = Sampler(q, cs)
         try:
@@ -217,42 +266,39 @@ class TestValueStore:
         except (EmptyAnswerSetError, WorkBudgetError):
             pass
         ctx, store = s.ctx, s.store
-        blocks = 0
-        pending = [((), 0)]  # (prefix, slot)
-        while pending:
-            prefix, slot = pending.pop()
-            at = store.child[slot]
-            if at < 0:
-                continue
-            blocks += 1
-            for d in prefix:
-                ctx.bind(d)
-            assert list(store.values[at : at + ctx.fanout]) == children_values(ctx, s.memo, prefix)
-            while ctx.depth:
-                ctx.unbind()
-            pending.extend((prefix + (d,), at + d) for d in range(ctx.fanout))
+        per_var = ctx.per_var
+        answers_bits = [
+            tuple((code >> (per_var - 1 - j)) & 1 for code in answer for j in range(per_var))
+            for answer in nested_loop_join(q, s.order)
+        ]
+        check_refuted_slots(ctx, store, answers_bits)
+        blocks = sum(at >= 0 for at in store.child)
         assert blocks * ctx.fanout + 1 == len(store.values)
+        assert ctx.depth == 0
 
 
-def walk_probabilities(ctx, memo):
+def walk_probabilities(ctx, store):
     """The probability that one walk returns each leaf, by expanding the whole
-    trace tree over the child values the sampler draws from: the product of
-    v_child / v_parent along the leaf's path."""
-    root = 0.0 if () in memo else ctx.estimate()
+    trace tree over the child values the sampler draws from: stored blocks
+    where the store has them, fresh children_values elsewhere. The result is
+    the product of v_child / v_parent along the leaf's path."""
+    root = store.values[0]
     probs = {}
 
-    def descend(prefix, value, p):
-        if len(prefix) == ctx.levels:
+    def descend(slot, value, p):
+        if ctx.depth == ctx.levels:
             probs[ctx.codes()] = p
             return
-        for d, vd in enumerate(children_values(ctx, memo, prefix)):
+        at = store.child[slot] if slot >= 0 else -1
+        block = store.values[at : at + ctx.fanout] if at >= 0 else children_values(ctx)
+        for d, vd in enumerate(block):
             if vd > 0.0:
                 ctx.bind(d)
-                descend(prefix + [d], vd, p * vd / value)
+                descend(at + d if at >= 0 else -1, vd, p * vd / value)
                 ctx.unbind()
 
     if root > 0.0:
-        descend([], root, 1.0)
+        descend(0, root, 1.0)
     return root, probs
 
 
@@ -264,14 +310,14 @@ class TestExactUniformity:
     def check(query, constraint_set=None):
         s = Sampler(query, constraint_set)
         answers = nested_loop_join(query, s.order)
-        memos = [set()]
+        stores = [ValueStore(s.ctx)]
         try:
             s.sample(20, random.Random(1), max_work=100)
         except (EmptyAnswerSetError, WorkBudgetError):
             pass
-        memos.append(s.memo)  # refutations must not move any answer's mass
-        for memo in memos:
-            root, probs = walk_probabilities(s.ctx, memo)
+        stores.append(s.store)  # refutations must not move any answer's mass
+        for store in stores:
+            root, probs = walk_probabilities(s.ctx, store)
             assert set(probs) == answers
             for p in probs.values():
                 assert p == pytest.approx(1.0 / root, rel=1e-9)
@@ -293,7 +339,7 @@ class TestExactUniformity:
 
 
 class TestPinnedOutput:
-    """Seeded runs against answers, stats and memo sizes recorded once.
+    """Seeded runs against answers, stats and refutation counts recorded once.
 
     Any change to what a seeded run draws, to how it consumes the RNG, or to
     which prefixes it refutes shows up here, also across versions.
@@ -322,7 +368,7 @@ class TestPinnedOutput:
             "final_up_root": 7.999999999999998,
             "mean_trials_per_success": 1.775,
         }
-        assert len(s.memo) == 5
+        assert s.store.refuted == 5
 
     def test_pm_with_a_projected_guard(self):
         q, cs = random_degree_instance(
@@ -347,12 +393,12 @@ class TestPinnedOutput:
             "final_up_root": 12.0,
             "mean_trials_per_success": 1.2,
         }
-        assert len(s.memo) == 6
+        assert s.store.refuted == 6
 
     def test_answer_free_triangle(self):
         s = Sampler(encode_instance(ANSWER_FREE_TABLES, ("x1", "x2", "x3")))
         with pytest.raises(EmptyAnswerSetError) as exc:
-            s.sample(1, random.Random(3))
+            s.sample(1, random.Random(3), max_work=1000)
         assert exc.value.stats.as_dict() == {
             "trials": 2,
             "failures": 2,
@@ -361,7 +407,19 @@ class TestPinnedOutput:
             "final_up_root": 0.0,
             "mean_trials_per_success": None,
         }
-        assert len(s.memo) == 5
+        assert s.store.refuted == 5
+
+    def test_refuted_root_stays_refuted(self):
+        # A later call on a refuted root runs no trial; up_root stays the
+        # root's estimate, final_up_root its refuted value.
+        s = Sampler(encode_instance(ANSWER_FREE_TABLES, ("x1", "x2", "x3")))
+        with pytest.raises(EmptyAnswerSetError):
+            s.sample(1, random.Random(3), max_work=1000)
+        with pytest.raises(EmptyAnswerSetError) as exc:
+            s.sample(1, random.Random(4), max_work=1000)
+        assert exc.value.stats.trials == 0
+        assert exc.value.stats.up_root == 2.82842712474619
+        assert exc.value.stats.final_up_root == 0.0
 
     def test_work_budget(self, triangle_query):
         s = Sampler(triangle_query)
@@ -376,4 +434,4 @@ class TestPinnedOutput:
             "final_up_root": 7.999999999999998,
             "mean_trials_per_success": 1.7241379310344827,
         }
-        assert len(s.memo) == 5
+        assert s.store.refuted == 5

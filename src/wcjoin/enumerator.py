@@ -7,9 +7,16 @@ codes after a single bit and is what makes the search worst-case optimal.
 Both walk the levels of one `index.Cursors` over the original sorted
 relations, depth first from an explicit stack, so the depth n*b of the bit
 search is not limited by Python's recursion limit.
+
+wcj() steps through every child with `Cursors.bind/unbind`. The bit search
+has its own loop: one bisect per narrowed column splits a node into both
+children, which are counted as calls whether or not they are consistent,
+and only consistent children are entered. Over `binary.bin_query`'s copy,
+wcj() is the independent reference the bit search is tested against.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -71,6 +78,11 @@ def _search(query: JoinQuery, sink: Sink, order: Sequence[str], bits: bool) -> E
     if set(order) != set(query.order) or len(order) != len(query.order):
         raise ValueError("order must be a permutation of the query variables")
     cur = Cursors(query.relations, order, query.domain_size, bits)
+    return _split_search(cur, sink) if bits else _step_search(cur, sink)
+
+
+def _step_search(cur: Cursors, sink: Sink) -> EnumerationStats:
+    """Visit every child of every consistent node through `Cursors.bind/unbind`."""
     levels, fanout = cur.levels, cur.fanout
     bind, unbind = cur.bind, cur.unbind
     # A node is consistent iff no relation has run out of rows; only the
@@ -107,6 +119,85 @@ def _search(query: JoinQuery, sink: Sink, order: Sequence[str], bits: bool) -> E
                 bind(d)
                 depth += 1
                 break
+        else:
+            break
+    return EnumerationStats(calls, consistent, emitted, per_depth)
+
+
+def _split_search(cur: Cursors, sink: Sink) -> EnumerationStats:
+    """Split each consistent node of the bit levels once.
+
+    One bisect per narrowed column at the midpoint a + w splits the top range
+    (lo, hi) into child 0's (lo, mid) and child 1's (mid, hi). Both children
+    are counted as calls; only consistent ones are entered. Child 0 is pushed
+    onto the stacks, and child 1 replaces it there once child 0's subtree is
+    done. At the last level the consistent children are emitted unpushed.
+    """
+    levels, per_var = cur.levels, cur.per_var
+    width, start, affected = cur._width, cur._start, cur.affected
+    last = levels - 1
+    per_depth = [0] * (levels + 1)
+    per_depth[0] = 1
+    if any(st[-1][0] == st[-1][1] for st in cur.stacks):
+        return EnumerationStats(1, 0, 0, per_depth)
+    if not levels:
+        sink(())
+        return EnumerationStats(1, 1, 1, per_depth)
+    pending = [False] * levels  # child 1 of the level is consistent and not yet entered
+    calls = consistent = 1
+    emitted = depth = 0
+    while True:
+        # The node at `depth` is consistent and inner: split it.
+        a = start[depth - 1] if depth % per_var else 0
+        m = a + width[depth]
+        aff = affected[depth]
+        live0 = live1 = True
+        calls += 2
+        per_depth[depth + 1] += 2
+        if depth == last:
+            for col, st in aff:
+                lo, hi = st[-1]
+                mid = bisect_left(col, m, lo, hi)
+                if mid == lo:
+                    live0 = False
+                elif mid == hi:
+                    live1 = False
+            consistent += live0 + live1
+            if live0 or live1:
+                head = tuple(start[per_var - 1 : last : per_var])
+                if live0:
+                    sink(head + (a,))
+                if live1:
+                    sink(head + (m,))
+                emitted += live0 + live1
+        else:
+            for col, st in aff:
+                lo, hi = st[-1]
+                mid = bisect_left(col, m, lo, hi)
+                st.append((lo, mid))
+                if mid == lo:
+                    live0 = False
+                elif mid == hi:
+                    live1 = False
+            consistent += live0 + live1
+            start[depth] = a
+            pending[depth] = live1
+            depth += 1
+            if live0:
+                continue
+            # An inconsistent child 0 is left at once, like an exhausted one.
+        # Enter the deepest pending child 1, popping exhausted levels.
+        while depth:
+            depth -= 1
+            if pending[depth]:
+                pending[depth] = False
+                for _, st in affected[depth]:
+                    st[-1] = (st[-1][1], st[-2][1])
+                start[depth] += width[depth]
+                depth += 1
+                break
+            for _, st in affected[depth]:
+                st.pop()
         else:
             break
     return EnumerationStats(calls, consistent, emitted, per_depth)

@@ -3,12 +3,16 @@
 Columns follow the global variable order and rows are sorted, so the rows
 agreeing with a bound prefix stay contiguous. `Cursors` keeps a stack of row
 ranges per relation; binding a level narrows each relation on that level's
-variable to a code interval [a, c) with two bisects, unbinding pops. Plain
-levels are variables, child d being [d, d+1). Bit levels are the b bits of
-each variable, MSB first: child d of a level of width w narrows [a, a + 2w)
-to [a + d*w, a + (d+1)*w). A range agrees on all earlier columns and bits,
-so its codes stay sorted, and the bit-level tree over the original relations
+variable to a code interval [a, c), unbinding pops. Plain levels are
+variables, child d being [d, d+1). Bit levels are the b bits of each
+variable, MSB first: child d of a level of width w narrows [a, a + 2w) to
+[a + d*w, a + (d+1)*w). A range agrees on all earlier columns and bits, so
+its codes stay sorted, and the bit-level tree over the original relations
 is, node for node, the plain tree of `binary.bin_query`'s bit-level copy.
+
+Child 0 keeps its parent's lo and the last child its parent's hi, so at a
+bit level one bisect per column, at the midpoint a + w, splits the parent's
+range (lo, hi) into child 0's (lo, mid) and child 1's (mid, hi).
 """
 from __future__ import annotations
 
@@ -85,11 +89,36 @@ class Cursors:
         a = (self._start[level - 1] if level % self.per_var else 0) + d * w
         c = a + w
         self._start[level] = a
+        last = d == self.fanout - 1
         for col, st in self.affected[level]:
             lo, hi = st[-1]
-            lo = bisect_left(col, a, lo, hi)
-            st.append((lo, bisect_left(col, c, lo, hi)))
+            if d:
+                lo = bisect_left(col, a, lo, hi)
+            if not last:
+                hi = bisect_left(col, c, lo, hi)
+            st.append((lo, hi))
         self.depth = level + 1
+
+    def live_children(self) -> tuple[int, ...]:
+        """The children of the current node that may be consistent.
+
+        At a two-way level, one bisect per column at the midpoint a + w
+        splits the range into child 0's and child 1's, and a child left with
+        no rows in some column is dropped. A wider level keeps every child.
+        """
+        if self.fanout != 2:
+            return tuple(range(self.fanout))
+        level = self.depth
+        m = (self._start[level - 1] if level % self.per_var else 0) + self._width[level]
+        live0 = live1 = True
+        for col, st in self.affected[level]:
+            lo, hi = st[-1]
+            mid = bisect_left(col, m, lo, hi)
+            if mid == lo:
+                live0 = False
+            if mid == hi:
+                live1 = False
+        return (0, 1) if live0 and live1 else (0,) if live0 else (1,) if live1 else ()
 
     def unbind(self) -> None:
         self.depth -= 1

@@ -110,11 +110,15 @@ class ValueStore:
 
 
 def children_values(ctx: EstimatorContext) -> list[float]:
-    """Estimator value of every child of the current node."""
-    values = []
-    for d in range(ctx.fanout):
+    """Estimator value of every child of the current node.
+
+    A child left with no rows in some column is inconsistent, so its value is
+    0.0 without a bind or an estimate.
+    """
+    values = [0.0] * ctx.fanout
+    for d in ctx.live_children():
         ctx.bind(d)
-        values.append(ctx.estimate())
+        values[d] = ctx.estimate()
         ctx.unbind()
     return values
 

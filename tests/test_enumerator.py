@@ -40,8 +40,20 @@ def run_bin(query, constraint_set=None, order=None):
 def test_both_searches_match_the_nested_loop_oracle(q, data):
     order = data.draw(st.permutations(q.order))
     want = nested_loop_join(q, order)
-    for out, _ in (run(q, order), run_bin(q, None, order)):
+    lay = make_layout(order, q.domain_size)
+    root = int(all(rel.rows for rel in q.relations))
+    for (out, stats), fanout, counts in (
+        (run(q, order), q.domain_size, prefix_counts(q, order)),
+        (run_bin(q, None, order), 2, prefix_counts(bin_query(q, lay), lay.bin_order)),
+    ):
         assert len(out) == len(want) and set(out) == want
+        assert out == sorted(out)  # emitted in lexicographic order
+        # Every consistent prefix fans out into `fanout` calls one level down.
+        pc = [root] + counts
+        assert stats.per_depth_calls == [1] + [fanout * c for c in pc[:-1]]
+        assert stats.consistent_calls == sum(pc)
+        assert stats.recursive_calls == sum(stats.per_depth_calls)
+        assert stats.answers_emitted == len(want)
 
 
 class TestPlainEnumeration:
@@ -100,6 +112,28 @@ class TestBinarisedEnumeration:
         assert set(out) == TRIANGLE_ANSWERS
         assert stats.recursive_calls == 37
         assert stats.per_depth_calls == [1, 2, 4, 6, 6, 8, 10]
+
+    def test_empty_relation_is_one_call(self):
+        q = encode_instance(
+            [("R", ("x1",), [["a"]]), ("S", ("x1",), [])], ("x1",)
+        )
+        out, stats = run_bin(q)
+        assert out == []
+        assert stats.recursive_calls == 1
+        assert stats.consistent_calls == 0
+
+    def test_one_value_domain(self):
+        # One bit per variable: each node's child 1 (code 1) is outside the
+        # domain and inconsistent, but still counted.
+        q = encode_instance(
+            [("R", ("x1", "x2"), [["a", "a"]]), ("S", ("x2",), [["a"]])], ("x1", "x2")
+        )
+        assert q.domain_size == 1 and bit_width(q.domain_size) == 1
+        out, stats = run_bin(q)
+        assert out == [(0, 0)]
+        assert stats.per_depth_calls == [1, 2, 2]
+        assert stats.consistent_calls == 3
+        assert stats.answers_emitted == 1
 
     def test_pruning_cuts_whole_code_blocks(self, triangle_query):
         # Binding x1 = 3 fails in one bit-level call under the binarised

@@ -11,8 +11,12 @@ search is not limited by Python's recursion limit.
 wcj() steps through every child with `Cursors.bind/unbind`. The bit search
 has its own loop: one bisect per narrowed column splits a node into both
 children, which are counted as calls whether or not they are consistent,
-and only consistent children are entered. Over `binary.bin_query`'s copy,
-wcj() is the independent reference the bit search is tested against.
+and only consistent children are entered. Where a narrowed column's range
+holds a single code, the loop follows that code's remaining bits in one
+step (a forced path): one bisect per column tells how far every column
+agrees with the code, and each level passed is counted as if split. Over
+`binary.bin_query`'s copy, wcj() is the independent reference the bit
+search is tested against.
 """
 from __future__ import annotations
 
@@ -132,6 +136,17 @@ def _split_search(cur: Cursors, sink: Sink) -> EnumerationStats:
     are counted as calls; only consistent ones are entered. Child 0 is pushed
     onto the stacks, and child 1 replaces it there once child 0's subtree is
     done. At the last level the consistent children are emitted unpushed.
+
+    A forced path settles the variable's k remaining levels in one step. If
+    some narrowed column's range holds a single code c, only the child on
+    c's bit path can be consistent at each of those levels. One bisect at c
+    per column gives either the column's range at the variable's last level
+    or, from c's two neighbours in the column, how many levels it follows
+    c's bits.
+    The path is followed for the least of these depths, counting the two
+    children of every level passed. If every column holds c, the ranges are
+    pushed once, at the variable's last level, and the climb back from there
+    jumps to the level the path started at (`origin`).
     """
     levels, per_var = cur.levels, cur.per_var
     width, start, affected = cur._width, cur._start, cur.affected
@@ -144,48 +159,94 @@ def _split_search(cur: Cursors, sink: Sink) -> EnumerationStats:
         sink(())
         return EnumerationStats(1, 1, 1, per_depth)
     pending = [False] * levels  # child 1 of the level is consistent and not yet entered
+    origin = [0] * levels  # where the climb resumes after popping the level's push
     calls = consistent = 1
     emitted = depth = 0
     while True:
-        # The node at `depth` is consistent and inner: split it.
-        a = start[depth - 1] if depth % per_var else 0
-        m = a + width[depth]
+        # The node at `depth` is consistent and inner.
         aff = affected[depth]
-        live0 = live1 = True
-        calls += 2
-        per_depth[depth + 1] += 2
-        if depth == last:
+        c = -1
+        for col, st in aff:
+            lo, hi = st[-1]
+            if col[lo] == col[hi - 1]:
+                c = col[lo]
+                break
+        if c >= 0:
+            # Follow c's bits while every column has a code agreeing with them.
+            k = width[depth].bit_length()  # levels left in the variable
+            follow = k
+            ranges = []
             for col, st in aff:
                 lo, hi = st[-1]
-                mid = bisect_left(col, m, lo, hi)
-                if mid == lo:
-                    live0 = False
-                elif mid == hi:
-                    live1 = False
-            consistent += live0 + live1
-            if live0 or live1:
-                head = tuple(start[per_var - 1 : last : per_var])
-                if live0:
-                    sink(head + (a,))
-                if live1:
-                    sink(head + (m,))
-                emitted += live0 + live1
+                p = bisect_left(col, c, lo, hi)
+                if p < hi and col[p] == c:
+                    ranges.append((st, p, bisect_left(col, c + 1, p, hi)))
+                    continue
+                miss = min(
+                    (col[p - 1] ^ c).bit_length() if p > lo else k,
+                    (col[p] ^ c).bit_length() if p < hi else k,
+                )
+                if k - miss < follow:
+                    follow = k - miss
+            # Each level followed has one consistent child; one more level
+            # has none if the path stops short of the variable's last bit.
+            steps = follow + (follow < k)
+            calls += 2 * steps
+            consistent += follow
+            for level in range(depth + 1, depth + 1 + steps):
+                per_depth[level] += 2
+            if follow == k:
+                end = depth + k - 1
+                if end == last:
+                    emitted += 1
+                    sink(tuple(start[per_var - 1 : last : per_var]) + (c,))
+                else:
+                    for st, lo, hi in ranges:
+                        st.append((lo, hi))
+                    start[end] = c
+                    origin[end] = depth
+                    depth = end + 1
+                    continue
         else:
-            for col, st in aff:
-                lo, hi = st[-1]
-                mid = bisect_left(col, m, lo, hi)
-                st.append((lo, mid))
-                if mid == lo:
-                    live0 = False
-                elif mid == hi:
-                    live1 = False
-            consistent += live0 + live1
-            start[depth] = a
-            pending[depth] = live1
-            depth += 1
-            if live0:
-                continue
-            # An inconsistent child 0 is left at once, like an exhausted one.
+            # Split it.
+            a = start[depth - 1] if depth % per_var else 0
+            m = a + width[depth]
+            live0 = live1 = True
+            calls += 2
+            per_depth[depth + 1] += 2
+            if depth == last:
+                for col, st in aff:
+                    lo, hi = st[-1]
+                    mid = bisect_left(col, m, lo, hi)
+                    if mid == lo:
+                        live0 = False
+                    elif mid == hi:
+                        live1 = False
+                consistent += live0 + live1
+                if live0 or live1:
+                    head = tuple(start[per_var - 1 : last : per_var])
+                    if live0:
+                        sink(head + (a,))
+                    if live1:
+                        sink(head + (m,))
+                    emitted += live0 + live1
+            else:
+                for col, st in aff:
+                    lo, hi = st[-1]
+                    mid = bisect_left(col, m, lo, hi)
+                    st.append((lo, mid))
+                    if mid == lo:
+                        live0 = False
+                    elif mid == hi:
+                        live1 = False
+                consistent += live0 + live1
+                start[depth] = a
+                pending[depth] = live1
+                origin[depth] = depth
+                depth += 1
+                if live0:
+                    continue
+                # An inconsistent child 0 is left at once, like an exhausted one.
         # Enter the deepest pending child 1, popping exhausted levels.
         while depth:
             depth -= 1
@@ -198,6 +259,7 @@ def _split_search(cur: Cursors, sink: Sink) -> EnumerationStats:
                 break
             for _, st in affected[depth]:
                 st.pop()
+            depth = origin[depth]
         else:
             break
     return EnumerationStats(calls, consistent, emitted, per_depth)

@@ -17,6 +17,7 @@ range (lo, hi) into child 0's (lo, mid) and child 1's (mid, hi).
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import itemgetter
 from typing import Sequence
 
 from .binary import bit_width
@@ -24,16 +25,17 @@ from .core import Relation
 
 
 class SortedRelation:
-    """Rows sorted lexicographically, plus per-column arrays for fast bisect."""
+    """Distinct rows sorted lexicographically, plus per-column arrays for fast bisect."""
 
     __slots__ = ("variables", "rows", "columns")
 
-    def __init__(self, variables: Sequence[str], rows: Sequence[tuple[int, ...]]):
+    def __init__(self, variables: Sequence[str], rows: list[tuple[int, ...]]):
+        # `rows` are distinct and sorted, as `build` makes them.
         self.variables = tuple(variables)
-        self.rows: list[tuple[int, ...]] = sorted(set(rows))
-        self.columns: list[list[int]] = [
-            [row[j] for row in self.rows] for j in range(len(self.variables))
-        ]
+        self.rows = rows
+        self.columns: list[list[int]] = (
+            [list(c) for c in zip(*rows)] if rows else [[] for _ in self.variables]
+        )
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -47,8 +49,10 @@ def build(rel: Relation, order: Sequence[str]) -> SortedRelation:
             raise ValueError(f"variable {v!r} not in global order")
     perm = sorted(range(len(rel.variables)), key=lambda i: positions[rel.variables[i]])
     variables = tuple(rel.variables[i] for i in perm)
-    rows = [tuple(row[i] for i in perm) for row in rel.rows]
-    return SortedRelation(variables, rows)
+    # The rows are a set already; a permutation other than the identity
+    # moves at least two columns, so itemgetter returns tuples.
+    rows = rel.rows if perm == sorted(perm) else map(itemgetter(*perm), rel.rows)
+    return SortedRelation(variables, sorted(rows))
 
 
 class Cursors:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wcjoin.binary import bin_constraints, bin_query, debin_row, make_layout
@@ -85,6 +85,15 @@ def assert_same_join(q, order):
 
 @given(queries(), st.data())
 def test_bit_join_matches_the_bit_encoded_query(q, data):
+    assert_same_join(q, data.draw(st.permutations(q.order)))
+
+
+@settings(max_examples=300)
+@given(queries(max_domain=300, max_rows=60), st.data())
+def test_bit_join_matches_on_wide_sparse_domains(q, data):
+    # Up to 300 values over at most 60 rows per relation: codes are up to 7
+    # bits wide and a range often holds one code long before a variable's
+    # last bit, so the bit search follows forced paths several levels deep.
     assert_same_join(q, data.draw(st.permutations(q.order)))
 
 

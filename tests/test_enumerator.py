@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from wcjoin.binary import bin_query, bit_width, make_layout
 from wcjoin.cli import main
 from wcjoin.constraints import ConstraintSet, functional_dependency
-from wcjoin.core import encode_instance, filter_relation
+from wcjoin.core import Dictionary, JoinQuery, Relation, encode_instance, filter_relation
 from wcjoin.enumerator import (
     IncompatibleOrderError,
     resolve_order,
@@ -21,7 +21,7 @@ from wcjoin.enumerator import (
 from wcjoin.oracle import nested_loop_join, prefix_counts
 
 from conftest import TRIANGLE_ANSWERS, random_query
-from test_differential import queries
+from test_differential import queries, reference_join
 
 
 def run(query, order=None):
@@ -34,6 +34,17 @@ def run_bin(query, constraint_set=None, order=None):
     out = []
     stats = wcj_binarised(query, out.append, constraint_set, order)
     return out, stats
+
+
+def coded_query(order, tables, domain_size):
+    """A query whose codes are given directly: code i stands for the value str(i)."""
+    values = tuple(str(i) for i in range(domain_size))
+    return JoinQuery(
+        tuple(order),
+        tuple(Relation(tuple(vs), frozenset(rows)) for vs, rows in tables),
+        domain_size,
+        Dictionary({v: i for i, v in enumerate(values)}, values),
+    )
 
 
 @given(queries(), st.data())
@@ -146,6 +157,40 @@ class TestBinarisedEnumeration:
         _, stats = run_bin(triangle_query)
         pc = [1] + prefix_counts(bq, lay.bin_order)
         assert stats.per_depth_calls == [1] + [2 * c for c in pc[:-1]]
+
+    @pytest.mark.parametrize("x_last", [False, True])
+    @pytest.mark.parametrize("holds_c", [False, True])
+    @pytest.mark.parametrize("c", [0b1010, 0b1011])
+    def test_forced_path(self, c, holds_c, x_last):
+        # R holds the single code c of x. S's codes of x share with c a bit
+        # prefix of each length 0..b-1 (c with bit j flipped) and, if holds_c,
+        # include c. The longest shared prefix is with the next code above
+        # c = 1010 and with the next code below c = 1011.
+        b, y = 4, 0b0101
+        flips = [c ^ (1 << (b - 1 - j)) for j in range(b)]
+        if x_last:
+            order, s = ("y", "x"), (("y", "x"), [(y, x) for x in flips + [c] * holds_c])
+        else:
+            # Only c's row holds y, so x = c's range must end before c + 1.
+            order, s = ("x", "y"), (("x", "y"), [(x, y + 1) for x in flips] + [(c, y)] * holds_c)
+        q = coded_query(order, [(("x",), [(c,)]), s], 1 << b)
+        out, stats = run_bin(q)
+        assert out == ([(y, c) if x_last else (c, y)] if holds_c else [])
+        # x follows c for b - 1 levels; both children of its last bit are
+        # inconsistent unless S holds c. y's single code 0101 is followed
+        # to its last bit wherever y is reached.
+        if x_last or holds_c:
+            assert stats.per_depth_calls == [1] + [2] * (2 * b)
+        else:
+            assert stats.per_depth_calls == [1] + [2] * b + [0] * b
+        assert stats.consistent_calls == (2 * b + 1 if holds_c else 2 * b if x_last else b)
+        lay = make_layout(order, q.domain_size)
+        pc = [1] + prefix_counts(bin_query(q, lay), lay.bin_order)
+        assert stats.per_depth_calls == [1] + [2 * n for n in pc[:-1]]
+        assert stats.consistent_calls == sum(pc)
+        ref_out, ref_stats = reference_join(q, order)
+        assert out == ref_out
+        assert stats.as_dict() == ref_stats.as_dict()
 
     def test_matches_oracle_on_random_instances(self):
         rng = random.Random(29)

@@ -175,7 +175,7 @@ def load_spec(path: str | Path) -> LoadedSpec:
             raise SpecError("'weights' must be a list")
         try:
             weights = parse_weights(doc["weights"])
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
+        except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
             raise SpecError(f"malformed weights: {exc}") from exc
 
     explicit = tuple(doc["order"]) if doc.get("order") else None

@@ -9,9 +9,9 @@ relations, depth first from an explicit stack, so the depth n*b of the bit
 search is not limited by Python's recursion limit.
 
 wcj() steps through every child with `Cursors.bind/unbind`. The bit search
-has its own loop: one bisect per narrowed column splits a node into both
-children, which are counted as calls whether or not they are consistent,
-and only consistent children are entered. Where a narrowed column's range
+expands a node with one `Cursors.split`, the sampler's two-way split: both
+children are counted as calls whether or not they are consistent, and only
+consistent children are entered. Where a narrowed column's range
 holds a single code, the loop follows that code's remaining bits in one
 step (a forced path): one bisect per column tells how far every column
 agrees with the code, and each level passed is counted as if split. Over
@@ -131,11 +131,11 @@ def _step_search(cur: Cursors, sink: Sink) -> EnumerationStats:
 def _split_search(cur: Cursors, sink: Sink) -> EnumerationStats:
     """Split each consistent node of the bit levels once.
 
-    One bisect per narrowed column at the midpoint a + w splits the top range
-    (lo, hi) into child 0's (lo, mid) and child 1's (mid, hi). Both children
-    are counted as calls; only consistent ones are entered. Child 0 is pushed
-    onto the stacks, and child 1 replaces it there once child 0's subtree is
-    done. At the last level the consistent children are emitted unpushed.
+    `Cursors.split` pushes child 0's ranges and tells which children have
+    rows. Both children are counted as calls; only consistent ones are
+    entered. Child 1 replaces child 0 on the stacks once child 0's subtree
+    is done, in place as `Cursors.sibling` does. At the last level the split
+    is popped at once and the consistent children are emitted.
 
     A forced path settles the variable's k remaining levels in one step. If
     some narrowed column's range holds a single code c, only the child on
@@ -149,7 +149,7 @@ def _split_search(cur: Cursors, sink: Sink) -> EnumerationStats:
     jumps to the level the path started at (`origin`).
     """
     levels, per_var = cur.levels, cur.per_var
-    width, start, affected = cur._width, cur._start, cur.affected
+    width, start, affected, split = cur._width, cur._start, cur.affected, cur.split
     last = levels - 1
     per_depth = [0] * (levels + 1)
     per_depth[0] = 1
@@ -208,39 +208,23 @@ def _split_search(cur: Cursors, sink: Sink) -> EnumerationStats:
                     depth = end + 1
                     continue
         else:
-            # Split it.
-            a = start[depth - 1] if depth % per_var else 0
-            m = a + width[depth]
-            live0 = live1 = True
+            # Split it; `split` reads the depth, which the loop keeps in a local.
             calls += 2
             per_depth[depth + 1] += 2
+            cur.depth = depth
+            live0, live1 = split()
+            consistent += live0 + live1
             if depth == last:
-                for col, st in aff:
-                    lo, hi = st[-1]
-                    mid = bisect_left(col, m, lo, hi)
-                    if mid == lo:
-                        live0 = False
-                    elif mid == hi:
-                        live1 = False
-                consistent += live0 + live1
+                for _, st in aff:
+                    st.pop()
                 if live0 or live1:
                     head = tuple(start[per_var - 1 : last : per_var])
                     if live0:
-                        sink(head + (a,))
+                        sink(head + (start[last],))
                     if live1:
-                        sink(head + (m,))
+                        sink(head + (start[last] + 1,))
                     emitted += live0 + live1
             else:
-                for col, st in aff:
-                    lo, hi = st[-1]
-                    mid = bisect_left(col, m, lo, hi)
-                    st.append((lo, mid))
-                    if mid == lo:
-                        live0 = False
-                    elif mid == hi:
-                        live1 = False
-                consistent += live0 + live1
-                start[depth] = a
                 pending[depth] = live1
                 origin[depth] = depth
                 depth += 1

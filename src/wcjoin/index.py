@@ -10,9 +10,12 @@ variable, MSB first: child d of a level of width w narrows [a, a + 2w) to
 its codes stay sorted, and the bit-level tree over the original relations
 is, node for node, the plain tree of `binary.bin_query`'s bit-level copy.
 
-Child 0 keeps its parent's lo and the last child its parent's hi, so at a
-bit level one bisect per column, at the midpoint a + w, splits the parent's
-range (lo, hi) into child 0's (lo, mid) and child 1's (mid, hi).
+Child 0 keeps its parent's lo and the last child its parent's hi. So at a
+two-way level one bisect per column, at the midpoint a + w, splits the
+parent's range (lo, hi) into child 0's (lo, mid) and child 1's (mid, hi):
+`split` pushes child 0 and tells which children have rows, and `sibling`
+turns child 0 into child 1 in place. The bit search and the sampler both
+expand a node this way.
 """
 from __future__ import annotations
 
@@ -103,26 +106,34 @@ class Cursors:
             st.append((lo, hi))
         self.depth = level + 1
 
-    def live_children(self) -> tuple[int, ...]:
-        """The children of the current node that may be consistent.
+    def split(self) -> tuple[bool, bool]:
+        """Move to child 0 of a two-way node; whether child 0 and child 1 have rows.
 
-        At a two-way level, one bisect per column at the midpoint a + w
-        splits the range into child 0's and child 1's, and a child left with
-        no rows in some column is dropped. A wider level keeps every child.
+        One bisect per narrowed column at the midpoint a + w splits (lo, hi)
+        into child 0's (lo, mid), which is pushed, and child 1's (mid, hi).
         """
-        if self.fanout != 2:
-            return tuple(range(self.fanout))
         level = self.depth
-        m = (self._start[level - 1] if level % self.per_var else 0) + self._width[level]
+        a = self._start[level - 1] if level % self.per_var else 0
+        m = a + self._width[level]
+        self._start[level] = a
         live0 = live1 = True
         for col, st in self.affected[level]:
             lo, hi = st[-1]
             mid = bisect_left(col, m, lo, hi)
+            st.append((lo, mid))
             if mid == lo:
                 live0 = False
             if mid == hi:
                 live1 = False
-        return (0, 1) if live0 and live1 else (0,) if live0 else (1,) if live1 else ()
+        self.depth = level + 1
+        return live0, live1
+
+    def sibling(self) -> None:
+        """Turn child 0 as `split` pushed it, (lo, mid), into child 1: (mid, parent's hi)."""
+        level = self.depth - 1
+        self._start[level] += self._width[level]
+        for _, st in self.affected[level]:
+            st[-1] = (st[-1][1], st[-2][1])
 
     def unbind(self) -> None:
         self.depth -= 1

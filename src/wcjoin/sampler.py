@@ -3,10 +3,10 @@
 A single trial walks the trace tree from the root, choosing child d with
 probability value(d) / value(parent) and failing outright with the leftover
 probability, so that each answer is returned with probability exactly
-1 / up(root). Sampler walks the bit levels of the original relations
-(branching factor 2, see `index.Cursors`); the functions below take any
-EstimatorContext. Repetition yields i.i.d. uniform answers with geometric
-trial counts.
+1 / up(root). Sampler walks the bit levels of the original relations; the
+functions below take any two-way EstimatorContext, whose nodes one
+`Cursors.split` expands into both children. Repetition yields i.i.d.
+uniform answers with geometric trial counts.
 
 A Sampler's only learned state is its ValueStore: the child values of every
 prefix its walks have expanded, each estimated once. A walk draws from the
@@ -82,19 +82,21 @@ class ValueStore:
 
     Slot 0 holds the root's estimate, taken when the store is built with its
     context at the root and kept as `up_root`. Expanding a node appends one
-    block of `fanout` child values to `values` and a parallel block of -1s to
+    block of its two child values to `values` and a parallel block of -1s to
     `child`, and points the node's slot in `child` at the block's offset. The
     values are the very floats `children_values` returned; a refutation zeroes
     the refuted node's slot (slot 0 for the root) and counts it in `refuted`.
 
     The store is not bounded: it holds one block per consistent inner node a
-    walk has reached, so at most `fanout` values per node of the trace tree
-    that the join itself calls, the join's recursive-call bound.
+    walk has reached, so at most two values per node of the trace tree that
+    the join itself calls, the join's recursive-call bound.
     """
 
     __slots__ = ("values", "child", "up_root", "refuted")
 
     def __init__(self, ctx: EstimatorContext) -> None:
+        if ctx.fanout != 2:
+            raise ValueError(f"the sampler walks two-way levels, not {ctx.fanout}-way ones")
         self.up_root = ctx.estimate()
         self.values = array("d", [self.up_root])
         self.child = array("i", [-1])
@@ -110,20 +112,21 @@ class ValueStore:
 
 
 def children_values(ctx: EstimatorContext) -> list[float]:
-    """Estimator value of every child of the current node.
+    """Estimator values of the current node's two children.
 
-    A child left with no rows in some column is inconsistent, so its value is
-    0.0 without a bind or an estimate.
+    One `split` serves both children; a child left with no rows in some
+    column is inconsistent, so its value is 0.0 without an estimate.
     """
-    values = [0.0] * ctx.fanout
-    for d in ctx.live_children():
-        ctx.bind(d)
-        values[d] = ctx.estimate()
-        ctx.unbind()
+    live0, live1 = ctx.split()
+    values = [ctx.estimate() if live0 else 0.0, 0.0]
+    if live1:
+        ctx.sibling()
+        values[1] = ctx.estimate()
+    ctx.unbind()
     return values
 
 
-def _refute(store: ValueStore, slots: list[int], fanout: int) -> None:
+def _refute(store: ValueStore, slots: list[int]) -> None:
     """Zero the current node's slot, then that of every ancestor whose children are all 0.
 
     `slots[i]` is the store slot of the node at depth i on the walk; nothing
@@ -135,7 +138,7 @@ def _refute(store: ValueStore, slots: list[int], fanout: int) -> None:
         store.refuted += 1
         if i:
             at = child[slots[i - 1]]
-            if any(values[at : at + fanout]):
+            if values[at] or values[at + 1]:
                 return
 
 
@@ -154,7 +157,7 @@ def sample_once(
     value = values[0]
     if value <= 0.0:
         return None
-    fanout, levels = ctx.fanout, ctx.levels
+    levels = ctx.levels
     prefix: list[int] = []
     slots = [0]
     try:
@@ -165,17 +168,17 @@ def sample_once(
                     ctx.bind(d)
                 block = children_values(ctx)
                 if sum(block) <= 0.0:
-                    _refute(store, slots, fanout)
+                    _refute(store, slots)
                     return None
                 at = store.add(slots[-1], block)
             # One uniform draw against cumulative child values; mass beyond the
             # children (clamped at >= 0 by construction) is the failure branch.
             r = rng.random() * value
-            acc = 0.0
-            for d in range(fanout):
-                acc += values[at + d]
-                if r < acc:
-                    break
+            v0 = values[at]
+            if r < v0:
+                d = 0
+            elif r < v0 + values[at + 1]:
+                d = 1
             else:
                 return None
             prefix.append(d)
@@ -199,7 +202,7 @@ def sample(
     Raises EmptyAnswerSetError once the root's slot is 0 (refuted, or an
     estimate of 0), and WorkBudgetError when max_work trials pass without
     finishing. Pass the same store to later calls to keep what earlier walks
-    learned.
+    learned. Building a store for a context that is not two-way raises ValueError.
     """
     store = store if store is not None else ValueStore(ctx)
     stats = SamplerStats(up_root=store.up_root)

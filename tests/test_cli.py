@@ -120,6 +120,7 @@ class TestLoadSpec:
             {"constraints": [{**card, "N": "4"}]},
             {"weights": "111"},
             {"weights": ["1/0"]},
+            {"weights": [float("inf"), 1, 1]},  # JSON Infinity
             {"order": ["x1", "x2", "x3", "x1"]},
             {"order": ["x1", "x2", "x3", "x9"]},  # x9 is in no relation
             {"order": ["x1", "x2", "x3", "x9"], "constraints": [card]},

@@ -39,11 +39,15 @@ from conftest import random_query
 def queries(draw, max_vars=4, max_rels=4, max_domain=9, max_rows=16):
     """A random full conjunctive query; every variable occurs in some relation."""
     variables = [f"x{i + 1}" for i in range(draw(st.integers(1, max_vars)))]
-    d = draw(st.integers(1, max_domain))
+    # The domain, row counts and values are uniform over their ranges, from
+    # a Random that hypothesis seeds: its own integers favour small values,
+    # so a wide domain would hardly ever get many distinct values.
+    rng = draw(st.randoms(use_true_random=True))
+    d = rng.randint(1, max_domain)
     tables = []
     for j in range(draw(st.integers(1, max_rels))):
         vs = draw(st.lists(st.sampled_from(variables), min_size=1, unique=True))
-        rows = draw(st.lists(st.tuples(*[st.integers(0, d - 1)] * len(vs)), max_size=max_rows))
+        rows = [[rng.randrange(d) for _ in vs] for _ in range(rng.randint(0, max_rows))]
         tables.append((f"R{j}", vs, [[str(c) for c in r] for r in rows]))
     missing = [v for v in variables if not any(v in t[1] for t in tables)]
     if missing:
@@ -91,9 +95,10 @@ def test_bit_join_matches_the_bit_encoded_query(q, data):
 @settings(max_examples=300)
 @given(queries(max_domain=300, max_rows=60), st.data())
 def test_bit_join_matches_on_wide_sparse_domains(q, data):
-    # Up to 300 values over at most 60 rows per relation: codes are up to 7
-    # bits wide and a range often holds one code long before a variable's
-    # last bit, so the bit search follows forced paths several levels deep.
+    # Up to 300 values over at most 60 rows per relation: codes are up to 9
+    # bits wide (8 or more in about a fifth of the examples) and a range
+    # often holds one code long before a variable's last bit, so the bit
+    # search follows forced paths several levels deep.
     assert_same_join(q, data.draw(st.permutations(q.order)))
 
 

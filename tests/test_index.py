@@ -1,9 +1,13 @@
 """Sorted-array indexes and the cursor engine's narrowing."""
 import random
 
-from wcjoin.binary import bin_value, bit_width
+import pytest
+
+from wcjoin.binary import bin_query, bin_value, bit_width
 from wcjoin.core import Relation, filter_relation
+from wcjoin.estimators import build_agm_context
 from wcjoin.index import Cursors, build
+from wcjoin.sampler import ValueStore, sample
 
 from conftest import TRIANGLE_ORDER, random_query
 
@@ -118,3 +122,58 @@ class TestNarrow:
                 t[v] = code
                 assert cur.codes() == tuple(t.values())
                 assert count(cur.stacks[0]) == filter_relation(r, t).size
+
+
+class TestSplit:
+    @staticmethod
+    def state(cur):
+        return [list(st) for st in cur.stacks], list(cur._start), cur.depth
+
+    @staticmethod
+    def live(cur):
+        return all(lo < hi for lo, hi in (st[-1] for _, st in cur.affected[cur.depth - 1]))
+
+    def check_walks(self, make_cursors):
+        # At every node of random root-to-leaf walks, consistent or not,
+        # split() is bind(0) and split() + sibling() is bind(1).
+        rng = random.Random(11)
+        nodes = 0
+        for _ in range(150):
+            cur = make_cursors(random_query(rng, max_domain=40, max_tuples=30))
+            assert cur.fanout == 2
+            while cur.depth < cur.levels:
+                cur.bind(0)
+                child0 = self.state(cur)
+                cur.unbind()
+                cur.bind(1)
+                child1 = self.state(cur)
+                cur.unbind()
+                live0, live1 = cur.split()
+                assert self.state(cur) == child0
+                assert live0 == self.live(cur)
+                cur.sibling()
+                assert self.state(cur) == child1
+                assert live1 == self.live(cur)
+                cur.unbind()
+                nodes += 1
+                live = [d for d, ok in enumerate((live0, live1)) if ok]
+                cur.bind(rng.choice(live) if live and rng.random() < 0.9 else rng.randrange(2))
+        assert nodes > 1000
+
+    def test_split_is_bind_at_bit_levels(self):
+        self.check_walks(lambda q: Cursors(q.relations, q.order, q.domain_size, bits=True))
+
+    def test_split_is_bind_on_bin_query_copies(self):
+        def plain_over_bits(q):
+            bq = bin_query(q)
+            return Cursors(bq.relations, bq.order, bq.domain_size, bits=False)
+
+        self.check_walks(plain_over_bits)
+
+    def test_sampler_rejects_contexts_that_are_not_two_way(self, triangle_query):
+        ctx = build_agm_context(triangle_query)  # one level per variable, 4 values
+        assert ctx.fanout == 4
+        with pytest.raises(ValueError):
+            ValueStore(ctx)
+        with pytest.raises(ValueError):
+            sample(ctx, 1, random.Random(0))

@@ -86,7 +86,7 @@ class TestChildrenValues:
         assert sum(values) <= ctx.estimate() + 1e-9
         assert values[0] > 0.0
         at = store.add(0, values)
-        _refute(store, [0, at], ctx.fanout)  # a refuted child counts 0
+        _refute(store, [0, at])  # a refuted child counts 0
         assert list(store.values[at : at + 2]) == [0.0, values[1]]
         assert store.refuted == 1 and store.values[0] == store.up_root
         assert children_values(ctx) == values
@@ -216,11 +216,20 @@ class TestValueStore:
         estimates = 0
         children, estimate = sampler_module.children_values, s.ctx.estimate
         bind, unbind = s.ctx.bind, s.ctx.unbind
+        split, sibling = s.ctx.split, s.ctx.sibling
         path = []  # the context's bound prefix
 
         def tracking_bind(d):
             path.append(d)
             bind(d)
+
+        def tracking_split():
+            path.append(0)
+            return split()
+
+        def tracking_sibling():
+            path[-1] = 1
+            sibling()
 
         def tracking_unbind():
             path.pop()
@@ -239,6 +248,8 @@ class TestValueStore:
         monkeypatch.setattr(s.ctx, "estimate", counting_estimate)
         monkeypatch.setattr(s.ctx, "bind", tracking_bind)
         monkeypatch.setattr(s.ctx, "unbind", tracking_unbind)
+        monkeypatch.setattr(s.ctx, "split", tracking_split)
+        monkeypatch.setattr(s.ctx, "sibling", tracking_sibling)
         s.sample(200, random.Random(42))
         # One block of child estimates per expanded prefix; the root was
         # estimated when the store was built.

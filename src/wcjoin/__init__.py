@@ -48,7 +48,6 @@ from .sampler import (
     SamplerStats,
     WorkBudgetError,
     children_values,
-    sample,
     sample_once,
 )
 

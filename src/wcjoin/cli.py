@@ -14,8 +14,9 @@ JSON query spec:
     }
 
 Relation paths are resolved relative to the spec file. Exit codes: 0 ok,
-2 parse/validation failure, 3 constraint incompatibility or infeasible LP,
-4 empty answer set (sample), 5 work budget exhausted (sample).
+1 stdout closed by its reader, 2 parse/validation failure, 3 constraint
+incompatibility or infeasible LP, 4 empty answer set (sample), 5 work budget
+exhausted (sample).
 """
 from __future__ import annotations
 
@@ -52,6 +53,7 @@ from .estimators import (
 from .sampler import EmptyAnswerSetError, Sampler, WorkBudgetError
 
 EXIT_OK = 0
+EXIT_CLOSED_OUTPUT = 1
 EXIT_PARSE = 2
 EXIT_INCOMPATIBLE = 3
 EXIT_EMPTY = 4
@@ -205,19 +207,19 @@ def _write_stats(path, payload: dict) -> None:
         Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _explicit_order(flag: str | None, spec: LoadedSpec) -> tuple[str, ...] | None:
-    """The --order flag, else the spec's order; it must permute the query variables."""
+def _order(flag: str | None, spec: LoadedSpec) -> tuple[str, ...]:
+    """`resolve_order` on the spec's constraints, given --order, else the spec's order."""
     order = tuple(v.strip() for v in (flag or "").split(",") if v.strip()) or spec.order
     if order is not None and sorted(order) != sorted(set(spec.query.order)):
         raise SpecError(f"order {','.join(order)} is not a permutation of the query variables")
-    return order
+    return resolve_order(spec.query, spec.constraint_set, order)
 
 
 def cmd_join(args) -> int:
     spec = load_spec(args.spec)
     query = spec.query
     started = time.perf_counter()
-    order = resolve_order(query, spec.constraint_set, _explicit_order(args.order, spec))
+    order = _order(args.order, spec)
     answers: list[tuple[int, ...]] = []
     search = wcj if args.no_binarise else wcj_binarised
     stats = search(query, answers.append, order=order)
@@ -232,7 +234,7 @@ def cmd_join(args) -> int:
 
 
 def _sample_cover(spec: LoadedSpec, estimator: str):
-    """Constraint set + cover for the requested estimator. May raise CoverError."""
+    """Constraint set + the spec's checked cover (None without weights) for the estimator."""
     query = spec.query
     if estimator == "agm":
         bounds = {}
@@ -254,7 +256,7 @@ def _sample_cover(spec: LoadedSpec, estimator: str):
         if uncovered is not None:
             raise SpecError(f"supplied weights do not cover variable {uncovered!r}")
         return cs, FractionalCover(spec.weights)
-    return cs, solve_cover_degree(cs)
+    return cs, None
 
 
 def cmd_sample(args) -> int:
@@ -266,7 +268,7 @@ def cmd_sample(args) -> int:
     except ValueError as exc:
         raise SpecError(f"SEED must be an integer, got {os.environ['SEED']!r}") from exc
     spec = load_spec(args.spec)
-    order = _explicit_order(args.order, spec)
+    order = _order(args.order, spec)
     cs, cover = _sample_cover(spec, args.estimator)
     sampler = Sampler(spec.query, cs, cover, order)
     rng = random.Random(seed)
@@ -371,6 +373,12 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left (`wcjoin join spec | head -1`). With stdout on
+        # devnull, the flush at exit stays silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_CLOSED_OUTPUT
     except (CyclicConstraintsError, IncompatibleOrderError, InfeasibleCoverError) as exc:
         code = EXIT_INCOMPATIBLE
         print(f"error: {exc}", file=sys.stderr)

@@ -57,7 +57,7 @@ def wcj(query: JoinQuery, sink: Sink, order: Sequence[str] | None = None) -> Enu
     The sink receives one code tuple per answer, aligned with the variable
     order used for the search.
     """
-    return _search(query, sink, order if order is not None else query.order, bits=False)
+    return _search(query, sink, resolve_order(query, None, order), bits=False)
 
 
 def wcj_binarised(
@@ -68,10 +68,10 @@ def wcj_binarised(
 ) -> EnumerationStats:
     """Worst-case optimal path: enumerate bit by bit, MSB first.
 
-    With a constraint set, the variable order defaults to a compatible one;
-    an explicit order is checked against the dependency graph. The returned
-    stats describe the bit-level search (depth n*b); the sink receives code
-    tuples, as from wcj().
+    The variable order is `resolve_order`'s: an explicit order is checked
+    against the constraints' dependency graph. The returned stats describe
+    the bit-level search (depth n*b); the sink receives code tuples, as from
+    wcj().
     """
     return _search(query, sink, resolve_order(query, constraint_set, order), bits=True)
 
@@ -254,13 +254,17 @@ def resolve_order(
     constraint_set: ConstraintSet | None,
     order: Sequence[str] | None,
 ) -> tuple[str, ...]:
-    """Pick the search order: explicit > constraint-compatible > query order."""
-    if constraint_set is not None:
-        if order is not None:
-            if not check_compatible(constraint_set, order):
-                raise IncompatibleOrderError(
-                    f"order {tuple(order)} is not compatible with the degree constraints"
-                )
-            return tuple(order)
+    """The one order rule of every search, estimator and sampler.
+
+    An explicit order must be compatible with the constraints. Without one,
+    the query's own order stays if they allow it, else `compatible_order`'s.
+    """
+    if order is None:
+        if constraint_set is None or check_compatible(constraint_set, query.order):
+            return query.order
         return compatible_order(constraint_set)
-    return tuple(order) if order is not None else query.order
+    if constraint_set is not None and not check_compatible(constraint_set, order):
+        raise IncompatibleOrderError(
+            f"order {tuple(order)} is not compatible with the degree constraints"
+        )
+    return tuple(order)

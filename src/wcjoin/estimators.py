@@ -174,19 +174,28 @@ class EstimatorContext(Cursors):
     move down and up one level. Levels are variables, or with bits=True the
     MSB-first bits of each variable's code. One context serves one run at a
     time.
+
+    Missing arguments get the estimator's defaults here and nowhere else: the
+    constraint set `cardinality_constraints(query)` (AGM), the cover
+    `solve_cover_degree`'s optimum, and the order `enumerator.resolve_order`'s,
+    which also checks an explicit order.
     """
 
     def __init__(
         self,
         query: JoinQuery,
-        constraint_set: ConstraintSet,
-        cover: FractionalCover,
+        constraint_set: ConstraintSet | None = None,
+        cover: FractionalCover | None = None,
         order: Sequence[str] | None = None,
         bits: bool = False,
     ):
+        if constraint_set is None:
+            constraint_set = cardinality_constraints(query)
+        if cover is None:
+            cover = solve_cover_degree(constraint_set)
         if len(cover.weights) != len(constraint_set.constraints):
             raise ValueError("one weight per constraint required")
-        self.order = tuple(order) if order is not None else query.order
+        self.order = resolve_order(query, constraint_set, order)
 
         # One cursor per distinct relation among the query's relations and
         # the guard projections R' = R|B; a projection on the whole guard is
@@ -232,7 +241,7 @@ class EstimatorContext(Cursors):
         try:
             return math.exp(log_total) if log_total != 0.0 else 1.0
         except OverflowError:
-            raise CoverError(f"estimate e^{log_total:.0f} overflows a float") from None
+            raise CoverError(f"bound 2^{log_total / math.log(2):.4g} overflows a float") from None
 
 
 def build_agm_context(
@@ -241,13 +250,10 @@ def build_agm_context(
     cover: FractionalCover | None = None,
     order: Sequence[str] | None = None,
 ) -> EstimatorContext:
-    """AGM estimator context for a cardinality class (bounds default to |R|)."""
-    cs = constraint_set if constraint_set is not None else cardinality_constraints(query)
-    if any(not c.is_cardinality for c in cs.constraints):
+    """AGM estimator context; bounds (|R|), cover and order default in `EstimatorContext`."""
+    if constraint_set is not None and any(not c.is_cardinality for c in constraint_set.constraints):
         raise ValueError("AGM estimator takes cardinality constraints only")
-    if cover is None:
-        cover = solve_cover_degree(cs)
-    return EstimatorContext(query, cs, cover, order)
+    return EstimatorContext(query, constraint_set, cover, order)
 
 
 def build_pm_context(
@@ -256,10 +262,7 @@ def build_pm_context(
     cover: FractionalCover | None = None,
     order: Sequence[str] | None = None,
 ) -> EstimatorContext:
-    """Polymatroid estimator context; the order must be constraint-compatible."""
-    order = resolve_order(query, constraint_set, order)
-    if cover is None:
-        cover = solve_cover_degree(constraint_set)
+    """Polymatroid estimator context; cover and order default in `EstimatorContext`."""
     return EstimatorContext(query, constraint_set, cover, order)
 
 

@@ -25,14 +25,9 @@ from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
-from .constraints import ConstraintSet, cardinality_constraints
+from .constraints import ConstraintSet
 from .core import JoinQuery
-from .enumerator import resolve_order
-from .estimators import (
-    EstimatorContext,
-    FractionalCover,
-    solve_cover_degree,
-)
+from .estimators import EstimatorContext, FractionalCover
 
 
 class EmptyAnswerSetError(Exception):
@@ -190,43 +185,11 @@ def sample_once(
             ctx.unbind()
 
 
-def sample(
-    ctx: EstimatorContext,
-    k: int,
-    rng: random.Random,
-    max_work: int | None = None,
-    store: ValueStore | None = None,
-) -> tuple[list[tuple[int, ...]], SamplerStats]:
-    """k i.i.d. uniform answers (with replacement), or prove the query empty.
-
-    Raises EmptyAnswerSetError once the root's slot is 0 (refuted, or an
-    estimate of 0), and WorkBudgetError when max_work trials pass without
-    finishing. Pass the same store to later calls to keep what earlier walks
-    learned. Building a store for a context that is not two-way raises ValueError.
-    """
-    store = store if store is not None else ValueStore(ctx)
-    stats = SamplerStats(up_root=store.up_root)
-    answers: list[tuple[int, ...]] = []
-    while True:
-        # The root estimate is static; only a refutation of the root moves it.
-        stats.final_up_root = store.values[0]
-        if len(answers) >= k:
-            return answers, stats
-        if stats.final_up_root <= 0.0:
-            raise EmptyAnswerSetError(stats)
-        if max_work is not None and stats.trials >= max_work:
-            raise WorkBudgetError(stats, answers)
-        stats.trials += 1
-        out = sample_once(ctx, store, rng)
-        if out is None:
-            stats.failures += 1
-        else:
-            answers.append(out)
-            stats.answers_returned += 1
-
-
 class Sampler:
-    """End-to-end sampler walking bit levels, emitting code rows."""
+    """End-to-end sampler walking bit levels, emitting code rows.
+
+    Constraint set, cover and order default as in `EstimatorContext` (AGM).
+    """
 
     def __init__(
         self,
@@ -235,16 +198,36 @@ class Sampler:
         cover: FractionalCover | None = None,
         order: Sequence[str] | None = None,
     ):
-        if constraint_set is None:
-            constraint_set = cardinality_constraints(query)
-        self.order = resolve_order(query, constraint_set, order)
-        if cover is None:
-            cover = solve_cover_degree(constraint_set)
-        self.ctx = EstimatorContext(query, constraint_set, cover, self.order, bits=True)
+        self.ctx = EstimatorContext(query, constraint_set, cover, order, bits=True)
+        self.order = self.ctx.order
         self.store = ValueStore(self.ctx)
 
     def sample(
         self, k: int, rng: random.Random, max_work: int | None = None
     ) -> tuple[list[tuple[int, ...]], SamplerStats]:
-        """k uniform answers as code tuples aligned with the sampler's order."""
-        return sample(self.ctx, k, rng, max_work=max_work, store=self.store)
+        """k i.i.d. uniform answers (with replacement), or prove the query empty.
+
+        Answers are code tuples aligned with the sampler's order. Raises
+        EmptyAnswerSetError once the root's slot is 0 (refuted, or an estimate
+        of 0), and WorkBudgetError when max_work trials pass without
+        finishing. Later calls keep what earlier walks stored.
+        """
+        ctx, store = self.ctx, self.store
+        stats = SamplerStats(up_root=store.up_root)
+        answers: list[tuple[int, ...]] = []
+        while True:
+            # The root estimate is static; only a refutation of the root moves it.
+            stats.final_up_root = store.values[0]
+            if len(answers) >= k:
+                return answers, stats
+            if stats.final_up_root <= 0.0:
+                raise EmptyAnswerSetError(stats)
+            if max_work is not None and stats.trials >= max_work:
+                raise WorkBudgetError(stats, answers)
+            stats.trials += 1
+            out = sample_once(ctx, store, rng)
+            if out is None:
+                stats.failures += 1
+            else:
+                answers.append(out)
+                stats.answers_returned += 1

@@ -1,5 +1,6 @@
 """Shared fixtures: the worked triangle instance and random-instance makers."""
 import random
+import signal
 
 import pytest
 from hypothesis import settings
@@ -15,6 +16,29 @@ from wcjoin.core import JoinQuery, encode_instance
 # database, so the suite's verdict never depends on earlier runs.
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
 settings.load_profile("deterministic")
+
+# Wall-clock limit per test: a fault that loops forever fails its test instead
+# of hanging the suite. The slowest test takes about 7 s.
+TEST_TIME_LIMIT_S = 120
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"test ran longer than {TEST_TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
 
 TRIANGLE_ORDER = ("x1", "x2", "x3")
 

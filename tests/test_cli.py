@@ -1,11 +1,17 @@
 """Command line front end: spec parsing, outputs, exit codes, determinism."""
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wcjoin
 from wcjoin.cli import (
     EXIT_BUDGET,
+    EXIT_CLOSED_OUTPUT,
     EXIT_EMPTY,
     EXIT_INCOMPATIBLE,
     EXIT_OK,
@@ -304,6 +310,38 @@ class TestSample:
         assert "cover" in capsys.readouterr().err
         spec = write_instance(tmp_path, extra={"weights": ["1/2", "1/2", "1/2"]})
         assert main(["sample", spec, "--count", "5", "--seed", "0"]) == EXIT_OK
+
+    def test_overflowing_bound_exits_2_with_a_short_line(self, tmp_path, capsys):
+        spec = write_instance(tmp_path, extra={"weights": [1e300, 1, 1]})
+        assert main(["sample", spec, "--count", "1"]) == EXIT_PARSE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and len(err[0]) < 120, err
+
+    def test_agm_order_must_respect_the_spec_constraints(self, tmp_path, capsys):
+        spec = write_instance(tmp_path, extra={"constraints": FD_CONSTRAINTS})
+        code = main(["sample", spec, "--estimator", "agm", "--order", "x1,x2,x3"])
+        assert code == EXIT_INCOMPATIBLE
+        assert "error:" in capsys.readouterr().err
+
+
+def test_closed_output_pipe_exits_1_silently(tmp_path):
+    # 90 000 answers, about 0.7 MB, far more than a pipe's 64 KiB buffer:
+    # the writer is still writing when the reader closes its end.
+    for name, var in (("R", "x1"), ("S", "x2")):
+        (tmp_path / f"{name}.csv").write_text(var + "\n" + "".join(f"{i}\n" for i in range(300)))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"relations": {"R": {"path": "R.csv"}, "S": {"path": "S.csv"}}}))
+    path = [str(Path(wcjoin.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wcjoin.cli", "join", str(spec)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"x1,x2\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == EXIT_CLOSED_OUTPUT
+    assert err == b""
 
 
 class TestCoverAndValidate:

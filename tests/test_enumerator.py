@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from wcjoin.binary import bin_query, bit_width, make_layout
 from wcjoin.cli import main
-from wcjoin.constraints import ConstraintSet, functional_dependency
+from wcjoin.constraints import ConstraintSet, DegreeConstraint, functional_dependency
 from wcjoin.core import Dictionary, JoinQuery, Relation, encode_instance, filter_relation
 from wcjoin.enumerator import (
     IncompatibleOrderError,
@@ -18,9 +18,11 @@ from wcjoin.enumerator import (
     wcj,
     wcj_binarised,
 )
+from wcjoin.estimators import build_agm_context
 from wcjoin.oracle import nested_loop_join, prefix_counts
+from wcjoin.sampler import Sampler
 
-from conftest import TRIANGLE_ANSWERS, random_query
+from conftest import TRIANGLE_ANSWERS, TRIANGLE_TABLES, random_query
 from test_differential import queries, reference_join
 
 
@@ -221,6 +223,45 @@ class TestBinarisedEnumeration:
             run_bin(triangle_query, cs, ("x1", "x2", "x3"))
         out, _ = run_bin(triangle_query, cs)
         assert {(a, b, c) for c, a, b in out} == TRIANGLE_ANSWERS
+
+
+class TestOrderRule:
+    """One order rule for join, sample and the estimators: explicit, else the
+    query's own order where the constraints allow it, else a compatible one."""
+
+    # Headers y,x and x,z: first appearance is y,x,z, name order x,y,z.
+    UNSORTED = [("R", ("y", "x"), [["0", "1"], ["1", "1"]]), ("S", ("x", "z"), [["1", "2"]])]
+
+    def test_join_and_sample_write_the_first_appearance_header(self, tmp_path):
+        spec = {"relations": {}}
+        for name, header, rows in self.UNSORTED:
+            (tmp_path / f"{name}.csv").write_text(
+                "\n".join(",".join(r) for r in [header, *rows]) + "\n"
+            )
+            spec["relations"][name] = {"path": f"{name}.csv"}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        headers = []
+        for command in ("join", "sample"):
+            out = tmp_path / f"{command}.csv"
+            assert main([command, str(tmp_path / "spec.json"), "--output", str(out)]) == 0
+            headers.append(out.read_text().splitlines()[0])
+        assert headers == ["y,x,z", "y,x,z"]
+
+    def test_sampler_and_estimator_keep_the_query_order(self):
+        q = encode_instance(self.UNSORTED, ("y", "x", "z"))
+        assert Sampler(q).order == build_agm_context(q).order == q.order
+
+    def test_a_compatible_order_is_kept_under_degree_constraints(self):
+        # x1 must precede x3. Name order would also pick x1 first; the
+        # query's own order x2,x1,x3 is compatible and stays.
+        q = encode_instance(TRIANGLE_TABLES, ("x2", "x1", "x3"))
+        e1, e2, e3 = (frozenset(rel.variables) for rel in q.relations)
+        cs = ConstraintSet(
+            frozenset(q.order), (e1, e2, e3), (DegreeConstraint(frozenset({"x1"}), e3, 2, e3),)
+        )
+        assert resolve_order(q, cs, None) == ("x2", "x1", "x3")
+        out, _ = run_bin(q, cs)
+        assert out == sorted(nested_loop_join(q))
 
 
 class TestCallBound:

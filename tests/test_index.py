@@ -7,7 +7,7 @@ from wcjoin.binary import bin_query, bin_value, bit_width
 from wcjoin.core import Relation, filter_relation
 from wcjoin.estimators import build_agm_context
 from wcjoin.index import Cursors, build
-from wcjoin.sampler import ValueStore, sample
+from wcjoin.sampler import ValueStore
 
 from conftest import TRIANGLE_ORDER, random_query
 
@@ -175,5 +175,3 @@ class TestSplit:
         assert ctx.fanout == 4
         with pytest.raises(ValueError):
             ValueStore(ctx)
-        with pytest.raises(ValueError):
-            sample(ctx, 1, random.Random(0))

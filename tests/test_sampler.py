@@ -16,7 +16,6 @@ from wcjoin.sampler import (
     WorkBudgetError,
     _refute,
     children_values,
-    sample,
     sample_once,
 )
 
@@ -114,6 +113,26 @@ class TestSampleOnce:
             )
             assert abs(counts[bits] - trials * p) <= 3 * sigma
 
+    def test_two_way_draw_at_the_bounds(self):
+        # One variable, one bit: a single draw r = random() * 4 against the
+        # stored children 1 and 2. Below 1 is child 0, below 1 + 2 child 1,
+        # and the rest is the failure branch.
+        s = Sampler(encode_instance([("R", ("x1",), [["a"], ["b"]])], ("x1",)))
+        assert s.ctx.levels == 1
+        s.store.values[0] = 4.0
+        s.store.add(0, [1.0, 2.0])
+
+        class StubRandom:
+            draws = iter([math.nextafter(0.25, 0.0), 0.25, math.nextafter(0.75, 0.0), 0.75])
+
+            def random(self):
+                return next(self.draws)
+
+        rng = StubRandom()
+        outs = [sample_once(s.ctx, s.store, rng) for _ in range(4)]
+        assert outs == [(0,), (1,), (1,), None]
+        assert s.ctx.depth == 0
+
     def test_root_zero_fails_immediately(self, triangle_query):
         ctx = bin_ctx(triangle_query)
         store = ValueStore(ctx)
@@ -179,12 +198,11 @@ class TestSample:
 
     def test_memo_entries_are_sound(self, triangle_query):
         # Every refuted prefix is a genuinely answer-free bit prefix.
-        ctx = bin_ctx(triangle_query)
-        store = ValueStore(ctx)
+        s = Sampler(bin_query(triangle_query))
         rng = random.Random(11)
         answers_bits = nested_loop_join(bin_query(triangle_query))
-        _, _ = sample(ctx, 200, rng, store=store)
-        assert check_refuted_slots(ctx, store, answers_bits)  # the walk hit dead subtrees
+        _, _ = s.sample(200, rng)
+        assert check_refuted_slots(s.ctx, s.store, answers_bits)  # the walk hit dead subtrees
 
     def test_work_budget(self, triangle_query):
         s = Sampler(triangle_query)

@@ -5,7 +5,6 @@ from .binary import (
     bin_constraints,
     bin_query,
     bin_value,
-    bit_width,
     debin_row,
     make_layout,
 )
@@ -13,12 +12,14 @@ from .constraints import (
     ConstraintSet,
     CyclicConstraintsError,
     DegreeConstraint,
+    IncompatibleOrderError,
     cardinality_constraints,
     check_compatible,
     compatible_order,
     dependency_graph,
     functional_dependency,
     guard_relation,
+    resolve_order,
     validate,
 )
 from .core import (
@@ -29,7 +30,7 @@ from .core import (
     filter_relation,
     project,
 )
-from .enumerator import EnumerationStats, IncompatibleOrderError, wcj, wcj_binarised
+from .enumerator import EnumerationStats, wcj, wcj_binarised
 from .estimators import (
     EstimatorContext,
     FractionalCover,
@@ -40,7 +41,7 @@ from .estimators import (
     solve_cover_degree,
     verify_estimator,
 )
-from .index import Cursors, SortedRelation, build
+from .index import Cursors, SortedRelation, bit_width, build
 from .oracle import chi_square_uniformity, nested_loop_join, prefix_counts
 from .sampler import (
     EmptyAnswerSetError,

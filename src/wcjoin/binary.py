@@ -13,17 +13,11 @@ from typing import Mapping, Sequence
 
 from .core import Dictionary, JoinQuery, Relation
 from .constraints import ConstraintSet, DegreeConstraint
+from .index import bit_width
 
 
 class DebinError(ValueError):
     """A binarised tuple decodes to a code outside the active domain."""
-
-
-def bit_width(domain_size: int) -> int:
-    """Number of bits needed per variable (at least 1, even for empty domains)."""
-    if domain_size < 0:
-        raise ValueError("domain size must be nonnegative")
-    return max(1, (domain_size - 1).bit_length()) if domain_size else 1
 
 
 def bin_value(code: int, b: int) -> tuple[int, ...]:

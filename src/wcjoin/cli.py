@@ -35,13 +35,15 @@ from .constraints import (
     ConstraintSet,
     CyclicConstraintsError,
     DegreeConstraint,
+    IncompatibleOrderError,
     cardinality_constraints,
     compatible_order,
     functional_dependency,
+    resolve_order,
     validate,
 )
 from .core import JoinQuery, encode_instance
-from .enumerator import IncompatibleOrderError, resolve_order, wcj, wcj_binarised
+from .enumerator import wcj, wcj_binarised
 from .estimators import (
     CoverError,
     FractionalCover,
@@ -126,14 +128,11 @@ def load_spec(path: str | Path) -> LoadedSpec:
             raise SpecError(f"relation {name!r}: header does not match declared variables")
         tables.append((name, header, data))
 
-    variables = list(dict.fromkeys(v for _, header, _ in tables for v in header))
     order = doc.get("order")
     if order is None:
-        order = variables
-    elif sorted(_names(order, "'order'")) != sorted(variables):
-        raise SpecError("'order' is not a permutation of the relations' variables")
+        order = list(dict.fromkeys(v for _, header, _ in tables for v in header))
     try:
-        query = encode_instance(tables, order)
+        query = encode_instance(tables, _names(order, "'order'"))
     except ValueError as exc:
         raise SpecError(str(exc)) from exc
 
@@ -177,6 +176,8 @@ def load_spec(path: str | Path) -> LoadedSpec:
             raise SpecError("'weights' must be a list")
         try:
             weights = parse_weights(doc["weights"])
+            for w in weights:
+                float(w)  # a weight past a float's range overflows here, not in the estimator
         except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
             raise SpecError(f"malformed weights: {exc}") from exc
 
@@ -210,9 +211,12 @@ def _write_stats(path, payload: dict) -> None:
 def _order(flag: str | None, spec: LoadedSpec) -> tuple[str, ...]:
     """`resolve_order` on the spec's constraints, given --order, else the spec's order."""
     order = tuple(v.strip() for v in (flag or "").split(",") if v.strip()) or spec.order
-    if order is not None and sorted(order) != sorted(set(spec.query.order)):
-        raise SpecError(f"order {','.join(order)} is not a permutation of the query variables")
-    return resolve_order(spec.query, spec.constraint_set, order)
+    try:
+        return resolve_order(spec.query, spec.constraint_set, order)
+    except (IncompatibleOrderError, CyclicConstraintsError):
+        raise
+    except ValueError as exc:
+        raise SpecError(str(exc)) from exc
 
 
 def cmd_join(args) -> int:
@@ -247,6 +251,12 @@ def _sample_cover(spec: LoadedSpec, estimator: str):
         if spec.constraint_set is None:
             raise SpecError("the pm estimator requires degree constraints")
         cs = spec.constraint_set
+        # The pm bound reads a constraint's static N until its A is bound; on data
+        # that breaks it, a child can outweigh its parent and skew the samples.
+        broken = next((e for e in validate(query, cs) if not e.passed), None)
+        if broken is not None:
+            witness = {v: query.dictionary.decode(c) for v, c in broken.witness.items()}
+            raise SpecError(f"constraint {broken.constraint.describe()} fails at {witness}")
     if spec.weights is not None:
         if len(spec.weights) != len(cs.constraints):
             raise SpecError("weights must match the effective constraint list")

@@ -4,14 +4,23 @@ A degree constraint (A, B, N) guarded by hyperedge e says: for every
 assignment of A, the guard relation filtered by it has at most N distinct
 B-projections. A = {} gives a cardinality constraint; B = A + {y}, N = 1 is a
 functional dependency A -> y.
+
+An order is compatible when it sorts the dependency graph (A -> B - A)
+topologically; `resolve_order`, the one order rule, picks or checks the
+order of every search, estimator and sampler.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Mapping, Sequence
 
 from .core import JoinQuery, Relation, project
+
+
+class IncompatibleOrderError(ValueError):
+    """Requested variable order violates the constraint dependency graph."""
 
 
 class CyclicConstraintsError(ValueError):
@@ -125,43 +134,26 @@ def dependency_graph(cs: ConstraintSet) -> DependencyGraph:
     return DependencyGraph(cs.variables, frozenset(edges))
 
 
-def _find_cycle(succ: Mapping[str, set[str]], nodes: set[str]) -> list[str]:
-    """A cycle among the nodes a topological sort left over, first node repeated last.
-
-    Each of them keeps a predecessor among them, so a walk along predecessors
-    comes back to a node it passed; that stretch, reversed, is a cycle.
-    """
-    pred = {w: v for v in sorted(nodes) for w in succ[v] if w in nodes}
-    walk = [min(nodes)]
-    seen = {walk[0]: 0}
-    while (v := pred[walk[-1]]) not in seen:
-        seen[v] = len(walk)
-        walk.append(v)
-    return (walk[seen[v]:] + [v])[::-1]
-
-
 def compatible_order(cs: ConstraintSet) -> tuple[str, ...]:
     """Topological sort of the dependency graph, ties broken by variable name."""
     graph = dependency_graph(cs)
-    succ: dict[str, set[str]] = {v: set() for v in graph.vertices}
-    indeg = {v: 0 for v in graph.vertices}
-    for u, v in graph.edges:
-        if v not in succ[u]:
-            succ[u].add(v)
-            indeg[v] += 1
-    ready = [v for v, d in indeg.items() if d == 0]
-    heapq.heapify(ready)
+    ts = TopologicalSorter()
+    for v in sorted(graph.vertices):
+        ts.add(v)
+    for u, v in sorted(graph.edges):
+        ts.add(v, u)
+    try:
+        ts.prepare()
+    except CycleError as exc:
+        raise CyclicConstraintsError(exc.args[1]) from None
+    ready: list[str] = []
     out = []
-    while ready:
+    while ts.is_active():
+        for v in ts.get_ready():
+            heapq.heappush(ready, v)
         v = heapq.heappop(ready)
         out.append(v)
-        for w in sorted(succ[v]):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(ready, w)
-    if len(out) != len(graph.vertices):
-        remaining = set(graph.vertices) - set(out)
-        raise CyclicConstraintsError(_find_cycle(succ, remaining))
+        ts.done(v)
     return tuple(out)
 
 
@@ -170,6 +162,28 @@ def check_compatible(cs: ConstraintSet, order: Sequence[str]) -> bool:
         return False
     pos = {v: i for i, v in enumerate(order)}
     return all(pos[u] < pos[v] for u, v in dependency_graph(cs).edges)
+
+
+def resolve_order(
+    query: JoinQuery, constraint_set: ConstraintSet | None, order: Sequence[str] | None
+) -> tuple[str, ...]:
+    """The one order rule of every search, estimator and sampler.
+
+    An explicit order must be a permutation of the query's variables
+    (`ValueError`) and compatible with the constraints
+    (`IncompatibleOrderError`). Without one, the query's own order stays if
+    the constraints allow it, else `compatible_order`'s.
+    """
+    if order is None:
+        if constraint_set is None or check_compatible(constraint_set, query.order):
+            return query.order
+        return compatible_order(constraint_set)
+    order = tuple(order)
+    if sorted(order) != sorted(query.order):
+        raise ValueError(f"order {order} is not a permutation of the query variables")
+    if constraint_set is not None and not check_compatible(constraint_set, order):
+        raise IncompatibleOrderError(f"order {order} is not compatible with the degree constraints")
+    return order
 
 
 def cardinality_constraints(

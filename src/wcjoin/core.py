@@ -64,6 +64,8 @@ class JoinQuery:
     dictionary: Dictionary
 
     def __post_init__(self):
+        if len(set(self.order)) != len(self.order):
+            raise ValueError(f"duplicate variable in order {self.order}")
         covered = set()
         for rel in self.relations:
             extra = set(rel.variables) - set(self.order)

@@ -1,4 +1,4 @@
-"""Branch-and-bound join enumeration.
+"""Branch-and-bound join enumeration, in the order `constraints.resolve_order` picks.
 
 wcj() is the plain algorithm: bind variables in order, try every domain code,
 backtrack as soon as some relation has no matching row. wcj_binarised() binds
@@ -21,18 +21,14 @@ search is tested against.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
-from .constraints import ConstraintSet, check_compatible, compatible_order
+from .constraints import ConstraintSet, resolve_order
 from .core import JoinQuery
 from .index import Cursors
 
 Sink = Callable[[tuple[int, ...]], None]
-
-
-class IncompatibleOrderError(ValueError):
-    """Requested variable order violates the constraint dependency graph."""
 
 
 @dataclass
@@ -43,12 +39,7 @@ class EnumerationStats:
     per_depth_calls: list[int] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "recursive_calls": self.recursive_calls,
-            "consistent_calls": self.consistent_calls,
-            "answers_emitted": self.answers_emitted,
-            "per_depth_calls": list(self.per_depth_calls),
-        }
+        return asdict(self)
 
 
 def wcj(query: JoinQuery, sink: Sink, order: Sequence[str] | None = None) -> EnumerationStats:
@@ -57,7 +48,8 @@ def wcj(query: JoinQuery, sink: Sink, order: Sequence[str] | None = None) -> Enu
     The sink receives one code tuple per answer, aligned with the variable
     order used for the search.
     """
-    return _search(query, sink, resolve_order(query, None, order), bits=False)
+    order = resolve_order(query, None, order)
+    return _step_search(Cursors(query.relations, order, query.domain_size, False), sink)
 
 
 def wcj_binarised(
@@ -68,21 +60,13 @@ def wcj_binarised(
 ) -> EnumerationStats:
     """Worst-case optimal path: enumerate bit by bit, MSB first.
 
-    The variable order is `resolve_order`'s: an explicit order is checked
-    against the constraints' dependency graph. The returned stats describe
-    the bit-level search (depth n*b); the sink receives code tuples, as from
-    wcj().
+    The variable order is `constraints.resolve_order`'s: an explicit order is
+    checked against the constraints' dependency graph. The returned stats
+    describe the bit-level search (depth n*b); the sink receives code tuples,
+    as from wcj().
     """
-    return _search(query, sink, resolve_order(query, constraint_set, order), bits=True)
-
-
-def _search(query: JoinQuery, sink: Sink, order: Sequence[str], bits: bool) -> EnumerationStats:
-    """Depth-first search over the cursor levels, driven from an explicit stack."""
-    order = tuple(order)
-    if set(order) != set(query.order) or len(order) != len(query.order):
-        raise ValueError("order must be a permutation of the query variables")
-    cur = Cursors(query.relations, order, query.domain_size, bits)
-    return _split_search(cur, sink) if bits else _step_search(cur, sink)
+    order = resolve_order(query, constraint_set, order)
+    return _split_search(Cursors(query.relations, order, query.domain_size, True), sink)
 
 
 def _step_search(cur: Cursors, sink: Sink) -> EnumerationStats:
@@ -247,24 +231,3 @@ def _split_search(cur: Cursors, sink: Sink) -> EnumerationStats:
         else:
             break
     return EnumerationStats(calls, consistent, emitted, per_depth)
-
-
-def resolve_order(
-    query: JoinQuery,
-    constraint_set: ConstraintSet | None,
-    order: Sequence[str] | None,
-) -> tuple[str, ...]:
-    """The one order rule of every search, estimator and sampler.
-
-    An explicit order must be compatible with the constraints. Without one,
-    the query's own order stays if they allow it, else `compatible_order`'s.
-    """
-    if order is None:
-        if constraint_set is None or check_compatible(constraint_set, query.order):
-            return query.order
-        return compatible_order(constraint_set)
-    if constraint_set is not None and not check_compatible(constraint_set, order):
-        raise IncompatibleOrderError(
-            f"order {tuple(order)} is not compatible with the degree constraints"
-        )
-    return tuple(order)

@@ -28,9 +28,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .constraints import ConstraintSet, cardinality_constraints, guard_relation
+from .constraints import ConstraintSet, cardinality_constraints, guard_relation, resolve_order
 from .core import JoinQuery, project
-from .enumerator import resolve_order
 from .index import Cursors
 
 class CoverError(ValueError):
@@ -66,10 +65,6 @@ class FractionalCover:
 
 def parse_weights(texts: Sequence[str]) -> tuple[Fraction, ...]:
     return tuple(Fraction(t) for t in texts)
-
-
-def _coverage_sets(cs: ConstraintSet) -> list[frozenset[str]]:
-    return [c.B - c.A for c in cs.constraints]
 
 
 def check_coverage(
@@ -164,7 +159,8 @@ def solve_cover_card(
 def solve_cover_degree(cs: ConstraintSet) -> FractionalCover:
     """Optimal weights for the degree-constraint bound LP."""
     bounds = [c.N for c in cs.constraints]
-    return FractionalCover(_minimise_cover(_coverage_sets(cs), bounds, sorted(cs.variables)))
+    cover_sets = [c.B - c.A for c in cs.constraints]
+    return FractionalCover(_minimise_cover(cover_sets, bounds, sorted(cs.variables)))
 
 
 class EstimatorContext(Cursors):
@@ -177,7 +173,7 @@ class EstimatorContext(Cursors):
 
     Missing arguments get the estimator's defaults here and nowhere else: the
     constraint set `cardinality_constraints(query)` (AGM), the cover
-    `solve_cover_degree`'s optimum, and the order `enumerator.resolve_order`'s,
+    `solve_cover_degree`'s optimum, and the order `constraints.resolve_order`'s,
     which also checks an explicit order.
     """
 
@@ -191,11 +187,11 @@ class EstimatorContext(Cursors):
     ):
         if constraint_set is None:
             constraint_set = cardinality_constraints(query)
+        self.order = resolve_order(query, constraint_set, order)
         if cover is None:
             cover = solve_cover_degree(constraint_set)
         if len(cover.weights) != len(constraint_set.constraints):
             raise ValueError("one weight per constraint required")
-        self.order = resolve_order(query, constraint_set, order)
 
         # One cursor per distinct relation among the query's relations and
         # the guard projections R' = R|B; a projection on the whole guard is

@@ -23,8 +23,14 @@ from bisect import bisect_left
 from operator import itemgetter
 from typing import Sequence
 
-from .binary import bit_width
 from .core import Relation
+
+
+def bit_width(domain_size: int) -> int:
+    """Number of bits needed per variable (at least 1, even for empty domains)."""
+    if domain_size < 0:
+        raise ValueError("domain size must be nonnegative")
+    return max(1, (domain_size - 1).bit_length()) if domain_size else 1
 
 
 class SortedRelation:

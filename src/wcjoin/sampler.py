@@ -20,6 +20,7 @@ node reached, so it never outgrows the join's own recursive-call bound.
 """
 from __future__ import annotations
 
+import math
 import random
 from array import array
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from typing import Sequence
 
 from .constraints import ConstraintSet
 from .core import JoinQuery
-from .estimators import EstimatorContext, FractionalCover
+from .estimators import CoverError, EstimatorContext, FractionalCover
 
 
 class EmptyAnswerSetError(Exception):
@@ -93,6 +94,9 @@ class ValueStore:
         if ctx.fanout != 2:
             raise ValueError(f"the sampler walks two-way levels, not {ctx.fanout}-way ones")
         self.up_root = ctx.estimate()
+        # `estimate` raises only on a finite log sum; an infinite root fails every walk.
+        if not math.isfinite(self.up_root):
+            raise CoverError("the root's bound overflows a float")
         self.values = array("d", [self.up_root])
         self.child = array("i", [-1])
         self.refuted = 0

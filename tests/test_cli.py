@@ -291,7 +291,19 @@ class TestSample:
     def test_pm_estimator_needs_constraints(self, tmp_path, capsys):
         spec = write_instance(tmp_path)
         assert main(["sample", spec, "--estimator", "pm"]) == EXIT_PARSE
+        # The triangle breaks FD_CONSTRAINTS (x3 -> x1 fails at x3=3).
         spec = write_instance(tmp_path, extra={"constraints": FD_CONSTRAINTS})
+        capsys.readouterr()
+        assert main(["sample", spec, "--estimator", "pm", "--seed", "5"]) == EXIT_PARSE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "{'x3': '3'}" in err[0], err
+        # Constraints the triangle satisfies, with the same dependency edges.
+        holding = [
+            {"A": [], "B": ["x2", "x3"], "N": 4},
+            {"A": ["x3"], "B": ["x1", "x3"], "N": 2},
+            {"A": ["x3"], "B": ["x2", "x3"], "N": 2},
+        ]
+        spec = write_instance(tmp_path, extra={"constraints": holding})
         out = tmp_path / "pm.csv"
         code = main(
             ["sample", spec, "--estimator", "pm", "--count", "30",
@@ -303,6 +315,40 @@ class TestSample:
         assert {(a, b, c) for c, a, b in rows} <= {
             tuple(str(v) for v in t) for t in TRIANGLE_ANSWERS
         }
+
+    def test_pm_refuses_data_that_breaks_a_constraint(self, tmp_path, capsys):
+        # x1 = 0 has three x2 values; the pm bound would never draw (1, 0).
+        tables = [("R", ("x1", "x2"), [["0", "0"], ["0", "1"], ["0", "2"], ["1", "0"]])]
+        constraints = [{"A": [], "B": ["x1"], "N": 2}, "x1 -> x2"]
+        spec = write_instance(tmp_path, tables, extra={"constraints": constraints})
+        args = ["sample", spec, "--count", "20", "--seed", "1", "--max-work", "1000"]
+        assert main(args + ["--estimator", "pm"]) == EXIT_PARSE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert "({x1}, {x1,x2}, 1)" in err[0] and "{'x1': '0'}" in err[0]
+        assert main(args + ["--estimator", "agm"]) == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "tables, weights, args",
+        [
+            # Each weight is finite, but the root's log sum overflows to inf.
+            (
+                [
+                    (name, ("x1", v), [["0", "0"], ["1", "0"]])
+                    for name, v in (("R", "x2"), ("S", "x3"), ("T", "x4"))
+                ],
+                [1e308, 1e308, 1e308],
+                ["--max-work", "100"],
+            ),
+            # A weight past a float's range.
+            (TRIANGLE_TABLES, ["1e400", "1", "1"], []),
+        ],
+    )
+    def test_bound_past_a_float_exits_2(self, tmp_path, capsys, tables, weights, args):
+        spec = write_instance(tmp_path, tables, extra={"weights": weights})
+        assert main(["sample", spec, "--seed", "1"] + args) == EXIT_PARSE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and len(err[0]) < 120, err
 
     def test_user_weights_are_coverage_checked(self, tmp_path, capsys):
         spec = write_instance(tmp_path, extra={"weights": ["1/2", "1/2", "0"]})

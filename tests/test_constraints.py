@@ -1,5 +1,6 @@
 """Degree constraints: validation, dependency graph, compatible orders."""
 import random
+from itertools import permutations
 
 import pytest
 
@@ -156,7 +157,58 @@ class TestDependencyGraph:
         assert compatible_order(cs) == ("a", "b", "c")
 
 
+def random_constraint_set(rng: random.Random, max_vars: int = 6) -> ConstraintSet:
+    """Random degree constraints over at most max_vars variables, cyclic or not.
+
+    The names are drawn out of alphabetical order, so that ties are broken by
+    name and not by position.
+    """
+    variables = rng.sample("fcahebgd", rng.randint(1, max_vars))
+    edges = {frozenset(rng.sample(variables, rng.randint(1, len(variables)))) for _ in range(3)}
+    uncovered = set(variables).difference(*edges)
+    if uncovered:
+        edges.add(frozenset(uncovered))
+    edges = tuple(sorted(edges, key=sorted))
+    constraints = []
+    for _ in range(rng.randint(0, 8)):
+        guard = rng.choice(edges)
+        b = rng.sample(sorted(guard), rng.randint(1, len(guard)))
+        a = frozenset(b[: rng.randint(0, len(b) - 1)])
+        constraints.append(DegreeConstraint(a, frozenset(b), rng.randint(1, 4), guard))
+    return ConstraintSet(frozenset(variables), edges, tuple(constraints))
+
+
 class TestCompatibleOrder:
+    def test_is_the_smallest_compatible_order(self):
+        # Brute force: permutations of the sorted names come in lexicographic
+        # order, so the first compatible one is the smallest.
+        rng = random.Random(12)
+        cyclic = 0
+        for _ in range(400):
+            cs = random_constraint_set(rng)
+            names = sorted(cs.variables)
+            smallest = next((p for p in permutations(names) if check_compatible(cs, p)), None)
+            if smallest is None:
+                cyclic += 1
+                with pytest.raises(CyclicConstraintsError):
+                    compatible_order(cs)
+            else:
+                assert compatible_order(cs) == smallest
+        assert 0 < cyclic < 200
+
+    def test_reported_cycle_follows_dependency_edges(self):
+        rng = random.Random(13)
+        cycles = 0
+        while cycles < 100:
+            cs = random_constraint_set(rng)
+            try:
+                compatible_order(cs)
+            except CyclicConstraintsError as exc:
+                cycle, edges = exc.cycle, dependency_graph(cs).edges
+                assert len(cycle) >= 3 and cycle[0] == cycle[-1], cycle
+                assert all((u, v) in edges for u, v in zip(cycle, cycle[1:])), cycle
+                cycles += 1
+
     def test_degree_class_order(self):
         cs = degree_class(4)
         assert compatible_order(cs) == ("x3", "x1", "x2")

@@ -10,14 +10,15 @@ from hypothesis import strategies as st
 
 from wcjoin.binary import bin_query, bit_width, make_layout
 from wcjoin.cli import main
-from wcjoin.constraints import ConstraintSet, DegreeConstraint, functional_dependency
-from wcjoin.core import Dictionary, JoinQuery, Relation, encode_instance, filter_relation
-from wcjoin.enumerator import (
+from wcjoin.constraints import (
+    ConstraintSet,
+    DegreeConstraint,
     IncompatibleOrderError,
+    functional_dependency,
     resolve_order,
-    wcj,
-    wcj_binarised,
 )
+from wcjoin.core import Dictionary, JoinQuery, Relation, encode_instance, filter_relation
+from wcjoin.enumerator import wcj, wcj_binarised
 from wcjoin.estimators import build_agm_context
 from wcjoin.oracle import nested_loop_join, prefix_counts
 from wcjoin.sampler import Sampler
@@ -262,6 +263,39 @@ class TestOrderRule:
         assert resolve_order(q, cs, None) == ("x2", "x1", "x3")
         out, _ = run_bin(q, cs)
         assert out == sorted(nested_loop_join(q))
+
+
+class TestNonPermutationOrder:
+    """Every entry point refuses an order that is not a permutation of the
+    query's variables with the same plain ValueError, constraints or not."""
+
+    @pytest.mark.parametrize("order", [("x1", "x2"), ("x1", "x2", "x3", "x1"), ("x1", "x2", "x9")])
+    def test_every_entry_point_raises_the_same_error(self, triangle_query, order):
+        q = triangle_query
+        cs = ConstraintSet(
+            frozenset(q.order),
+            tuple(frozenset(rel.variables) for rel in q.relations),
+            (functional_dependency({"x3"}, "x1", frozenset({"x1", "x3"})),),
+        )
+        entry_points = (
+            lambda: wcj(q, lambda t: None, order),
+            lambda: wcj_binarised(q, lambda t: None, None, order),
+            lambda: wcj_binarised(q, lambda t: None, cs, order),
+            lambda: build_agm_context(q, order=order),
+            lambda: Sampler(q, order=order),
+            lambda: Sampler(q, cs, order=order),
+        )
+        for call in entry_points:
+            with pytest.raises(ValueError, match="permutation") as exc:
+                call()
+            assert not isinstance(exc.value, IncompatibleOrderError)
+
+    def test_a_query_order_repeats_no_variable(self):
+        with pytest.raises(ValueError, match="duplicate variable in order"):
+            encode_instance(TRIANGLE_TABLES, ("x1", "x2", "x3", "x1"))
+        rel = Relation(("x1",), frozenset({(0,)}))
+        with pytest.raises(ValueError, match="duplicate variable in order"):
+            JoinQuery(("x1", "x1"), (rel,), 1, Dictionary({"0": 0}, ("0",)))
 
 
 class TestCallBound:

@@ -15,6 +15,7 @@ from wcjoin.constraints import (
 )
 from wcjoin.core import encode_instance
 from wcjoin.estimators import (
+    EstimatorContext,
     FractionalCover,
     InfeasibleCoverError,
     build_agm_context,
@@ -265,6 +266,31 @@ class TestPmEstimator:
             report = verify_estimator(ctx)
             assert report.ok, report
             assert ctx.estimate() >= len(nested_loop_join(q)) - 1e-9
+
+    def test_bit_levels_match_the_bit_encoded_query(self):
+        # A degree term turns live once every bit of its A is bound, the level
+        # where the bit-encoded query binds A's last bit variable. Weight 1 on
+        # every constraint makes each degree term count in the value.
+        rng = random.Random(67)
+        for _ in range(40):
+            q, cs = random_degree_instance(rng, max_vars=3, max_rels=3, max_tuples=10)
+            order = compatible_order(cs)
+            lay = make_layout(order, q.domain_size)
+            cover = FractionalCover((Fraction(1),) * len(cs.constraints))
+            ctx = EstimatorContext(q, cs, cover, order, bits=True)
+            ref = build_pm_context(bin_query(q, lay), bin_constraints(cs, lay), cover)
+
+            def walk():
+                assert ctx.estimate() == ref.estimate()
+                if ctx.depth < ctx.levels and ctx.node_consistent():
+                    for d in (0, 1):
+                        ctx.bind(d)
+                        ref.bind(d)
+                        walk()
+                        ctx.unbind()
+                        ref.unbind()
+
+            walk()
 
     def test_axioms_hold_after_binarisation(self):
         rng = random.Random(59)

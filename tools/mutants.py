@@ -1,0 +1,176 @@
+#!/usr/bin/env python3
+"""Mutation check: every listed fault must make the test suite fail.
+
+    python tools/mutants.py                      # every mutant
+    python tools/mutants.py --only v1-dropped    # a subset, by name
+    python tools/mutants.py --list               # names only
+
+Each mutant is one exact replacement (name, file under src/wcjoin/, old,
+new). It is applied to a temporary copy of src/, tests/ and pyproject.toml,
+and the copy's tests run with `python -m pytest -x -q`. The mutant is killed
+when that run fails. With -x, a mutant that hangs the engine stops at the
+first test past the suite's per-test time limit (tests/conftest.py).
+
+The tool exits 1 if an `old` string does not occur exactly once in its file,
+so a refactor that moves mutated code has to update this list; if the
+unmutated copy does not pass; or if any mutant survives. It is not part of
+the tier-1 suite: a full run takes several minutes.
+"""
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "pyproject.toml")
+RUN_TIMEOUT_S = 900  # per mutant; the tests' own limit normally ends a hang first
+
+# (name, file, old, new)
+MUTANTS = (
+    # Cursors: the midpoint split shared by the bit search and the sampler.
+    ("split-mid-high", "index.py",
+     "        m = a + self._width[level]\n",
+     "        m = a + self._width[level] + 1\n"),
+    ("split-mid-low", "index.py",
+     "        m = a + self._width[level]\n",
+     "        m = a + self._width[level] - 1\n"),
+    ("sibling-keeps-child0-hi", "index.py",
+     "            st[-1] = (st[-1][1], st[-2][1])",
+     "            st[-1] = (st[-1][1], st[-1][1])"),
+    # The sampler's two-way draw and its refutation climb.
+    ("v1-dropped", "sampler.py",
+     "            elif r < v0 + values[at + 1]:",
+     "            elif r < v0:"),
+    ("refute-stops-after-one-slot", "sampler.py",
+     "            if values[at] or values[at + 1]:",
+     "            if True:"),
+    ("root-finite-check-dropped", "sampler.py",
+     "        if not math.isfinite(self.up_root):",
+     "        if False:"),
+    # The bit search's forced path.
+    ("forced-depth-too-small", "enumerator.py",
+     "                if k - miss < follow:\n                    follow = k - miss\n",
+     "                if k - miss - 1 < follow:\n                    follow = k - miss - 1\n"),
+    ("forced-depth-too-large", "enumerator.py",
+     "                if k - miss < follow:\n                    follow = k - miss\n",
+     "                if k - miss + 1 < follow:\n                    follow = k - miss + 1\n"),
+    ("one-neighbour-only", "enumerator.py",
+     "                    (col[p] ^ c).bit_length() if p < hi else k,",
+     "                    k,"),
+    ("c+1-bisect-dropped", "enumerator.py",
+     "ranges.append((st, p, bisect_left(col, c + 1, p, hi)))",
+     "ranges.append((st, p, hi))"),
+    ("per-depth-on-first-level-only", "enumerator.py",
+     "            for level in range(depth + 1, depth + 1 + steps):",
+     "            for level in range(depth + 1, depth + 2):"),
+    ("climb-does-not-jump-back", "enumerator.py",
+     "            depth = origin[depth]\n",
+     ""),
+    # The estimator: a term turns live once every bit of its A is bound.
+    ("ready-without-bit-factor", "estimators.py",
+     "            ready = self.per_var * (1 + max((pos[a] for a in c.A), default=-1))",
+     "            ready = 1 + max((pos[a] for a in c.A), default=-1)"),
+    # The order rule.
+    ("topological-edge-reversed", "constraints.py",
+     "        ts.add(v, u)",
+     "        ts.add(u, v)"),
+    ("name-heap-replaced-by-fifo", "constraints.py",
+     "            heapq.heappush(ready, v)\n        v = heapq.heappop(ready)",
+     "            ready.append(v)\n        v = ready.pop(0)"),
+    ("permutation-check-dropped", "constraints.py",
+     "    if sorted(order) != sorted(query.order):",
+     "    if False:"),
+    # The front end.
+    ("pm-validation-dropped", "cli.py",
+     "        if broken is not None:",
+     "        if False:"),
+)
+
+
+def check_sites(mutants) -> list[str]:
+    """Problems with the list: an `old` string missing from its file, or ambiguous."""
+    problems = []
+    for name, file, old, _ in mutants:
+        found = (ROOT / "src" / "wcjoin" / file).read_text(encoding="utf-8").count(old)
+        if found != 1:
+            problems.append(f"{name}: `old` occurs {found} times in src/wcjoin/{file}, not once")
+    return problems
+
+
+def run_tests(copy: Path) -> tuple[bool, float, str]:
+    """Run the copy's tests; (passed, seconds, last line of output)."""
+    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    start = time.perf_counter()
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+            cwd=copy, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return False, time.perf_counter() - start, f"no result within {RUN_TIMEOUT_S} s"
+    lines = proc.stdout.strip().splitlines()
+    return proc.returncode == 0, time.perf_counter() - start, lines[-1] if lines else ""
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--only", nargs="+", metavar="NAME", help="run these mutants only")
+    parser.add_argument("--list", action="store_true", help="print the mutant names and exit")
+    args = parser.parse_args(argv)
+    names = [m[0] for m in MUTANTS]
+    if args.list:
+        print("\n".join(names))
+        return 0
+    unknown = sorted(set(args.only or ()) - set(names))
+    if unknown:
+        parser.error(f"unknown mutant(s): {', '.join(unknown)}")
+    mutants = [m for m in MUTANTS if not args.only or m[0] in args.only]
+    problems = check_sites(mutants)
+    if problems:
+        print("\n".join(problems), file=sys.stderr)
+        return 1
+
+    with tempfile.TemporaryDirectory(prefix="wcjoin-mutants-") as tmp:
+        copy = Path(tmp)
+        for item in COPIED:
+            src = ROOT / item
+            if src.is_dir():
+                shutil.copytree(src, copy / item, ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy2(src, copy / item)
+        passed, seconds, last = run_tests(copy)
+        print(f"unmutated  {'passed' if passed else 'FAILED'}  {seconds:6.1f} s  {last}")
+        if not passed:
+            print("the tests fail without any mutant; nothing to check", file=sys.stderr)
+            return 1
+        survived = []
+        started = time.perf_counter()
+        for name, file, old, new in mutants:
+            target = copy / "src" / "wcjoin" / file
+            original = target.read_text(encoding="utf-8")
+            target.write_text(original.replace(old, new), encoding="utf-8")
+            try:
+                passed, seconds, last = run_tests(copy)
+            finally:
+                target.write_text(original, encoding="utf-8")
+            if passed:
+                survived.append(name)
+            print(f"{name:32s} {'SURVIVED' if passed else 'killed'}  {seconds:6.1f} s  {last}",
+                  flush=True)
+        elapsed = time.perf_counter() - started
+    print(f"killed {len(mutants) - len(survived)}, survived {len(survived)}, "
+          f"{elapsed:.0f} s for {len(mutants)} mutants")
+    if survived:
+        print(f"survivors: {', '.join(survived)}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

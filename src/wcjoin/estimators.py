@@ -10,12 +10,14 @@ doubt. Sums of logs are compared without logs, as integer powers.
 An EstimatorContext is an `index.Cursors` with one cursor per distinct
 relation among the query's relations and the guard projections R|B (a
 projection on the whole guard is the guard itself), at variable or at bit
-levels. It evaluates, at the current prefix node, the product bound
+levels. Its `estimate` evaluates, at the current prefix node, the product
+bound
 
     prod over constraints of N[tau] ^ w,   N[tau] = static N until A is fully
                                            bound, live range count afterwards,
 
-which is 0 on inconsistent prefixes and exactly 1 on full answers. With
+which is 0 on inconsistent prefixes and exactly 1 on full answers; `bound`
+is the product alone, for a node known to be consistent. With
 cardinality constraints only, this is the AGM estimator; with degree
 constraints and a compatible order, the polymatroid one. At bit levels the
 values equal those of a context over the bit-encoded query
@@ -211,6 +213,11 @@ class EstimatorContext(Cursors):
         for c, w, proj in zip(constraint_set.constraints, cover.weights, projections):
             ready = self.per_var * (1 + max((pos[a] for a in c.A), default=-1))
             self._terms.append((float(w), math.log(c.N), ready, stack_of[proj]))
+        # The bound's terms as (w, w * log N, ready, stack). A term of weight 0
+        # would add exactly 0.0, so it is left out.
+        self._weighted = tuple(
+            (w, w * log_n, ready, stack) for w, log_n, ready, stack in self._terms if w != 0.0
+        )
 
     # Bound under the context's own names, so that perfbench's tracer times
     # the estimator's cursor moves apart from the enumerator's.
@@ -225,11 +232,15 @@ class EstimatorContext(Cursors):
         """Upper bound on answers below the current node; 0 iff inconsistent."""
         if not self.node_consistent():
             return 0.0
+        return self.bound()
+
+    def bound(self) -> float:
+        """The product bound at the current node, which the caller knows to be consistent."""
         depth = self.depth
         log_total = 0.0
-        for w, log_n, ready, stack in self._terms:
+        for w, static, ready, stack in self._weighted:
             if depth < ready:
-                log_total += w * log_n
+                log_total += static
             else:
                 lo, hi = stack[-1]
                 if hi - lo > 1:

@@ -13,9 +13,9 @@ is, node for node, the plain tree of `binary.bin_query`'s bit-level copy.
 Child 0 keeps its parent's lo and the last child its parent's hi. So at a
 two-way level one bisect per column, at the midpoint a + w, splits the
 parent's range (lo, hi) into child 0's (lo, mid) and child 1's (mid, hi):
-`split` pushes child 0 and tells which children have rows, and `sibling`
-turns child 0 into child 1 in place. The bit search and the sampler both
-expand a node this way.
+`split` pushes child 0 and tells which children have rows, `sibling`
+turns child 0 into child 1 in place, and `unsibling` turns it back. The bit
+search and the sampler both expand a node this way.
 """
 from __future__ import annotations
 
@@ -69,7 +69,8 @@ class Cursors:
 
     `stacks[i]` holds relation i's half-open row ranges (lo, hi), the top one
     matching the bound prefix; `affected[level]` lists the (column, stack)
-    pairs a level narrows. bind(d) moves to child d, unbind() to the parent.
+    pairs a level narrows. bind(d) moves to child d, unbind() to the parent,
+    reset() to the root.
     """
 
     def __init__(
@@ -141,10 +142,23 @@ class Cursors:
         for _, st in self.affected[level]:
             st[-1] = (st[-1][1], st[-2][1])
 
+    def unsibling(self) -> None:
+        """Turn child 1, as `sibling` left it, back into child 0: (parent's lo, mid)."""
+        level = self.depth - 1
+        self._start[level] -= self._width[level]
+        for _, st in self.affected[level]:
+            st[-1] = (st[-2][0], st[-1][0])
+
     def unbind(self) -> None:
         self.depth -= 1
         for _, st in self.affected[self.depth]:
             st.pop()
+
+    def reset(self) -> None:
+        """Return to the root in one step: every stack keeps only its root range."""
+        for st in self.stacks:
+            del st[1:]
+        self.depth = 0
 
     def codes(self) -> tuple[int, ...]:
         """Codes of the fully bound variables, in order; the answer at a leaf."""

@@ -10,13 +10,17 @@ uniform answers with geometric trial counts.
 
 A Sampler's only learned state is its ValueStore: the child values of every
 prefix its walks have expanded, each estimated once. A walk draws from the
-store without touching a cursor, binds only at the first prefix the store
-lacks, and reads an answer's codes off its prefix. A node whose children are
-all 0 is proven answer-free: its slot is zeroed, and so is every ancestor's
-whose children are then all 0. On instances with no answers the root's slot
-reaches 0 after finitely many refutations, which is how emptiness is
-detected. The store is unbounded but holds one block per consistent inner
-node reached, so it never outgrows the join's own recursive-call bound.
+store without touching a cursor and binds the cursors along its prefix only
+at the first node the store lacks. From there on every node is new: one
+`split` expands it and leaves the cursors on a child, and after the draw they
+move to the drawn child in place, so no bisect runs twice. The walk reads an
+answer's codes off its prefix, and `Cursors.reset` returns the cursors to
+the root in one step. A node whose children are all 0 is proven
+answer-free: its slot is zeroed, and so is every ancestor's whose children
+are then all 0. On instances with no answers the root's slot reaches 0
+after finitely many refutations, which is how emptiness is detected. The
+store is unbounded but holds one block per consistent inner node reached,
+so it never outgrows the join's own recursive-call bound.
 """
 from __future__ import annotations
 
@@ -111,18 +115,20 @@ class ValueStore:
 
 
 def children_values(ctx: EstimatorContext) -> list[float]:
-    """Estimator values of the current node's two children.
+    """Expand the current node, which must be consistent: its two children's values.
 
-    One `split` serves both children; a child left with no rows in some
-    column is inconsistent, so its value is 0.0 without an estimate.
+    One `split` serves both children, and the context stays on a child:
+    child 1 if its value is positive, else child 0. A child left with no rows
+    in some column is inconsistent, so its value is 0.0 without an estimate;
+    a child with rows in every narrowed column is consistent, so its value is
+    the product bound without a consistency scan.
     """
     live0, live1 = ctx.split()
-    values = [ctx.estimate() if live0 else 0.0, 0.0]
+    v0 = ctx.bound() if live0 else 0.0
     if live1:
         ctx.sibling()
-        values[1] = ctx.estimate()
-    ctx.unbind()
-    return values
+        return [v0, ctx.bound()]
+    return [v0, 0.0]
 
 
 def _refute(store: ValueStore, slots: list[int]) -> None:
@@ -148,45 +154,50 @@ def sample_once(
 
     Each answer comes out with probability 1 / up(root); once the root's slot
     is 0 every walk fails. Walks that prove a subtree empty zero its slot.
-    The walk draws from the store's cached values and binds cursors only to
-    expand the first node the store lacks; the context is back at the root
-    on return.
+    The walk draws from the store's cached values and binds cursors only at
+    the first node the store lacks; below it, each node is expanded where the
+    cursors stand. The context is back at the root on return.
     """
     values, child = store.values, store.child
     value = values[0]
     if value <= 0.0:
         return None
-    levels = ctx.levels
     prefix: list[int] = []
     slots = [0]
+    slot = 0
     try:
-        while len(prefix) < levels:
-            at = child[slots[-1]]
+        for level in range(ctx.levels):
+            at = child[slot]
             if at < 0:
-                for d in prefix[ctx.depth :]:
-                    ctx.bind(d)
+                # The cursors trail a cached prefix, or stand on this node.
+                if ctx.depth < level:
+                    for d in prefix[ctx.depth :]:
+                        ctx.bind(d)
                 block = children_values(ctx)
                 if sum(block) <= 0.0:
                     _refute(store, slots)
                     return None
-                at = store.add(slots[-1], block)
+                at = store.add(slot, block)
             # One uniform draw against cumulative child values; mass beyond the
             # children (clamped at >= 0 by construction) is the failure branch.
             r = rng.random() * value
             v0 = values[at]
             if r < v0:
                 d = 0
+                # The expansion left the cursors on child 1 if it has a value.
+                if ctx.depth > level and values[at + 1]:
+                    ctx.unsibling()
             elif r < v0 + values[at + 1]:
                 d = 1
             else:
                 return None
             prefix.append(d)
-            slots.append(at + d)
-            value = values[at + d]
+            slot = at + d
+            slots.append(slot)
+            value = values[slot]
         return ctx.prefix_codes(prefix)
     finally:
-        while ctx.depth:
-            ctx.unbind()
+        ctx.reset()
 
 
 class Sampler:

@@ -1,6 +1,7 @@
 """Shared fixtures: the worked triangle instance and random-instance makers."""
 import random
 import signal
+from collections import Counter
 
 import pytest
 from hypothesis import settings
@@ -118,6 +119,39 @@ def random_degree_instance(
     return query, ConstraintSet(
         base.variables, base.edges, base.constraints + tuple(extra)
     )
+
+
+def tight_degree_instance(rng: random.Random) -> tuple[JoinQuery, ConstraintSet]:
+    """A random query of binary relations, each with a degree constraint from
+    its earlier variable to its later one, bounded by the data's true maximum degree.
+
+    Two to four variables over at most six values, at most four relations of
+    at most 12 rows. The first relations join each variable after x1 to an
+    earlier one, so the query is connected; the rest join random pairs, none
+    twice. Bounded by
+    its guard's size, the loosest sound bound (as in `random_degree_instance`),
+    a degree constraint almost never gets weight in the optimal cover; bounded
+    by the tightest, it does whenever its earlier variable is covered anyway.
+    Every dependency edge runs forward, so the query order stays compatible.
+    """
+    n = rng.randint(2, 4)
+    variables = [f"x{i + 1}" for i in range(n)]
+    d = rng.randint(2, 6)
+    pairs = [(rng.randrange(i), i) for i in range(1, n)]
+    pairs += [tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, 5 - n))]
+    tables = []
+    for j, (u, v) in enumerate(dict.fromkeys(pairs)):
+        rows = {(str(rng.randrange(d)), str(rng.randrange(d))) for _ in range(rng.randint(1, 12))}
+        tables.append((f"R{j}", (variables[u], variables[v]), [list(r) for r in sorted(rows)]))
+    query = encode_instance(tables, variables)
+    base = cardinality_constraints(query)
+    degree = []
+    for rel in query.relations:
+        # Rows are distinct, so an earlier value's degree is its number of rows.
+        top = max(Counter(row[0] for row in rel.rows).values())
+        b = frozenset(rel.variables)
+        degree.append(DegreeConstraint(frozenset(rel.variables[:1]), b, top, b))
+    return query, ConstraintSet(base.variables, base.edges, base.constraints + tuple(degree))
 
 
 def loglog_slope(xs, ys) -> float:

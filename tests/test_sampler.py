@@ -7,7 +7,13 @@ import pytest
 from wcjoin import sampler as sampler_module
 from wcjoin.binary import bin_query
 from wcjoin.core import encode_instance
-from wcjoin.estimators import build_agm_context
+from wcjoin.estimators import (
+    EstimatorContext,
+    build_agm_context,
+    build_pm_context,
+    solve_cover_degree,
+    verify_estimator,
+)
 from wcjoin.oracle import chi_square_uniformity, nested_loop_join
 from wcjoin.sampler import (
     EmptyAnswerSetError,
@@ -24,6 +30,7 @@ from conftest import (
     TRIANGLE_TABLES,
     random_degree_instance,
     random_query,
+    tight_degree_instance,
 )
 
 
@@ -80,16 +87,34 @@ class TestChildrenValues:
         store = ValueStore(ctx)
         values = children_values(ctx)
         assert len(values) == 2
-        assert ctx.depth == 0  # context restored
         # Root value 8 splits between the x1#1 = 0 and x1#1 = 1 subtrees.
-        assert sum(values) <= ctx.estimate() + 1e-9
-        assert values[0] > 0.0
+        assert sum(values) <= store.up_root + 1e-9
+        assert values[0] > 0.0 and values[1] > 0.0
+        # The context stays on child 1, and moves back to child 0 in place.
+        assert ctx.depth == 1 and ctx.estimate() == values[1]
+        ctx.unsibling()
+        assert ctx.depth == 1 and ctx.estimate() == values[0]
+        ctx.reset()
+        assert ctx.depth == 0 and ctx.estimate() == store.up_root
         at = store.add(0, values)
         _refute(store, [0, at])  # a refuted child counts 0
         assert list(store.values[at : at + 2]) == [0.0, values[1]]
         assert store.refuted == 1 and store.values[0] == store.up_root
         assert children_values(ctx) == values
-        assert ctx.depth == 0
+        ctx.reset()
+
+    def test_stays_on_child_0_when_child_1_is_empty(self):
+        # x1 takes codes 0, 1 and 2 (two bits), so below x1#1 = 1 only child 0 has rows.
+        ctx = bin_ctx(encode_instance([("R", ("x1",), [["a"], ["b"], ["c"]])], ("x1",)))
+        ctx.bind(0)
+        values = children_values(ctx)
+        assert values == [1.0, 1.0]
+        ctx.reset()
+        ctx.bind(1)
+        values = children_values(ctx)
+        assert values == [1.0, 0.0]
+        assert ctx.depth == 2 and ctx.codes() == (1, 0) and ctx.estimate() == 1.0  # "c"
+        ctx.reset()
 
 
 class TestSampleOnce:
@@ -231,10 +256,10 @@ class TestValueStore:
     def test_each_prefix_is_estimated_once(self, triangle_query, monkeypatch):
         s = Sampler(triangle_query)
         expanded = set()
-        estimates = 0
-        children, estimate = sampler_module.children_values, s.ctx.estimate
-        bind, unbind = s.ctx.bind, s.ctx.unbind
-        split, sibling = s.ctx.split, s.ctx.sibling
+        estimates = expansions = 0
+        children, bound = sampler_module.children_values, s.ctx.bound
+        bind, unbind, reset = s.ctx.bind, s.ctx.unbind, s.ctx.reset
+        split, sibling, unsibling = s.ctx.split, s.ctx.sibling, s.ctx.unsibling
         path = []  # the context's bound prefix
 
         def tracking_bind(d):
@@ -249,40 +274,81 @@ class TestValueStore:
             path[-1] = 1
             sibling()
 
+        def tracking_unsibling():
+            path[-1] = 0
+            unsibling()
+
         def tracking_unbind():
             path.pop()
             unbind()
 
+        def tracking_reset():
+            path.clear()
+            reset()
+
         def recording_children(ctx):
+            nonlocal expansions
+            assert len(path) == ctx.depth
+            expansions += 1
             expanded.add(tuple(path))
             return children(ctx)
 
-        def counting_estimate():
+        def counting_bound():
+            # The walk's estimator entry point: the bound at a node it knows
+            # to be consistent.
             nonlocal estimates
             estimates += 1
-            return estimate()
+            return bound()
 
         monkeypatch.setattr(sampler_module, "children_values", recording_children)
-        monkeypatch.setattr(s.ctx, "estimate", counting_estimate)
+        monkeypatch.setattr(s.ctx, "bound", counting_bound)
         monkeypatch.setattr(s.ctx, "bind", tracking_bind)
         monkeypatch.setattr(s.ctx, "unbind", tracking_unbind)
+        monkeypatch.setattr(s.ctx, "reset", tracking_reset)
         monkeypatch.setattr(s.ctx, "split", tracking_split)
         monkeypatch.setattr(s.ctx, "sibling", tracking_sibling)
+        monkeypatch.setattr(s.ctx, "unsibling", tracking_unsibling)
         s.sample(200, random.Random(42))
+        assert estimates > 0 and path == []
+        assert expansions == len(expanded)
         # One block of child estimates per expanded prefix; the root was
         # estimated when the store was built.
         assert estimates <= s.ctx.fanout * len(expanded)
         assert s.ctx.depth == 0
 
     def test_context_returns_to_the_root_on_every_exit(self, triangle_query):
-        s = Sampler(encode_instance(ANSWER_FREE_TABLES, ("x1", "x2", "x3")))
-        with pytest.raises(EmptyAnswerSetError):
-            s.sample(1, random.Random(3), max_work=1000)
-        assert s.ctx.depth == 0
+        def assert_at_root(s, roots):
+            # Every stack holds exactly its root range, at depth 0.
+            assert s.ctx.depth == 0
+            assert s.ctx.stacks == roots
+
+        # A walk ends in an answer, a failed draw or a refutation.
+        s = Sampler(triangle_query)
+        roots = [list(st) for st in s.ctx.stacks]
+        assert all(len(st) == 1 for st in roots)
+        rng = random.Random(2)
+        exits = set()
+        for _ in range(200):
+            refuted = s.store.refuted
+            out = sample_once(s.ctx, s.store, rng)
+            if out is not None:
+                exits.add("answer")
+            elif s.store.refuted > refuted:
+                exits.add("refutation")
+            else:
+                exits.add("failed draw")
+            assert_at_root(s, roots)
+        assert exits == {"answer", "failed draw", "refutation"}
+        # A sampling call ends in a work budget or a proof of emptiness.
         s = Sampler(triangle_query)
         with pytest.raises(WorkBudgetError):
             s.sample(10 ** 6, random.Random(2), max_work=50)
-        assert s.ctx.depth == 0
+        assert_at_root(s, roots)
+        s = Sampler(encode_instance(ANSWER_FREE_TABLES, ("x1", "x2", "x3")))
+        roots = [list(st) for st in s.ctx.stacks]
+        with pytest.raises(EmptyAnswerSetError):
+            s.sample(1, random.Random(3), max_work=1000)
+        assert_at_root(s, roots)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_blocks_are_the_child_values_under_the_final_memo(self, seed):
@@ -319,7 +385,11 @@ def walk_probabilities(ctx, store):
             probs[ctx.codes()] = p
             return
         at = store.child[slot] if slot >= 0 else -1
-        block = store.values[at : at + ctx.fanout] if at >= 0 else children_values(ctx)
+        if at >= 0:
+            block = store.values[at : at + ctx.fanout]
+        else:
+            block = children_values(ctx)
+            ctx.unbind()  # back from the child the expansion stands on
         for d, vd in enumerate(block):
             if vd > 0.0:
                 ctx.bind(d)
@@ -365,6 +435,22 @@ class TestExactUniformity:
             random.Random(seed), max_vars=3, max_rels=3, max_tuples=12
         )
         self.check(q, cs)
+
+    def test_pm_with_weighted_degree_terms(self):
+        # Seeds fixed before the first run. At least a third of the draws give
+        # some degree constraint weight, so the bound's degree terms count in
+        # the walks, in both estimator axioms checks and in the store.
+        seeds = range(50)
+        weighted = 0
+        for seed in seeds:
+            q, cs = tight_degree_instance(random.Random(seed))
+            weights = solve_cover_degree(cs).weights
+            weighted += any(w for c, w in zip(cs.constraints, weights) if not c.is_cardinality)
+            self.check(q, cs)
+            for ctx in (build_pm_context(q, cs), EstimatorContext(q, cs, bits=True)):
+                report = verify_estimator(ctx)
+                assert report.ok, (seed, report)
+        assert weighted >= len(seeds) / 3
 
 
 class TestPinnedOutput:

@@ -43,6 +43,13 @@ MUTANTS = (
     ("sibling-keeps-child0-hi", "index.py",
      "            st[-1] = (st[-1][1], st[-2][1])",
      "            st[-1] = (st[-1][1], st[-1][1])"),
+    # The sampler's in-place moves: back to child 0, and to the root.
+    ("unsibling-takes-parent-hi", "index.py",
+     "            st[-1] = (st[-2][0], st[-1][0])",
+     "            st[-1] = (st[-2][1], st[-1][0])"),
+    ("reset-keeps-depth", "index.py",
+     "            del st[1:]\n        self.depth = 0\n",
+     "            del st[1:]\n"),
     # The sampler's two-way draw and its refutation climb.
     ("v1-dropped", "sampler.py",
      "            elif r < v0 + values[at + 1]:",
@@ -76,6 +83,10 @@ MUTANTS = (
     ("ready-without-bit-factor", "estimators.py",
      "            ready = self.per_var * (1 + max((pos[a] for a in c.A), default=-1))",
      "            ready = 1 + max((pos[a] for a in c.A), default=-1)"),
+    # The bound skips terms of weight 0, and only those.
+    ("weight-filter-drops-weight-1", "estimators.py",
+     "in self._terms if w != 0.0",
+     "in self._terms if w not in (0.0, 1.0)"),
     # The order rule.
     ("topological-edge-reversed", "constraints.py",
      "        ts.add(v, u)",

@@ -7,14 +7,14 @@ dual, with the right-hand sides perturbed so that ties go to the
 lexicographically smallest cover; exactness removes any float-feasibility
 doubt. Sums of logs are compared without logs, as integer powers.
 
-An EstimatorContext is an `index.Cursors` with one cursor per distinct
-relation among the query's relations and the guard projections R|B (a
-projection on the whole guard is the guard itself), at variable or at bit
-levels. Its `estimate` evaluates, at the current prefix node, the product
-bound
+An EstimatorContext is an `index.Cursors` over the query's relations plus
+one guard projection R|B per distinct proper B of a weighted constraint, at
+variable or at bit levels; a constraint whose B is its whole guard reads the
+guard relation's own cursor. Its `estimate` evaluates, at the current prefix
+node, the product bound
 
-    prod over constraints of N[tau] ^ w,   N[tau] = static N until A is fully
-                                           bound, live range count afterwards,
+    prod over weighted constraints of N[tau] ^ w,
+        N[tau] = static N until A is fully bound, live range count afterwards,
 
 which is 0 on inconsistent prefixes and exactly 1 on full answers; `bound`
 is the product alone, for a node known to be consistent. With
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .constraints import ConstraintSet, cardinality_constraints, guard_relation, resolve_order
+from .constraints import ConstraintSet, cardinality_constraints, resolve_order
 from .core import JoinQuery, project
 from .index import Cursors
 
@@ -75,14 +75,11 @@ def check_coverage(
     variables: Sequence[str],
 ) -> str | None:
     """First uncovered variable under the given weights, or None if feasible."""
-    for w in weights:
-        if w < 0:
-            raise CoverError("cover weights must be nonnegative")
-    for x in variables:
-        total = sum((w for s, w in zip(cover_sets, weights) if x in s), Fraction(0))
-        if total < 1:
-            return x
-    return None
+    if any(w < 0 for w in weights):
+        raise CoverError("cover weights must be nonnegative")
+    return next(
+        (x for x in variables if sum(w for s, w in zip(cover_sets, weights) if x in s) < 1), None
+    )
 
 
 def _sign(r: Sequence[Fraction], bounds: Sequence[int]) -> int:
@@ -174,9 +171,9 @@ class EstimatorContext(Cursors):
     time.
 
     Missing arguments get the estimator's defaults here and nowhere else: the
-    constraint set `cardinality_constraints(query)` (AGM), the cover
-    `solve_cover_degree`'s optimum, and the order `constraints.resolve_order`'s,
-    which also checks an explicit order.
+    constraint set `cardinality_constraints(query)` (AGM), kept as
+    `constraint_set`, the cover `solve_cover_degree`'s optimum, and the order
+    `constraints.resolve_order`'s, which also checks an explicit order.
     """
 
     def __init__(
@@ -192,32 +189,39 @@ class EstimatorContext(Cursors):
         self.order = resolve_order(query, constraint_set, order)
         if cover is None:
             cover = solve_cover_degree(constraint_set)
-        if len(cover.weights) != len(constraint_set.constraints):
-            raise ValueError("one weight per constraint required")
+        n = len(constraint_set.constraints)
+        if len(cover.weights) != n:
+            raise CoverError(f"one weight per constraint required: {n}, not {len(cover.weights)}")
+        self.constraint_set = constraint_set
 
-        # One cursor per distinct relation among the query's relations and
-        # the guard projections R' = R|B; a projection on the whole guard is
-        # the guard itself and shares its cursor.
-        projections = []
-        for c in constraint_set.constraints:
-            guard = guard_relation(query, c.guard)
+        # Cursors by (guard, B): each query relation under its own variable set
+        # (the first wins, as in `guard_relation`), then one projection R|B per
+        # distinct proper B of a weighted constraint. A constraint of weight 0
+        # would add exactly 0.0 to the bound, so it gets no term and no cursor.
+        relations = list(query.relations)
+        source = {}
+        for i, rel in enumerate(relations):
+            edge = frozenset(rel.variables)
+            source.setdefault((edge, edge), i)
+        weighted = []
+        for c, w in zip(constraint_set.constraints, cover.weights):
+            guard = source.get((c.guard, c.guard))
             if guard is None:
                 raise ValueError(f"no relation on guard of {c.describe()}")
-            projections.append(project(guard, c.B))
-        relations = list(dict.fromkeys(query.relations + tuple(projections)))
+            if w:
+                key = (c.guard, c.B)
+                if key not in source:
+                    source[key] = len(relations)
+                    relations.append(project(relations[guard], c.B))
+                weighted.append((c, float(w), source[key]))
         super().__init__(relations, self.order, query.domain_size, bits)
-        stack_of = dict(zip(relations, self.stacks))
-        # A term uses its static N until every level of A is bound.
+        # The bound's terms as (w, w * log N, ready, stack): static until depth `ready`.
         pos = {v: i for i, v in enumerate(self.order)}
-        self._terms: list[tuple[float, float, int, list[tuple[int, int]]]] = []
-        for c, w, proj in zip(constraint_set.constraints, cover.weights, projections):
+        terms = []
+        for c, w, i in weighted:
             ready = self.per_var * (1 + max((pos[a] for a in c.A), default=-1))
-            self._terms.append((float(w), math.log(c.N), ready, stack_of[proj]))
-        # The bound's terms as (w, w * log N, ready, stack). A term of weight 0
-        # would add exactly 0.0, so it is left out.
-        self._weighted = tuple(
-            (w, w * log_n, ready, stack) for w, log_n, ready, stack in self._terms if w != 0.0
-        )
+            terms.append((w, w * math.log(c.N), ready, self.stacks[i]))
+        self._terms = tuple(terms)
 
     # Bound under the context's own names, so that perfbench's tracer times
     # the estimator's cursor moves apart from the enumerator's.
@@ -230,15 +234,13 @@ class EstimatorContext(Cursors):
 
     def estimate(self) -> float:
         """Upper bound on answers below the current node; 0 iff inconsistent."""
-        if not self.node_consistent():
-            return 0.0
-        return self.bound()
+        return self.bound() if self.node_consistent() else 0.0
 
     def bound(self) -> float:
         """The product bound at the current node, which the caller knows to be consistent."""
         depth = self.depth
         log_total = 0.0
-        for w, static, ready, stack in self._weighted:
+        for w, static, ready, stack in self._terms:
             if depth < ready:
                 log_total += static
             else:

@@ -32,7 +32,7 @@ from typing import Sequence
 
 from .constraints import ConstraintSet
 from .core import JoinQuery
-from .estimators import CoverError, EstimatorContext, FractionalCover
+from .estimators import CoverError, EstimatorContext, FractionalCover, check_coverage
 
 
 class EmptyAnswerSetError(Exception):
@@ -215,6 +215,13 @@ class Sampler:
     ):
         self.ctx = EstimatorContext(query, constraint_set, cover, order, bits=True)
         self.order = self.ctx.order
+        # A supplied cover must cover every variable, or the samples are not uniform.
+        if cover is not None:
+            cs = self.ctx.constraint_set
+            sets = [c.B - c.A for c in cs.constraints]
+            uncovered = check_coverage(sets, cover.weights, sorted(cs.variables))
+            if uncovered is not None:
+                raise CoverError(f"supplied weights do not cover variable {uncovered!r}")
         self.store = ValueStore(self.ctx)
 
     def sample(

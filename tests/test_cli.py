@@ -357,6 +357,26 @@ class TestSample:
         spec = write_instance(tmp_path, extra={"weights": ["1/2", "1/2", "1/2"]})
         assert main(["sample", spec, "--count", "5", "--seed", "0"]) == EXIT_OK
 
+    def test_one_weight_per_constraint(self, tmp_path, capsys):
+        spec = write_instance(tmp_path, extra={"weights": ["1", "1"]})
+        assert main(["sample", spec, "--count", "1"]) == EXIT_PARSE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "one weight per constraint" in err[0], err
+
+    def test_agm_reads_declared_cardinality_bounds(self, tmp_path):
+        # R declared at 10^6 rows: the cover moves to S and T, 4 * 4 = 16.
+        stats = tmp_path / "st.json"
+        out = tmp_path / "s.csv"
+        raw_answers = {tuple(str(c) for c in a) for a in TRIANGLE_ANSWERS}
+        for constraints, up_root in (([{"A": [], "B": ["x1", "x2"], "N": 1000000}], 16.0),
+                                     (None, 8.0)):
+            spec = write_instance(tmp_path, extra={"constraints": constraints})
+            args = ["sample", spec, "--estimator", "agm", "--count", "30", "--seed", "2",
+                    "--output", str(out), "--stats-out", str(stats)]
+            assert main(args) == EXIT_OK
+            assert json.loads(stats.read_text())["up_root"] == pytest.approx(up_root)
+            assert read_answer_csv(out)[1] <= raw_answers
+
     def test_overflowing_bound_exits_2_with_a_short_line(self, tmp_path, capsys):
         spec = write_instance(tmp_path, extra={"weights": [1e300, 1, 1]})
         assert main(["sample", spec, "--count", "1"]) == EXIT_PARSE

@@ -21,7 +21,7 @@ from wcjoin.core import Dictionary, JoinQuery, Relation, encode_instance, filter
 from wcjoin.enumerator import wcj, wcj_binarised
 from wcjoin.estimators import build_agm_context
 from wcjoin.oracle import nested_loop_join, prefix_counts
-from wcjoin.sampler import Sampler
+from wcjoin.sampler import EmptyAnswerSetError, Sampler
 
 from conftest import TRIANGLE_ANSWERS, TRIANGLE_TABLES, random_query
 from test_differential import queries, reference_join
@@ -369,3 +369,31 @@ class TestDeepQuery:
             header, *rows = list(csv.reader(fh))
         assert tuple(header) == order
         assert sorted(map(tuple, rows)) == sorted(path_join(tables))
+
+
+class TestZeroVariableQuery:
+    """A query whose only relation is nullary: its one answer is (), if it holds ()."""
+
+    def nullary(self, rows):
+        return JoinQuery((), (Relation((), frozenset(rows)),), 0, Dictionary({}, ()))
+
+    def test_holding_the_empty_tuple(self):
+        q = self.nullary({()})
+        for search in (run, run_bin):
+            out, stats = search(q)
+            assert out == [()]
+            assert (stats.recursive_calls, stats.consistent_calls, stats.answers_emitted,
+                    stats.per_depth_calls) == (1, 1, 1, [1])
+        assert nested_loop_join(q) == {()}
+        assert Sampler(q).sample(1, random.Random(0))[0] == [()]
+
+    def test_empty(self):
+        q = self.nullary(set())
+        for search in (run, run_bin):
+            out, stats = search(q)
+            assert out == []
+            assert (stats.recursive_calls, stats.consistent_calls, stats.answers_emitted,
+                    stats.per_depth_calls) == (1, 0, 0, [1])
+        assert nested_loop_join(q) == set()
+        with pytest.raises(EmptyAnswerSetError):
+            Sampler(q).sample(1, random.Random(0))

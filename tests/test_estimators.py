@@ -13,7 +13,8 @@ from wcjoin.constraints import (
     compatible_order,
     functional_dependency,
 )
-from wcjoin.core import encode_instance
+from wcjoin import estimators
+from wcjoin.core import encode_instance, project
 from wcjoin.estimators import (
     EstimatorContext,
     FractionalCover,
@@ -28,7 +29,7 @@ from wcjoin.estimators import (
 )
 from wcjoin.oracle import nested_loop_join
 
-from conftest import random_degree_instance, random_query
+from conftest import TRIANGLE_ANSWERS, random_degree_instance, random_query
 
 E1 = frozenset({"x1", "x2"})
 E2 = frozenset({"x2", "x3"})
@@ -214,11 +215,13 @@ class TestPmEstimator:
 
     def test_constraints_on_a_whole_guard_share_its_cursor(self):
         q, cs = self.pm_fixture()
-        ctx = build_pm_context(q, cs)
+        # Weight 1 everywhere gives every constraint a term.
+        ctx = build_pm_context(q, cs, FractionalCover((F(1),) * 3))
         assert len(ctx.stacks) == 3
         # Constraint i's count is read from its guard relation's stack.
         guards = [q.relations[2], q.relations[0], q.relations[1]]  # T, R, S
         assert [frozenset(r.variables) for r in guards] == [c.guard for c in cs.constraints]
+        assert len(ctx._terms) == 3
         for (_, _, _, stack), rel in zip(ctx._terms, guards):
             assert stack is ctx.stacks[q.relations.index(rel)]
 
@@ -237,15 +240,29 @@ class TestPmEstimator:
                 DegreeConstraint(e12, V3, 2, V3),
             ),
         )
-        ctx = build_pm_context(q, cs)
-        assert solve_cover_degree(cs).weights == (F(0), F(1), F(1))
+        ctx = build_pm_context(q, cs, FractionalCover((F(1),) * 3))
         assert len(ctx.stacks) == 2  # U and U|{x1,x2}
         stacks = [term[3] for term in ctx._terms]
         assert stacks[0] is stacks[2] is ctx.stacks[0]
         assert stacks[1] is ctx.stacks[1]
+        # A proper projection of weight 0 gets no cursor.
+        assert len(build_pm_context(q, cs, FractionalCover((F(1), F(0), F(0)))).stacks) == 1
+        ctx = build_pm_context(q, cs)
+        assert solve_cover_degree(cs).weights == (F(0), F(1), F(1))
         assert ctx.estimate() == pytest.approx(8.0)
         report = verify_estimator(ctx)
         assert report.ok, report
+
+    def test_agm_context_projects_nothing(self, triangle_query, monkeypatch):
+        calls = []
+
+        def counting_project(rel, variables):
+            calls.append(variables)
+            return project(rel, variables)
+
+        monkeypatch.setattr(estimators, "project", counting_project)
+        assert build_agm_context(triangle_query).estimate() == pytest.approx(8.0)
+        assert calls == []
 
     def test_bound_and_soundness(self):
         q, cs = self.pm_fixture()
@@ -306,6 +323,37 @@ class TestPmEstimator:
             report = verify_estimator(ctx)
             assert report.ok, report
             assert ctx.estimate() >= len(nested_loop_join(bq)) - 1e-9
+
+
+class TestVerifyEstimator:
+    """Each axiom check fills its list when the estimator breaks that axiom."""
+
+    def test_positive_value_on_an_inconsistent_node(self, triangle_query):
+        ctx = build_agm_context(triangle_query)
+        ctx.estimate = ctx.bound  # no consistency test
+        report = verify_estimator(ctx)
+        assert report.zero_violations
+        assert all(value > 0.0 for _, value in report.zero_violations)
+        assert not report.answer_violations
+
+    def test_zero_value_on_a_consistent_node(self, triangle_query):
+        ctx = build_agm_context(triangle_query)
+        ctx.estimate = lambda: 0.0
+        report = verify_estimator(ctx)
+        # Every consistent node: the root, and the answers among the leaves.
+        assert ((), 0.0) in report.zero_violations
+        assert ((0, 0, 3), 0.0) in report.zero_violations
+
+    def test_value_other_than_1_on_an_answer(self, triangle_query):
+        ctx = build_agm_context(triangle_query)
+        bound = ctx.bound
+        ctx.bound = lambda: 2.0 * bound()
+        report = verify_estimator(ctx)
+        assert sorted(prefix for prefix, _ in report.answer_violations) == sorted(
+            TRIANGLE_ANSWERS
+        )
+        assert all(value == 2.0 for _, value in report.answer_violations)
+        assert not report.zero_violations and not report.superadditivity_violations
 
 
 class TestFriedgutInequality:

@@ -1,6 +1,7 @@
 """Guided trace-tree walks: uniformity, trial counts, emptiness detection."""
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,7 +9,9 @@ from wcjoin import sampler as sampler_module
 from wcjoin.binary import bin_query
 from wcjoin.core import encode_instance
 from wcjoin.estimators import (
+    CoverError,
     EstimatorContext,
+    FractionalCover,
     build_agm_context,
     build_pm_context,
     solve_cover_degree,
@@ -250,6 +253,34 @@ class TestSample:
         answers, stats = s.sample(20, random.Random(9))
         assert answers == [(0,)] * 20
         assert stats.trials == 20 and stats.failures == 0
+
+
+class TestSuppliedCover:
+    """A cover that does not cover every variable skews the samples; Sampler refuses it."""
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ((0, 0, 0), "do not cover variable 'x1'"),
+            ((1, 0, 0), "do not cover variable 'x3'"),
+            ((1, -1, 1), "nonnegative"),
+        ],
+    )
+    def test_refused(self, triangle_query, weights, message):
+        cover = FractionalCover(tuple(Fraction(w) for w in weights))
+        with pytest.raises(CoverError, match=message):
+            Sampler(triangle_query, cover=cover)
+
+    def test_one_weight_per_constraint(self, triangle_query):
+        with pytest.raises(CoverError, match="one weight per constraint"):
+            Sampler(triangle_query, cover=FractionalCover((Fraction(1), Fraction(1))))
+
+    def test_a_covering_cover_is_used(self, triangle_query):
+        cover = FractionalCover((Fraction(1), Fraction(0), Fraction(1)))
+        s = Sampler(triangle_query, cover=cover)
+        assert s.store.up_root == pytest.approx(16.0)  # |R| * |T|
+        answers, _ = s.sample(20, random.Random(4))
+        assert set(answers) <= TRIANGLE_ANSWERS
 
 
 class TestValueStore:

@@ -60,6 +60,9 @@ MUTANTS = (
     ("root-finite-check-dropped", "sampler.py",
      "        if not math.isfinite(self.up_root):",
      "        if False:"),
+    ("coverage-check-dropped", "sampler.py",
+     "            if uncovered is not None:",
+     "            if False:"),
     # The bit search's forced path.
     ("forced-depth-too-small", "enumerator.py",
      "                if k - miss < follow:\n                    follow = k - miss\n",
@@ -83,10 +86,18 @@ MUTANTS = (
     ("ready-without-bit-factor", "estimators.py",
      "            ready = self.per_var * (1 + max((pos[a] for a in c.A), default=-1))",
      "            ready = 1 + max((pos[a] for a in c.A), default=-1)"),
-    # The bound skips terms of weight 0, and only those.
+    # Only a constraint of weight 0 gets no term and no cursor.
     ("weight-filter-drops-weight-1", "estimators.py",
-     "in self._terms if w != 0.0",
-     "in self._terms if w not in (0.0, 1.0)"),
+     "            if w:\n",
+     "            if w not in (0, 1):\n"),
+    # Only a constraint whose B is its whole guard reads the guard's cursor.
+    ("whole-guard-for-projections", "estimators.py",
+     "                key = (c.guard, c.B)",
+     "                key = (c.guard, c.guard)"),
+    # The axiom check: exactly 1 on answers.
+    ("verify-answer-check-dropped", "estimators.py",
+     "            if abs(value - 1.0) > rel_tol:",
+     "            if False:"),
     # The order rule.
     ("topological-edge-reversed", "constraints.py",
      "        ts.add(v, u)",

@@ -18,7 +18,7 @@ from .constraints import (
     compatible_order,
     dependency_graph,
     functional_dependency,
-    guard_relation,
+    guard_relations,
     resolve_order,
     validate,
 )

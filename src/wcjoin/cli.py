@@ -240,12 +240,18 @@ def _sample_cover(spec: LoadedSpec, estimator: str):
     """Constraint set + the spec's cover (None without weights), which `Sampler` checks."""
     query = spec.query
     if estimator == "agm":
+        declared = () if spec.constraint_set is None else spec.constraint_set.constraints
         bounds = {}
-        if spec.constraint_set is not None:
-            for c in spec.constraint_set.constraints:
-                if c.is_cardinality and c.B == c.guard:
-                    bounds.setdefault(c.guard, c.N)
+        for c in declared:
+            if c.is_cardinality and c.B == c.guard:
+                bounds.setdefault(c.guard, c.N)
         cs = cardinality_constraints(query, bounds)
+        # The spec's weights are listed for its own constraints.
+        if spec.weights is not None and declared and declared != cs.constraints:
+            raise SpecError(
+                "the spec's weights are for its constraints, not the AGM estimator's one "
+                "cardinality constraint per relation; use --estimator pm"
+            )
     else:
         if spec.constraint_set is None:
             raise SpecError("the pm estimator requires degree constraints")

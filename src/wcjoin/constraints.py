@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Mapping, Sequence
 
-from .core import JoinQuery, Relation, project
+from .core import JoinQuery, project
 
 
 class IncompatibleOrderError(ValueError):
@@ -76,12 +76,6 @@ class ConstraintSet:
 
 
 @dataclass(frozen=True)
-class DependencyGraph:
-    vertices: frozenset[str]
-    edges: frozenset[tuple[str, str]]
-
-
-@dataclass(frozen=True)
 class ValidationEntry:
     constraint: DegreeConstraint
     passed: bool
@@ -90,22 +84,23 @@ class ValidationEntry:
     note: str = ""
 
 
-def guard_relation(query: JoinQuery, guard: frozenset[str]) -> Relation | None:
-    """The first relation of the query whose variable set is the guard."""
-    for rel in query.relations:
-        if frozenset(rel.variables) == guard:
-            return rel
-    return None
+def guard_relations(query: JoinQuery) -> dict[frozenset[str], int]:
+    """Index of each edge's guard relation, the first relation on it; edges in query order."""
+    guards: dict[frozenset[str], int] = {}
+    for i, rel in enumerate(query.relations):
+        guards.setdefault(frozenset(rel.variables), i)
+    return guards
 
 
 def validate(query: JoinQuery, cs: ConstraintSet) -> list[ValidationEntry]:
     """Check every constraint against the instance; failures carry a witness."""
+    guards = guard_relations(query)
     report = []
     for c in cs.constraints:
-        rel = guard_relation(query, c.guard)
-        if rel is None:
+        if c.guard not in guards:
             report.append(ValidationEntry(c, False, None, None, "no guard relation"))
             continue
+        rel = query.relations[guards[c.guard]]
         a_idx = [i for i, v in enumerate(rel.variables) if v in c.A]
         b_idx = [i for i, v in enumerate(rel.variables) if v in c.B]
         b_rows: dict[tuple[int, ...], set[tuple[int, ...]]] = {}  # distinct B-rows per A-row
@@ -123,7 +118,8 @@ def validate(query: JoinQuery, cs: ConstraintSet) -> list[ValidationEntry]:
     return report
 
 
-def dependency_graph(cs: ConstraintSet) -> DependencyGraph:
+def dependency_graph(cs: ConstraintSet) -> frozenset[tuple[str, str]]:
+    """The edges (u, v) of the dependency graph; its vertices are `cs.variables`."""
     # Edges run from determining variables to the determined ones (B - A);
     # pairs inside A would otherwise form spurious two-cycles.
     edges = set()
@@ -131,16 +127,15 @@ def dependency_graph(cs: ConstraintSet) -> DependencyGraph:
         for u in c.A:
             for v in c.B - c.A:
                 edges.add((u, v))
-    return DependencyGraph(cs.variables, frozenset(edges))
+    return frozenset(edges)
 
 
 def compatible_order(cs: ConstraintSet) -> tuple[str, ...]:
     """Topological sort of the dependency graph, ties broken by variable name."""
-    graph = dependency_graph(cs)
     ts = TopologicalSorter()
-    for v in sorted(graph.vertices):
+    for v in sorted(cs.variables):
         ts.add(v)
-    for u, v in sorted(graph.edges):
+    for u, v in sorted(dependency_graph(cs)):
         ts.add(v, u)
     try:
         ts.prepare()
@@ -161,7 +156,7 @@ def check_compatible(cs: ConstraintSet, order: Sequence[str]) -> bool:
     if set(order) != set(cs.variables) or len(order) != len(cs.variables):
         return False
     pos = {v: i for i, v in enumerate(order)}
-    return all(pos[u] < pos[v] for u, v in dependency_graph(cs).edges)
+    return all(pos[u] < pos[v] for u, v in dependency_graph(cs))
 
 
 def resolve_order(
@@ -194,17 +189,11 @@ def cardinality_constraints(
     Missing bounds default to the observed size of the first relation on that
     edge, which the instance respects by construction.
     """
-    edges: list[frozenset[str]] = []
+    guards = guard_relations(query)
     constraints = []
-    seen = set()
-    for rel in query.relations:
-        e = frozenset(rel.variables)
-        if e in seen:
-            continue
-        seen.add(e)
-        edges.append(e)
+    for e, i in guards.items():
         n = bounds.get(e) if bounds else None
         if n is None:
-            n = max(1, rel.size)
+            n = max(1, query.relations[i].size)
         constraints.append(DegreeConstraint(frozenset(), e, n, e))
-    return ConstraintSet(frozenset(query.order), tuple(edges), tuple(constraints))
+    return ConstraintSet(frozenset(query.order), tuple(guards), tuple(constraints))

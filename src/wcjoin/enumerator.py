@@ -8,13 +8,18 @@ Both walk the levels of one `index.Cursors` over the original sorted
 relations, depth first from an explicit stack, so the depth n*b of the bit
 search is not limited by Python's recursion limit.
 
+Both searches record one count: the consistent nodes at each depth. Branch
+and bound calls each of the `fanout` children of every consistent inner node
+and nothing else, so the calls one level down are `fanout` times the
+consistent nodes of this level, and `EnumerationStats.derive` builds every
+other statistic from that identity.
+
 wcj() steps through every child with `Cursors.bind/unbind`. The bit search
-expands a node with one `Cursors.split`, the sampler's two-way split: both
-children are counted as calls whether or not they are consistent, and only
-consistent children are entered. Where a narrowed column's range
-holds a single code, the loop follows that code's remaining bits in one
-step (a forced path): one bisect per column tells how far every column
-agrees with the code, and each level passed is counted as if split. Over
+expands a node with one `Cursors.split`, the sampler's two-way split, and
+enters only its consistent children. Where a narrowed column's range holds a
+single code, the loop follows that code's remaining bits in one step (a
+forced path): one bisect per column tells how far every column agrees with
+the code, and each level passed holds one consistent node. Over
 `binary.bin_query`'s copy, wcj() is the independent reference the bit
 search is tested against.
 """
@@ -37,6 +42,12 @@ class EnumerationStats:
     consistent_calls: int = 0
     answers_emitted: int = 0
     per_depth_calls: list[int] = field(default_factory=list)
+
+    @classmethod
+    def derive(cls, consistent: list[int], fanout: int) -> EnumerationStats:
+        """The stats of a search with `consistent[d]` consistent nodes at depth d."""
+        per_depth = [1] + [fanout * c for c in consistent[:-1]]
+        return cls(sum(per_depth), sum(consistent), consistent[-1], per_depth)
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -77,25 +88,21 @@ def _step_search(cur: Cursors, sink: Sink) -> EnumerationStats:
     # relations narrowed by the level just bound can have (every relation
     # at the root).
     checked = [cur.stacks] + [[st for _, st in aff] for aff in cur.affected]
-    per_depth = [0] * (levels + 1)
+    consistent = [0] * (levels + 1)
     child = [0] * levels  # the child bound at each level of the current path
-    calls = consistent = emitted = 0
     depth = 0
     while True:
-        calls += 1
-        per_depth[depth] += 1
         for st in checked[depth]:
             lo, hi = st[-1]
             if lo == hi:
                 break
         else:
-            consistent += 1
+            consistent[depth] += 1
             if depth < levels:
                 child[depth] = 0
                 bind(0)
                 depth += 1
                 continue
-            emitted += 1
             sink(cur.codes())
         # Move to the next sibling, climbing out of exhausted levels.
         while depth:
@@ -109,43 +116,42 @@ def _step_search(cur: Cursors, sink: Sink) -> EnumerationStats:
                 break
         else:
             break
-    return EnumerationStats(calls, consistent, emitted, per_depth)
+    return EnumerationStats.derive(consistent, fanout)
 
 
 def _split_search(cur: Cursors, sink: Sink) -> EnumerationStats:
     """Split each consistent node of the bit levels once.
 
     `Cursors.split` pushes child 0's ranges and tells which children have
-    rows. Both children are counted as calls; only consistent ones are
-    entered. Child 1 replaces child 0 on the stacks once child 0's subtree
-    is done, in place as `Cursors.sibling` does. At the last level the split
-    is popped at once and the consistent children are emitted.
+    rows; only consistent ones are counted and entered. `Cursors.sibling`
+    turns child 0 into child 1 once child 0's subtree is done. At the last
+    level the split is popped at once and the consistent children are
+    emitted.
 
     A forced path settles the variable's k remaining levels in one step. If
     some narrowed column's range holds a single code c, only the child on
     c's bit path can be consistent at each of those levels. One bisect at c
     per column gives either the column's range at the variable's last level
     or, from c's two neighbours in the column, how many levels it follows
-    c's bits.
-    The path is followed for the least of these depths, counting the two
-    children of every level passed. If every column holds c, the ranges are
-    pushed once, at the variable's last level, and the climb back from there
-    jumps to the level the path started at (`origin`).
+    c's bits. The path is followed for the least of these depths, counting
+    one consistent node at every level passed. If every column holds c, the
+    ranges are pushed once, at the variable's last level, and the climb back
+    from there jumps to the level the path started at (`origin`).
     """
     levels, per_var = cur.levels, cur.per_var
-    width, start, affected, split = cur._width, cur._start, cur.affected, cur.split
+    width, start, affected = cur._width, cur._start, cur.affected
+    split, sibling = cur.split, cur.sibling
     last = levels - 1
-    per_depth = [0] * (levels + 1)
-    per_depth[0] = 1
+    consistent = [0] * (levels + 1)
     if any(st[-1][0] == st[-1][1] for st in cur.stacks):
-        return EnumerationStats(1, 0, 0, per_depth)
+        return EnumerationStats.derive(consistent, 2)
+    consistent[0] = 1
     if not levels:
         sink(())
-        return EnumerationStats(1, 1, 1, per_depth)
+        return EnumerationStats.derive(consistent, 2)
     pending = [False] * levels  # child 1 of the level is consistent and not yet entered
     origin = [0] * levels  # where the climb resumes after popping the level's push
-    calls = consistent = 1
-    emitted = depth = 0
+    depth = 0
     while True:
         # The node at `depth` is consistent and inner.
         aff = affected[depth]
@@ -172,17 +178,12 @@ def _split_search(cur: Cursors, sink: Sink) -> EnumerationStats:
                 )
                 if k - miss < follow:
                     follow = k - miss
-            # Each level followed has one consistent child; one more level
-            # has none if the path stops short of the variable's last bit.
-            steps = follow + (follow < k)
-            calls += 2 * steps
-            consistent += follow
-            for level in range(depth + 1, depth + 1 + steps):
-                per_depth[level] += 2
+            # Each level followed has one consistent child.
+            for level in range(depth + 1, depth + 1 + follow):
+                consistent[level] += 1
             if follow == k:
                 end = depth + k - 1
                 if end == last:
-                    emitted += 1
                     sink(tuple(start[per_var - 1 : last : per_var]) + (c,))
                 else:
                     for st, lo, hi in ranges:
@@ -193,11 +194,9 @@ def _split_search(cur: Cursors, sink: Sink) -> EnumerationStats:
                     continue
         else:
             # Split it; `split` reads the depth, which the loop keeps in a local.
-            calls += 2
-            per_depth[depth + 1] += 2
             cur.depth = depth
             live0, live1 = split()
-            consistent += live0 + live1
+            consistent[depth + 1] += live0 + live1
             if depth == last:
                 for _, st in aff:
                     st.pop()
@@ -207,7 +206,6 @@ def _split_search(cur: Cursors, sink: Sink) -> EnumerationStats:
                         sink(head + (start[last],))
                     if live1:
                         sink(head + (start[last] + 1,))
-                    emitted += live0 + live1
             else:
                 pending[depth] = live1
                 origin[depth] = depth
@@ -220,14 +218,13 @@ def _split_search(cur: Cursors, sink: Sink) -> EnumerationStats:
             depth -= 1
             if pending[depth]:
                 pending[depth] = False
-                for _, st in affected[depth]:
-                    st[-1] = (st[-1][1], st[-2][1])
-                start[depth] += width[depth]
                 depth += 1
+                cur.depth = depth
+                sibling()
                 break
             for _, st in affected[depth]:
                 st.pop()
             depth = origin[depth]
         else:
             break
-    return EnumerationStats(calls, consistent, emitted, per_depth)
+    return EnumerationStats.derive(consistent, 2)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .constraints import ConstraintSet, cardinality_constraints, resolve_order
+from .constraints import ConstraintSet, cardinality_constraints, guard_relations, resolve_order
 from .core import JoinQuery, project
 from .index import Cursors
 
@@ -194,15 +194,12 @@ class EstimatorContext(Cursors):
             raise CoverError(f"one weight per constraint required: {n}, not {len(cover.weights)}")
         self.constraint_set = constraint_set
 
-        # Cursors by (guard, B): each query relation under its own variable set
-        # (the first wins, as in `guard_relation`), then one projection R|B per
-        # distinct proper B of a weighted constraint. A constraint of weight 0
-        # would add exactly 0.0 to the bound, so it gets no term and no cursor.
+        # Cursors by (guard, B): each guard relation under its own variable set,
+        # then one projection R|B per distinct proper B of a weighted
+        # constraint. A constraint of weight 0 would add exactly 0.0 to the
+        # bound, so it gets no term and no cursor.
         relations = list(query.relations)
-        source = {}
-        for i, rel in enumerate(relations):
-            edge = frozenset(rel.variables)
-            source.setdefault((edge, edge), i)
+        source = {(e, e): i for e, i in guard_relations(query).items()}
         weighted = []
         for c, w in zip(constraint_set.constraints, cover.weights):
             guard = source.get((c.guard, c.guard))

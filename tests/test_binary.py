@@ -169,4 +169,4 @@ class TestBinConstraints:
         assert order == ("x3#1", "x3#2", "x1#1", "x1#2", "x2#1", "x2#2")
         # No edges between bits of the same variable.
         g = dependency_graph(bcs)
-        assert all(u.split("#")[0] != v.split("#")[0] for u, v in g.edges)
+        assert all(u.split("#")[0] != v.split("#")[0] for u, v in g)

@@ -363,14 +363,64 @@ class TestSample:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "one weight per constraint" in err[0], err
 
+    @pytest.mark.parametrize(
+        "tables, constraints, weights, pm_up_root",
+        [
+            # Cardinality constraints listed as [T, R, S]; the AGM list is [R, S, T].
+            (
+                [
+                    ("R", ("x1", "x2"), [["0", "0"], ["0", "1"], ["1", "0"], ["1", "1"]]),
+                    ("S", ("x2", "x3"), [["0", "0"], ["0", "1"], ["1", "0"], ["1", "1"],
+                                         ["0", "2"], ["1", "2"], ["2", "0"]]),
+                    ("T", ("x1", "x3"), [["0", "0"], ["1", "2"]]),
+                ],
+                [{"A": [], "B": ["x1", "x3"], "N": 2}, {"A": [], "B": ["x1", "x2"], "N": 4},
+                 {"A": [], "B": ["x2", "x3"], "N": 7}],
+                ["1", "1", "0"],
+                8.0,  # |T| * |R|
+            ),
+            # A degree constraint: three weights, two AGM constraints.
+            (
+                [
+                    ("R", ("x1", "x2"), [["0", "0"], ["1", "0"], ["1", "1"], ["2", "1"]]),
+                    ("S", ("x2", "x3"), [["0", "2"], ["0", "3"], ["1", "0"], ["1", "2"],
+                                         ["1", "3"]]),
+                ],
+                [{"A": [], "B": ["x1", "x2"], "N": 4}, {"A": [], "B": ["x2", "x3"], "N": 5},
+                 {"A": ["x2"], "B": ["x2", "x3"], "N": 3}],
+                ["1", "0", "1"],
+                12.0,  # |R| * 3
+            ),
+        ],
+    )
+    def test_agm_refuses_weights_listed_for_other_constraints(
+        self, tmp_path, capsys, tables, constraints, weights, pm_up_root
+    ):
+        spec = write_instance(tmp_path, tables,
+                              extra={"constraints": constraints, "weights": weights})
+        stats = tmp_path / "st.json"
+        args = ["sample", spec, "--count", "5", "--seed", "1", "--stats-out", str(stats)]
+        assert main(args + ["--estimator", "pm"]) == EXIT_OK
+        assert json.loads(stats.read_text())["up_root"] == pytest.approx(pm_up_root)
+        capsys.readouterr()
+        assert main(args) == EXIT_PARSE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "--estimator pm" in err[0], err
+
     def test_agm_reads_declared_cardinality_bounds(self, tmp_path):
         # R declared at 10^6 rows: the cover moves to S and T, 4 * 4 = 16.
         stats = tmp_path / "st.json"
         out = tmp_path / "s.csv"
         raw_answers = {tuple(str(c) for c in a) for a in TRIANGLE_ANSWERS}
-        for constraints, up_root in (([{"A": [], "B": ["x1", "x2"], "N": 1000000}], 16.0),
-                                     (None, 8.0)):
-            spec = write_instance(tmp_path, extra={"constraints": constraints})
+        # A spec listing the AGM constraints, in relation order, keeps its weights:
+        # [1, 0, 1] gives |R| * |T| = 16, not the optimal cover's 8.
+        own = [{"A": [], "B": list(header), "N": 4} for _, header, _ in TRIANGLE_TABLES]
+        for extra, up_root in (
+            ({"constraints": [{"A": [], "B": ["x1", "x2"], "N": 1000000}]}, 16.0),
+            ({"constraints": None}, 8.0),
+            ({"constraints": own, "weights": ["1", "0", "1"]}, 16.0),
+        ):
+            spec = write_instance(tmp_path, extra=extra)
             args = ["sample", spec, "--estimator", "agm", "--count", "30", "--seed", "2",
                     "--output", str(out), "--stats-out", str(stats)]
             assert main(args) == EXIT_OK

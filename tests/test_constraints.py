@@ -115,11 +115,11 @@ class TestValidate:
 class TestDependencyGraph:
     def test_degree_class_edges(self):
         g = dependency_graph(degree_class(4))
-        assert g.edges == frozenset({("x3", "x1"), ("x3", "x2")})
+        assert g == frozenset({("x3", "x1"), ("x3", "x2")})
 
     def test_cardinality_constraints_give_no_edges(self, triangle_query):
         cs = cardinality_constraints(triangle_query)
-        assert dependency_graph(cs).edges == frozenset()
+        assert dependency_graph(cs) == frozenset()
 
     def test_opposed_dependencies_are_cyclic(self):
         cs = ConstraintSet(
@@ -204,7 +204,7 @@ class TestCompatibleOrder:
             try:
                 compatible_order(cs)
             except CyclicConstraintsError as exc:
-                cycle, edges = exc.cycle, dependency_graph(cs).edges
+                cycle, edges = exc.cycle, dependency_graph(cs)
                 assert len(cycle) >= 3 and cycle[0] == cycle[-1], cycle
                 assert all((u, v) in edges for u, v in zip(cycle, cycle[1:])), cycle
                 cycles += 1

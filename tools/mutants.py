@@ -7,9 +7,11 @@
 
 Each mutant is one exact replacement (name, file under src/wcjoin/, old,
 new). It is applied to a temporary copy of src/, tests/ and pyproject.toml,
-and the copy's tests run with `python -m pytest -x -q`. The mutant is killed
-when that run fails. With -x, a mutant that hangs the engine stops at the
-first test past the suite's per-test time limit (tests/conftest.py).
+and the copy's tests run with `python -m pytest -x -q`: first
+tests/test_sampler.py alone, then the whole suite. The mutant is killed
+when either run fails. The sampler's own tests kill a broken sampler in
+seconds, where the whole suite would first meet an unbounded sampling test
+that hangs until the per-test time limit (tests/conftest.py) ends it.
 
 The tool exits 1 if an `old` string does not occur exactly once in its file,
 so a refactor that moves mutated code has to update this list; if the
@@ -77,11 +79,18 @@ MUTANTS = (
      "ranges.append((st, p, bisect_left(col, c + 1, p, hi)))",
      "ranges.append((st, p, hi))"),
     ("per-depth-on-first-level-only", "enumerator.py",
-     "            for level in range(depth + 1, depth + 1 + steps):",
+     "            for level in range(depth + 1, depth + 1 + follow):",
      "            for level in range(depth + 1, depth + 2):"),
     ("climb-does-not-jump-back", "enumerator.py",
      "            depth = origin[depth]\n",
      ""),
+    ("climb-skips-sibling", "enumerator.py",
+     "                sibling()\n",
+     ""),
+    # The statistics both searches derive from the consistent nodes per depth.
+    ("derivation-shifted-a-level", "enumerator.py",
+     "        per_depth = [1] + [fanout * c for c in consistent[:-1]]",
+     "        per_depth = [1] + [fanout * c for c in consistent[1:]]"),
     # The estimator: a term turns live once every bit of its A is bound.
     ("ready-without-bit-factor", "estimators.py",
      "            ready = self.per_var * (1 + max((pos[a] for a in c.A), default=-1))",
@@ -126,18 +135,26 @@ def check_sites(mutants) -> list[str]:
 
 
 def run_tests(copy: Path) -> tuple[bool, float, str]:
-    """Run the copy's tests; (passed, seconds, last line of output)."""
+    """Run the copy's sampler tests, then all its tests; (passed, seconds, last line of output).
+
+    pytest collects `tests/test_sampler.py tests` in directory order, so the
+    sampler file gets a run of its own.
+    """
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     start = time.perf_counter()
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
-            cwd=copy, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
-        )
-    except subprocess.TimeoutExpired:
-        return False, time.perf_counter() - start, f"no result within {RUN_TIMEOUT_S} s"
-    lines = proc.stdout.strip().splitlines()
-    return proc.returncode == 0, time.perf_counter() - start, lines[-1] if lines else ""
+    for paths in (["tests/test_sampler.py"], []):
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *paths],
+                cwd=copy, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:
+            return False, time.perf_counter() - start, f"no result within {RUN_TIMEOUT_S} s"
+        lines = proc.stdout.strip().splitlines()
+        last = lines[-1] if lines else ""
+        if proc.returncode:
+            return False, time.perf_counter() - start, last
+    return True, time.perf_counter() - start, last
 
 
 def main(argv=None) -> int:

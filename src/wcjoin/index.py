@@ -14,8 +14,11 @@ Child 0 keeps its parent's lo and the last child its parent's hi. So at a
 two-way level one bisect per column, at the midpoint a + w, splits the
 parent's range (lo, hi) into child 0's (lo, mid) and child 1's (mid, hi):
 `split` pushes child 0 and tells which children have rows, `sibling`
-turns child 0 into child 1 in place, and `unsibling` turns it back. The bit
-search and the sampler both expand a node this way.
+turns child 0 into child 1 in place, and `unsibling` turns it back. The
+sampler expands a node this way, after `bind_prefix` has moved the cursors
+to the first node its cache lacks with one push per variable. The bit search
+reads the columns and pushes the ranges of each code it descends into
+itself.
 """
 from __future__ import annotations
 
@@ -70,7 +73,7 @@ class Cursors:
     `stacks[i]` holds relation i's half-open row ranges (lo, hi), the top one
     matching the bound prefix; `affected[level]` lists the (column, stack)
     pairs a level narrows. bind(d) moves to child d, unbind() to the parent,
-    reset() to the root.
+    reset() to the root, bind_prefix(p) from the root to p's node.
     """
 
     def __init__(
@@ -113,11 +116,38 @@ class Cursors:
             st.append((lo, hi))
         self.depth = level + 1
 
+    def bind_prefix(self, prefix: Sequence[int]) -> None:
+        """Move from the root to the node of a nonempty prefix of child indices.
+
+        Each variable the prefix binds, wholly or in part, narrows its columns
+        to one code interval [a, a + w) with two bisects per column and one
+        push, where w is the width of the prefix's last level on it. So the
+        stacks hold one entry per variable, not one per level, and only the
+        prefix's last level gets its start. Only `split`, `sibling`,
+        `unsibling`, `reset` and `EstimatorContext.bound` may follow, since
+        they read just the top one or two entries and that start; never
+        `unbind`.
+        """
+        width, depth = self._width, len(prefix)
+        for first in range(0, depth, self.per_var):
+            end = min(first + self.per_var, depth)
+            a = 0
+            for level in range(first, end):
+                a += prefix[level] * width[level]
+            c = a + width[end - 1]
+            for col, st in self.affected[first]:
+                lo, hi = st[-1]
+                lo = bisect_left(col, a, lo, hi)
+                st.append((lo, bisect_left(col, c, lo, hi)))
+        self._start[depth - 1] = a
+        self.depth = depth
+
     def split(self) -> tuple[bool, bool]:
         """Move to child 0 of a two-way node; whether child 0 and child 1 have rows.
 
         One bisect per narrowed column at the midpoint a + w splits (lo, hi)
         into child 0's (lo, mid), which is pushed, and child 1's (mid, hi).
+        The sampler's walk expands each new node with it.
         """
         level = self.depth
         a = self._start[level - 1] if level % self.per_var else 0

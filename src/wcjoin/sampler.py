@@ -10,8 +10,9 @@ uniform answers with geometric trial counts.
 
 A Sampler's only learned state is its ValueStore: the child values of every
 prefix its walks have expanded, each estimated once. A walk draws from the
-store without touching a cursor and binds the cursors along its prefix only
-at the first node the store lacks. From there on every node is new: one
+store without touching a cursor and binds the cursors to its prefix, one
+code interval per variable, only at the first node the store lacks
+(`Cursors.bind_prefix`). From there on every node is new: one
 `split` expands it and leaves the cursors on a child, and after the draw they
 move to the drawn child in place, so no bisect runs twice. The walk reads an
 answer's codes off its prefix, and `Cursors.reset` returns the cursors to
@@ -169,10 +170,10 @@ def sample_once(
         for level in range(ctx.levels):
             at = child[slot]
             if at < 0:
-                # The cursors trail a cached prefix, or stand on this node.
+                # The cursors wait at the root below a cached prefix, or
+                # stand on this node.
                 if ctx.depth < level:
-                    for d in prefix[ctx.depth :]:
-                        ctx.bind(d)
+                    ctx.bind_prefix(prefix)
                 block = children_values(ctx)
                 if sum(block) <= 0.0:
                     _refute(store, slots)

@@ -78,6 +78,17 @@ class TestLoadSpec:
         assert fd.N == 1
         assert fd.guard == frozenset({"x1", "x3"})
 
+    def test_default_guard_is_the_first_relation_holding_b(self, tmp_path):
+        # R(x1,x2), S(x2,x3), T(x1,x3): T also holds x1 and x3, but R and S
+        # come first.
+        constraints = [{"A": [], "B": ["x1"], "N": 3}, {"A": [], "B": ["x3"], "N": 3}, "x3 -> x1"]
+        cs = load_spec(write_instance(tmp_path, extra={"constraints": constraints})).constraint_set
+        assert [c.guard for c in cs.constraints] == [
+            frozenset({"x1", "x2"}),
+            frozenset({"x2", "x3"}),
+            frozenset({"x1", "x3"}),
+        ]
+
     def test_malformed_specs_exit_2(self, tmp_path, capsys, monkeypatch):
         def exits_2(argv):
             assert main(argv) == EXIT_PARSE

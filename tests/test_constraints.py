@@ -84,6 +84,16 @@ class TestValidate:
         assert failed.max_degree == 2
         assert failed.witness == {"x1": 1}
 
+    def test_witness_is_the_first_of_the_worst_degree(self, triangle_query):
+        # x2 = 0 and x2 = 1 each have two x1 partners in R. The witness is
+        # the first of them in validate's walk over R's x2 values.
+        cs = ConstraintSet(V3, (E1, E2, E3), (DegreeConstraint(frozenset({"x2"}), E1, 1, E1),))
+        (entry,) = validate(triangle_query, cs)
+        assert entry.max_degree == 2
+        walk = [{"x2": x2} for (x2,) in project(triangle_query.relations[0], {"x2"}).rows]
+        assert len(walk) == 2
+        assert entry.witness == walk[0]
+
     def test_missing_guard_relation(self, triangle_query):
         e4 = frozenset({"x1", "x2", "x3"})
         cs = ConstraintSet(

@@ -97,7 +97,7 @@ def test_bit_join_matches_on_wide_sparse_domains(q, data):
     # Up to 300 values over at most 60 rows per relation: codes are up to 9
     # bits wide (8 or more in about a fifth of the examples) and a range
     # often holds one code long before a variable's last bit, so the bit
-    # search follows forced paths several levels deep.
+    # search seeks past long runs of codes that some relation lacks.
     assert_same_join(q, data.draw(st.permutations(q.order)))
 
 

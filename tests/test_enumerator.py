@@ -2,12 +2,14 @@
 import csv
 import json
 import random
+from bisect import bisect_left
 from collections import defaultdict
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from wcjoin import enumerator
 from wcjoin.binary import bin_query, bit_width, make_layout
 from wcjoin.cli import main
 from wcjoin.constraints import (
@@ -316,6 +318,46 @@ class TestCallBound:
             bq = bin_query(q)
             _, bstats = run_bin(q)
             assert bstats.recursive_calls <= 3 * (1 + sum(prefix_counts(bq)))
+
+
+class TestBisectBound:
+    """The bit search's work stays within the paper's bound: each code it
+    scans is a consistent leaf or an inconsistent child, and costs at most
+    two bisects per column on its variable."""
+
+    @staticmethod
+    def bisects_and_calls(monkeypatch, q, order=None):
+        count = 0
+
+        def counting_bisect(*args):
+            nonlocal count
+            count += 1
+            return bisect_left(*args)
+
+        monkeypatch.setattr(enumerator, "bisect_left", counting_bisect)
+        _, stats = run_bin(q, None, order)
+        monkeypatch.undo()
+        # C: the most relations sharing one variable.
+        columns = max(sum(v in rel.variables for rel in q.relations) for v in q.order)
+        return count, columns, stats.recursive_calls
+
+    def test_random_queries(self, monkeypatch):
+        rng = random.Random(41)
+        for i in range(300):
+            q = random_query(rng, max_vars=5, max_domain=40) if i % 2 else random_query(rng)
+            order = rng.sample(q.order, len(q.order))
+            count, columns, calls = self.bisects_and_calls(monkeypatch, q, order)
+            assert count <= 2 * columns * calls
+
+    def test_disjoint_halves_take_one_seek(self, monkeypatch):
+        # R holds the low half of 2^12 codes and S the high half: the first
+        # bit refutes both children, and one seek passes all of R.
+        half = 1 << 11
+        low = (("x",), [(c,) for c in range(half)])
+        high = (("x",), [(half + c,) for c in range(half)])
+        q = coded_query(("x",), [low, high], 2 * half)
+        count, columns, calls = self.bisects_and_calls(monkeypatch, q)
+        assert (count, columns, calls) == (2, 2, 3)
 
 
 def deep_path_tables(n_vars=121, pool=1000, seed=12):

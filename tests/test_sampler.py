@@ -290,12 +290,17 @@ class TestValueStore:
         estimates = expansions = 0
         children, bound = sampler_module.children_values, s.ctx.bound
         bind, unbind, reset = s.ctx.bind, s.ctx.unbind, s.ctx.reset
+        bind_prefix = s.ctx.bind_prefix
         split, sibling, unsibling = s.ctx.split, s.ctx.sibling, s.ctx.unsibling
         path = []  # the context's bound prefix
 
         def tracking_bind(d):
             path.append(d)
             bind(d)
+
+        def tracking_bind_prefix(prefix):
+            path[:] = prefix
+            bind_prefix(prefix)
 
         def tracking_split():
             path.append(0)
@@ -334,6 +339,7 @@ class TestValueStore:
         monkeypatch.setattr(sampler_module, "children_values", recording_children)
         monkeypatch.setattr(s.ctx, "bound", counting_bound)
         monkeypatch.setattr(s.ctx, "bind", tracking_bind)
+        monkeypatch.setattr(s.ctx, "bind_prefix", tracking_bind_prefix)
         monkeypatch.setattr(s.ctx, "unbind", tracking_unbind)
         monkeypatch.setattr(s.ctx, "reset", tracking_reset)
         monkeypatch.setattr(s.ctx, "split", tracking_split)

@@ -35,7 +35,7 @@ RUN_TIMEOUT_S = 900  # per mutant; the tests' own limit normally ends a hang fir
 
 # (name, file, old, new)
 MUTANTS = (
-    # Cursors: the midpoint split shared by the bit search and the sampler.
+    # Cursors: the sampler's midpoint split.
     ("split-mid-high", "index.py",
      "        m = a + self._width[level]\n",
      "        m = a + self._width[level] + 1\n"),
@@ -49,6 +49,13 @@ MUTANTS = (
     ("unsibling-takes-parent-hi", "index.py",
      "            st[-1] = (st[-2][0], st[-1][0])",
      "            st[-1] = (st[-2][1], st[-1][0])"),
+    # The walk's rebind: one code interval per variable of a cached prefix.
+    ("bind-prefix-interval-one-short", "index.py",
+     "            c = a + width[end - 1]\n",
+     "            c = a + width[end - 1] - 1\n"),
+    ("bind-prefix-start-unset", "index.py",
+     "        self._start[depth - 1] = a\n",
+     ""),
     ("reset-keeps-depth", "index.py",
      "            del st[1:]\n        self.depth = 0\n",
      "            del st[1:]\n"),
@@ -65,28 +72,23 @@ MUTANTS = (
     ("coverage-check-dropped", "sampler.py",
      "            if uncovered is not None:",
      "            if False:"),
-    # The bit search's forced path.
-    ("forced-depth-too-small", "enumerator.py",
-     "                if k - miss < follow:\n                    follow = k - miss\n",
-     "                if k - miss - 1 < follow:\n                    follow = k - miss - 1\n"),
-    ("forced-depth-too-large", "enumerator.py",
-     "                if k - miss < follow:\n                    follow = k - miss\n",
-     "                if k - miss + 1 < follow:\n                    follow = k - miss + 1\n"),
+    # The bit search's seeks over the smallest column of each variable.
+    ("count-from-depth-0", "enumerator.py",
+     "            shared = k - (prev ^ a).bit_length()\n",
+     "            shared = 0\n"),
+    ("seek-past-the-L-block", "enumerator.py",
+     "            shift = k - span - 1 if span < k else 0\n",
+     "            shift = k - span if span < k else 0\n"),
     ("one-neighbour-only", "enumerator.py",
-     "                    (col[p] ^ c).bit_length() if p < hi else k,",
-     "                    k,"),
-    ("c+1-bisect-dropped", "enumerator.py",
-     "ranges.append((st, p, bisect_left(col, c + 1, p, hi)))",
-     "ranges.append((st, p, hi))"),
-    ("per-depth-on-first-level-only", "enumerator.py",
-     "            for level in range(depth + 1, depth + 1 + follow):",
-     "            for level in range(depth + 1, depth + 2):"),
-    ("climb-does-not-jump-back", "enumerator.py",
-     "            depth = origin[depth]\n",
+     "                    if q > lo:\n                        miss = min(miss, (col[q - 1] ^ a).bit_length())\n",
      ""),
-    ("climb-skips-sibling", "enumerator.py",
-     "                sibling()\n",
-     ""),
+    ("a+1-bisect-dropped", "enumerator.py",
+     "st.append((q, bisect_left(col, a + 1, q, st[-1][1])))",
+     "st.append((q, st[-1][1]))"),
+    # Answers and counts stay right; only the bisect bound sees the extra scans.
+    ("no-seek", "enumerator.py",
+     "            if span < k:\n                pos = nxt\n",
+     "            if span < k:\n                pos += 1\n"),
     # The statistics both searches derive from the consistent nodes per depth.
     ("derivation-shifted-a-level", "enumerator.py",
      "        per_depth = [1] + [fanout * c for c in consistent[:-1]]",
@@ -108,6 +110,10 @@ MUTANTS = (
      "            if abs(value - 1.0) > rel_tol:",
      "            if False:"),
     # The order rule.
+    # validate reports the first A-row of the worst degree.
+    ("validate-last-witness", "constraints.py",
+     "            if degree > worst:",
+     "            if degree >= worst:"),
     ("topological-edge-reversed", "constraints.py",
      "        ts.add(v, u)",
      "        ts.add(u, v)"),
@@ -121,6 +127,10 @@ MUTANTS = (
     ("pm-validation-dropped", "cli.py",
      "        if broken is not None:",
      "        if False:"),
+    # The default guard is the first relation variable set holding B.
+    ("guard-last-edge", "cli.py",
+     "    for e in edges:\n        if b <= e:",
+     "    for e in reversed(edges):\n        if b <= e:"),
 )
 
 

@@ -12,11 +12,12 @@ order of every search, estimator and sampler.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Mapping, Sequence
 
-from .core import JoinQuery, project
+from .core import JoinQuery, project, rows_at
 
 
 class IncompatibleOrderError(ValueError):
@@ -93,7 +94,14 @@ def guard_relations(query: JoinQuery) -> dict[frozenset[str], int]:
 
 
 def validate(query: JoinQuery, cs: ConstraintSet) -> list[ValidationEntry]:
-    """Check every constraint against the instance; failures carry a witness."""
+    """Check every constraint against the instance; failures carry a witness.
+
+    The degree of an A-row is the number of distinct B-rows of the guard
+    relation that extend it. Guard rows are distinct, so when B is the whole
+    guard they are the B-rows; a proper B's rows are deduplicated once. The
+    witness is the first A-row of the worst degree in the walk over
+    `project(rel, A).rows`.
+    """
     guards = guard_relations(query)
     report = []
     for c in cs.constraints:
@@ -101,20 +109,21 @@ def validate(query: JoinQuery, cs: ConstraintSet) -> list[ValidationEntry]:
             report.append(ValidationEntry(c, False, None, None, "no guard relation"))
             continue
         rel = query.relations[guards[c.guard]]
-        a_idx = [i for i, v in enumerate(rel.variables) if v in c.A]
-        b_idx = [i for i, v in enumerate(rel.variables) if v in c.B]
-        b_rows: dict[tuple[int, ...], set[tuple[int, ...]]] = {}  # distinct B-rows per A-row
-        for row in rel.rows:
-            key = tuple(row[i] for i in a_idx)
-            b_rows.setdefault(key, set()).add(tuple(row[i] for i in b_idx))
-        worst, witness = 0, None
-        # The witness is the first A-row of the worst degree in this walk.
-        for a_row in project(rel, c.A).rows:
-            degree = len(b_rows[a_row])
-            if degree > worst:
-                worst, witness = degree, {rel.variables[i]: x for i, x in zip(a_idx, a_row)}
+        if c.B == c.guard:
+            b_vars, b_rows = rel.variables, rel.rows
+        else:
+            b_idx = [i for i, v in enumerate(rel.variables) if v in c.B]
+            b_vars, b_rows = [rel.variables[i] for i in b_idx], set(rows_at(rel.rows, b_idx))
+        a_idx = [j for j, v in enumerate(b_vars) if v in c.A]
+        degrees = Counter(rows_at(b_rows, a_idx)) if c.A else {(): len(b_rows)}
+        worst = max(degrees.values(), default=0)
         passed = worst <= c.N
-        report.append(ValidationEntry(c, passed, worst, None if passed else witness))
+        witness = None
+        if not passed:
+            a_rel = project(rel, c.A)
+            a_row = next(r for r in a_rel.rows if degrees[r] == worst)
+            witness = dict(zip(a_rel.variables, a_row))
+        report.append(ValidationEntry(c, passed, worst, witness))
     return report
 
 

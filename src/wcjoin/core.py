@@ -7,7 +7,9 @@ Partial assignments ("tuples") are plain dicts mapping variable name to code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import repeat
+from operator import itemgetter
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 
 class EncodingError(ValueError):
@@ -138,9 +140,23 @@ def filter_relation(rel: Relation, t: Mapping[str, int]) -> Relation:
     return Relation(tuple(rel.variables[i] for i in keep), frozenset(out))
 
 
+def rows_at(
+    rows: Collection[tuple[int, ...]], positions: Sequence[int]
+) -> Iterator[tuple[int, ...]]:
+    """Each row restricted to `positions`, in the rows' order, with no Python loop per row.
+
+    `itemgetter` returns a scalar for one position and refuses zero, so one
+    position is wrapped by `zip` and zero positions give `()` per row.
+    """
+    if len(positions) > 1:
+        return map(itemgetter(*positions), rows)
+    if positions:
+        return zip(map(itemgetter(positions[0]), rows))
+    return repeat((), len(rows))
+
+
 def project(rel: Relation, variables: Iterable[str]) -> Relation:
     """R|Y: deduplicated restriction of every row to Y (intersected with X_R)."""
     keep_set = set(variables)
     keep = [i for i, v in enumerate(rel.variables) if v in keep_set]
-    rows = frozenset(tuple(row[i] for i in keep) for row in rel.rows)
-    return Relation(tuple(rel.variables[i] for i in keep), rows)
+    return Relation(tuple(rel.variables[i] for i in keep), frozenset(rows_at(rel.rows, keep)))

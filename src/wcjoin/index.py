@@ -23,10 +23,9 @@ itself.
 from __future__ import annotations
 
 from bisect import bisect_left
-from operator import itemgetter
 from typing import Sequence
 
-from .core import Relation
+from .core import Relation, rows_at
 
 
 def bit_width(domain_size: int) -> int:
@@ -61,9 +60,8 @@ def build(rel: Relation, order: Sequence[str]) -> SortedRelation:
             raise ValueError(f"variable {v!r} not in global order")
     perm = sorted(range(len(rel.variables)), key=lambda i: positions[rel.variables[i]])
     variables = tuple(rel.variables[i] for i in perm)
-    # The rows are a set already; a permutation other than the identity
-    # moves at least two columns, so itemgetter returns tuples.
-    rows = rel.rows if perm == sorted(perm) else map(itemgetter(*perm), rel.rows)
+    # The rows are distinct already, and so are their permutations.
+    rows = rel.rows if perm == sorted(perm) else rows_at(rel.rows, perm)
     return SortedRelation(variables, sorted(rows))
 
 

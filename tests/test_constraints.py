@@ -1,4 +1,5 @@
 """Degree constraints: validation, dependency graph, compatible orders."""
+import dataclasses
 import random
 from itertools import permutations
 
@@ -15,7 +16,7 @@ from wcjoin.constraints import (
     functional_dependency,
     validate,
 )
-from wcjoin.core import encode_instance, filter_relation, project
+from wcjoin.core import encode_instance, project
 from wcjoin.estimators import solve_cover_degree
 from wcjoin.oracle import prefix_counts
 
@@ -104,22 +105,48 @@ class TestValidate:
         assert entry.note == "no guard relation"
 
     def test_validation_matches_direct_degree_computation(self):
+        # The instances include proper B on relations of arity 3 or more; the
+        # copies with N one below the worst degree produce witnesses.
         rng = random.Random(31)
-        for _ in range(60):
-            q, cs = random_degree_instance(rng)
-            for entry in validate(q, cs):
+        proper = witnesses = 0
+        for _ in range(200):
+            q, cs = random_degree_instance(rng, max_vars=5, max_domain=4, max_tuples=60)
+            entries = validate(q, cs)
+            lowered = [
+                dataclasses.replace(e.constraint, N=max(1, e.max_degree - 1)) for e in entries
+            ]
+            entries += validate(q, dataclasses.replace(cs, constraints=tuple(lowered)))
+            for entry in entries:
                 c = entry.constraint
-                rel = next(
-                    r for r in q.relations if frozenset(r.variables) == c.guard
-                )
-                a_vars = [v for v in rel.variables if v in c.A]
-                degrees = [
-                    project(filter_relation(rel, dict(zip(a_vars, row))), c.B).size
-                    for row in project(rel, c.A).rows
-                ]
-                worst = max(degrees, default=0)
+                rel = next(r for r in q.relations if frozenset(r.variables) == c.guard)
+                worst, witness = reference_degree(rel, c)
                 assert entry.max_degree == worst
                 assert entry.passed == (worst <= c.N)
+                assert entry.witness == (None if entry.passed else witness)
+                assert entry.note == ""
+                proper += c.B != c.guard
+                witnesses += entry.witness is not None
+        assert proper > 40 and witnesses > 300
+
+
+def reference_degree(rel, c: DegreeConstraint) -> tuple[int, dict[str, int] | None]:
+    """Max degree of c on its guard relation, and the first A-row of that degree.
+
+    A plain loop over the rows: the distinct B-rows of each A-row in a dict
+    of sets. The A-rows are walked in the order of a frozenset built from the
+    rows in `rel.rows` order, as `validate`'s walk over `project(rel, A)` is.
+    """
+    a_idx = [i for i, v in enumerate(rel.variables) if v in c.A]
+    b_idx = [i for i, v in enumerate(rel.variables) if v in c.B]
+    b_rows: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+    for row in rel.rows:
+        b_rows.setdefault(tuple(row[i] for i in a_idx), set()).add(tuple(row[i] for i in b_idx))
+    worst, witness = 0, None
+    for a_row in frozenset(tuple(row[i] for i in a_idx) for row in rel.rows):
+        if len(b_rows[a_row]) > worst:
+            worst = len(b_rows[a_row])
+            witness = {rel.variables[i]: x for i, x in zip(a_idx, a_row)}
+    return worst, witness
 
 
 class TestDependencyGraph:

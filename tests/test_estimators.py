@@ -15,6 +15,7 @@ from wcjoin.constraints import (
 )
 from wcjoin import estimators
 from wcjoin.core import encode_instance, project
+from wcjoin.index import bit_width
 from wcjoin.estimators import (
     EstimatorContext,
     FractionalCover,
@@ -29,7 +30,7 @@ from wcjoin.estimators import (
 )
 from wcjoin.oracle import nested_loop_join
 
-from conftest import TRIANGLE_ANSWERS, random_degree_instance, random_query
+from conftest import TRIANGLE_ANSWERS, random_degree_instance, random_query, tight_degree_instance
 
 E1 = frozenset({"x1", "x2"})
 E2 = frozenset({"x2", "x3"})
@@ -323,6 +324,101 @@ class TestPmEstimator:
             report = verify_estimator(ctx)
             assert report.ok, report
             assert ctx.estimate() >= len(nested_loop_join(bq)) - 1e-9
+
+
+def reference_bound(query, cs, cover, order, bits, prefix) -> tuple[float, int]:
+    """The product bound at a node, from its definition and with no cursors.
+
+    Each level of `prefix` narrows its variable to a code interval, MSB first
+    at bit levels. The bound is 0 if some relation has no row inside the
+    intervals. Otherwise it is the product over the weighted constraints of
+    N, until every variable of A is fully bound, and after that of the number
+    of distinct B-rows of the guard inside the intervals, each to its weight.
+    Also returns how many weighted terms turn live at this very level with a
+    count below N: a bound that read N one level too long differs there.
+    """
+    per_var = bit_width(query.domain_size) if bits else 1
+    interval = {}
+    for i, v in enumerate(order):
+        levels = prefix[i * per_var : (i + 1) * per_var]
+        if levels:
+            lo = sum(d << (per_var - 1 - k) for k, d in enumerate(levels))
+            interval[v] = (lo, lo + (1 << (per_var - len(levels))))
+
+    def inside(variables, row):
+        return all(
+            interval[v][0] <= x < interval[v][1] for v, x in zip(variables, row) if v in interval
+        )
+
+    if any(not any(inside(r.variables, row) for row in r.rows) for r in query.relations):
+        return 0.0, 0
+    value, below = 1.0, 0
+    for c, w in zip(cs.constraints, cover.weights):
+        if not w:
+            continue
+        if not all(a in interval and interval[a][1] - interval[a][0] == 1 for a in c.A):
+            value *= c.N ** float(w)
+            continue
+        guard = next(r for r in query.relations if frozenset(r.variables) == c.guard)
+        b_idx = [i for i, v in enumerate(guard.variables) if v in c.B]
+        b_vars = [guard.variables[i] for i in b_idx]
+        b_rows = {tuple(row[i] for i in b_idx) for row in guard.rows}
+        count = sum(inside(b_vars, row) for row in b_rows)
+        value *= count ** float(w)
+        ready = per_var * (1 + max((order.index(a) for a in c.A), default=-1))
+        if c.A and len(prefix) == ready and count < c.N:
+            below += 1
+    return value, below
+
+
+class TestReferenceBound:
+    """`estimate()` equals the product bound computed from its definition."""
+
+    def check_every_node(self, q, cs, cover=None) -> int:
+        """Compare at every node at variable and at bit levels; the `below` total."""
+        below = 0
+        for bits in (False, True):
+            ctx = EstimatorContext(q, cs, cover, bits=bits)
+            weights = cover or solve_cover_degree(cs)
+            prefix: list[int] = []
+
+            def walk():
+                nonlocal below
+                value, n = reference_bound(q, cs, weights, ctx.order, bits, prefix)
+                assert ctx.estimate() == pytest.approx(value, rel=1e-12, abs=0), prefix
+                below += n
+                if value and ctx.depth < ctx.levels:
+                    for d in range(ctx.fanout):
+                        prefix.append(d)
+                        ctx.bind(d)
+                        walk()
+                        ctx.unbind()
+                        prefix.pop()
+
+            walk()
+        return below
+
+    def test_worked_triangle(self, triangle_query):
+        self.check_every_node(triangle_query, cardinality_constraints(triangle_query))
+        # x1 = 1 has two x2 partners in R, every other x1 one: below N = 2.
+        cs = ConstraintSet(
+            V3,
+            (E1, E2, E3),
+            cardinality_constraints(triangle_query).constraints
+            + (DegreeConstraint(frozenset({"x1"}), E1, 2, E1),),
+        )
+        assert self.check_every_node(triangle_query, cs, FractionalCover((F(1),) * 4)) > 0
+
+    def test_tight_degree_instances(self):
+        # Under the optimal cover, some degree terms are weighted and turn
+        # live below their N; weight 1 everywhere weights every term.
+        rng = random.Random(71)
+        below = 0
+        for _ in range(40):
+            q, cs = tight_degree_instance(rng)
+            below += self.check_every_node(q, cs)
+            self.check_every_node(q, cs, FractionalCover((F(1),) * len(cs.constraints)))
+        assert below > 0
 
 
 class TestVerifyEstimator:

@@ -97,6 +97,9 @@ MUTANTS = (
     ("ready-without-bit-factor", "estimators.py",
      "            ready = self.per_var * (1 + max((pos[a] for a in c.A), default=-1))",
      "            ready = 1 + max((pos[a] for a in c.A), default=-1)"),
+    ("ready-off-by-one", "estimators.py",
+     "            if depth < ready:",
+     "            if depth <= ready:"),
     # Only a constraint of weight 0 gets no term and no cursor.
     ("weight-filter-drops-weight-1", "estimators.py",
      "            if w:\n",
@@ -109,11 +112,14 @@ MUTANTS = (
     ("verify-answer-check-dropped", "estimators.py",
      "            if abs(value - 1.0) > rel_tol:",
      "            if False:"),
-    # The order rule.
-    # validate reports the first A-row of the worst degree.
+    # validate counts distinct B-rows and reports the first A-row of the worst degree.
+    ("validate-b-rows-not-distinct", "constraints.py",
+     "set(rows_at(rel.rows, b_idx))",
+     "list(rows_at(rel.rows, b_idx))"),
     ("validate-last-witness", "constraints.py",
-     "            if degree > worst:",
-     "            if degree >= worst:"),
+     "            a_row = next(r for r in a_rel.rows if degrees[r] == worst)",
+     "            *_, a_row = (r for r in a_rel.rows if degrees[r] == worst)"),
+    # The order rule.
     ("topological-edge-reversed", "constraints.py",
      "        ts.add(v, u)",
      "        ts.add(u, v)"),

@@ -27,6 +27,7 @@ import os
 import random
 import sys
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -98,10 +99,43 @@ def _pick_guard(edges: tuple[frozenset[str], ...], b: frozenset[str], what: str)
     raise SpecError(f"no relation can guard {what}")
 
 
+class _CsvRows:
+    """A relation's CSV rows after its header, read once, as the encoder consumes them.
+
+    A read error becomes a SpecError naming the relation. `len()` is the number
+    of rows read, which is all of them once the encoder is done.
+    """
+
+    def __init__(self, name: str, reader):
+        self._name = name
+        self._reader = reader
+        self._count = 0
+
+    def __iter__(self):
+        n = 0
+        try:
+            for n, row in enumerate(self._reader, 1):
+                yield row
+        except (OSError, UnicodeDecodeError, csv.Error) as exc:
+            raise SpecError(f"cannot read relation {self._name!r}: {exc}") from exc
+        self._count = n
+
+    def __len__(self) -> int:
+        return self._count
+
+
 def load_spec(path: str | Path) -> LoadedSpec:
+    """Parse a spec file and encode its relations into a query.
+
+    Every relation file is opened and its header read before encoding starts,
+    since the default order and the `variables` check need all headers. The
+    rows are then read once, as `encode_instance` consumes them, and never
+    held as strings. A leading UTF-8 byte-order mark in the spec or a CSV file
+    is ignored.
+    """
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8-sig"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SpecError(f"cannot read spec {path}: {exc}") from exc
     if not isinstance(doc, dict) or "relations" not in doc:
@@ -109,31 +143,35 @@ def load_spec(path: str | Path) -> LoadedSpec:
 
     if not isinstance(doc["relations"], dict):
         raise SpecError("'relations' must be an object mapping names to relation entries")
-    tables = []
-    for name, entry in doc["relations"].items():
-        if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
-            raise SpecError(f"relation {name!r}: entry must be an object with a 'path' string")
-        csv_path = path.parent / entry["path"]
-        try:
-            with open(csv_path, newline="", encoding="utf-8") as fh:
-                rows = list(csv.reader(fh))
-        except (OSError, UnicodeDecodeError, csv.Error) as exc:
-            raise SpecError(f"cannot read relation {name!r}: {exc}") from exc
-        if not rows:
-            raise SpecError(f"relation {name!r}: missing CSV header")
-        header, data = rows[0], rows[1:]
-        declared = entry.get("variables")
-        if declared is not None and _names(declared, f"relation {name!r}: 'variables'") != header:
-            raise SpecError(f"relation {name!r}: header does not match declared variables")
-        tables.append((name, header, data))
+    with ExitStack() as files:
+        tables = []
+        for name, entry in doc["relations"].items():
+            if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
+                raise SpecError(f"relation {name!r}: entry must be an object with a 'path' string")
+            try:
+                fh = files.enter_context(
+                    open(path.parent / entry["path"], newline="", encoding="utf-8-sig")
+                )
+                reader = csv.reader(fh)
+                header = next(reader, None)
+            except (OSError, UnicodeDecodeError, csv.Error) as exc:
+                raise SpecError(f"cannot read relation {name!r}: {exc}") from exc
+            if header is None:
+                raise SpecError(f"relation {name!r}: missing CSV header")
+            declared = entry.get("variables")
+            if declared is not None and _names(declared, f"relation {name!r}: 'variables'") != header:
+                raise SpecError(f"relation {name!r}: header does not match declared variables")
+            tables.append((name, header, _CsvRows(name, reader)))
 
-    order = doc.get("order")
-    if order is None:
-        order = list(dict.fromkeys(v for _, header, _ in tables for v in header))
-    try:
-        query = encode_instance(tables, _names(order, "'order'"))
-    except ValueError as exc:
-        raise SpecError(str(exc)) from exc
+        order = doc.get("order")
+        if order is None:
+            order = list(dict.fromkeys(v for _, header, _ in tables for v in header))
+        try:
+            query = encode_instance(tables, _names(order, "'order'"))
+        except SpecError:
+            raise
+        except ValueError as exc:
+            raise SpecError(str(exc)) from exc
 
     constraint_set = None
     raw_constraints = doc.get("constraints")

@@ -88,13 +88,15 @@ class JoinQuery:
 
 
 def encode_instance(
-    tables: Sequence[tuple[str, Sequence[str], Sequence[Sequence[str]]]],
+    tables: Sequence[tuple[str, Sequence[str], Iterable[Sequence[str]]]],
     order: Sequence[str],
 ) -> JoinQuery:
     """Encode raw tables (name, header, rows of raw values) into a JoinQuery.
 
     Codes are assigned in first-appearance order: tables in the given order,
     rows top to bottom, columns left to right. Duplicate rows are dropped.
+    A table's rows may be any iterable, which is read once: the CLI streams
+    them from the CSV file.
     """
     if not order:
         raise EncodingError("empty variable order")

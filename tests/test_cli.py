@@ -1,9 +1,12 @@
 """Command line front end: spec parsing, outputs, exit codes, determinism."""
 import csv
+import gc
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -60,7 +63,7 @@ class TestLoadSpec:
 
     def test_declared_variables_must_match_header(self, tmp_path):
         path = write_instance(tmp_path)
-        doc = json.loads(open(path).read())
+        doc = json.loads(Path(path).read_text())
         doc["relations"]["R"]["variables"] = ["x2", "x1"]
         (tmp_path / "query.json").write_text(json.dumps(doc))
         with pytest.raises(Exception):
@@ -89,11 +92,35 @@ class TestLoadSpec:
             frozenset({"x1", "x3"}),
         ]
 
+    def test_rows_are_not_held_while_encoding(self, tmp_path):
+        # Two 20 000-row relations over 5 000 values. Parsed into lists of
+        # strings, a relation's rows take about twice the memory of the query
+        # encoded from them, so holding them would triple the peak.
+        rng = random.Random(0)
+        relations = {}
+        for name, header in (("R", "x1,x2"), ("S", "x2,x3")):
+            lines = [f"{rng.randrange(5000)},{rng.randrange(5000)}" for _ in range(20_000)]
+            (tmp_path / f"{name}.csv").write_text("\n".join([header, *lines]) + "\n")
+            relations[name] = {"path": f"{name}.csv"}
+        (tmp_path / "query.json").write_text(json.dumps({"relations": relations}))
+        tracemalloc.start()
+        try:
+            spec = load_spec(tmp_path / "query.json")
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(rel.size > 19_900 for rel in spec.query.relations)
+        assert peak <= 2 * kept, (peak, kept)
+
+    # A file left open warns when it is collected; here that fails the test.
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
     def test_malformed_specs_exit_2(self, tmp_path, capsys, monkeypatch):
         def exits_2(argv):
             assert main(argv) == EXIT_PARSE
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error:"), err
+            return err[0]
 
         def every_command_exits_2(spec):
             for command in ("join", "sample", "cover", "validate"):
@@ -109,7 +136,7 @@ class TestLoadSpec:
         )
         exits_2(["join", path])  # nothing can guard B
         path = write_instance(tmp_path)
-        doc = json.loads(open(path).read())
+        doc = json.loads(Path(path).read_text())
         for relations in (
             {**doc["relations"], "R": {"file": "R.csv"}},  # no path
             {**doc["relations"], "R": "R.csv"},  # not an object
@@ -160,6 +187,19 @@ class TestLoadSpec:
             (tmp_path / name).write_bytes(data)
             bad.write_text(json.dumps({"relations": {**doc["relations"], "R": {"path": name}}}))
             every_command_exits_2(str(bad))
+        # The same faults in T after 12 000 good rows (past 64 KB), so they
+        # surface while the rows are encoded, after R and S.
+        good = b"x1,x3\n" + b"".join(b"%d,%d\n" % (i, i % 89) for i in range(12_000))
+        for name, fault in (
+            ("late-latin1.csv", b"\xff,1\n"),
+            ("late-wide.csv", b"a" * 200_000 + b",1\n"),
+            ("late-ragged.csv", b"1\n"),
+        ):
+            (tmp_path / name).write_bytes(good + fault)
+            bad.write_text(json.dumps({"relations": {**doc["relations"], "T": {"path": name}}}))
+            for command in ("join", "sample", "cover", "validate"):
+                assert "'T'" in exits_2([command, str(bad)])
+        gc.collect()
         exits_2(["sample", path, "--max-work", "0"])
         # Command lines that argparse itself rejects.
         exits_2(["sample", path, "--count", "abc"])
@@ -238,6 +278,25 @@ class TestJoin:
             tmp_path, extra={"constraints": ["x1 -> x2", "x2 -> x1"]}
         )
         assert main(["join", spec]) == EXIT_INCOMPATIBLE
+
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        # Spreadsheet tools often start a UTF-8 file with the mark U+FEFF.
+        spec = write_instance(tmp_path)
+        plain, out = tmp_path / "plain.csv", tmp_path / "out.csv"
+        assert main(["join", spec, "--output", str(plain)]) == EXIT_OK
+        r_csv, spec_path = tmp_path / "R.csv", Path(spec)
+        original = {p: p.read_bytes() for p in (r_csv, spec_path)}
+        bom = b"\xef\xbb\xbf"
+        for path, data in (
+            (r_csv, bom + original[r_csv]),
+            (r_csv, bom + original[r_csv].replace(b"x1,x2", b'"x1","x2"', 1)),
+            (spec_path, bom + original[spec_path]),
+        ):
+            path.write_bytes(data)
+            assert main(["join", spec, "--output", str(out)]) == EXIT_OK
+            assert out.read_bytes() == plain.read_bytes()
+            path.write_bytes(original[path])
 
 
 class TestSample:

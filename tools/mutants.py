@@ -133,6 +133,16 @@ MUTANTS = (
     ("pm-validation-dropped", "cli.py",
      "        if broken is not None:",
      "        if False:"),
+    # load_spec streams each relation's rows into the encoder and closes
+    # every file it opened.
+    ("rows-materialised", "cli.py",
+     "            tables.append((name, header, _CsvRows(name, reader)))",
+     "            tables.append((name, header, list(_CsvRows(name, reader))))"),
+    ("relation-file-left-open", "cli.py",
+     "                fh = files.enter_context(\n"
+     "                    open(path.parent / entry[\"path\"], newline=\"\", encoding=\"utf-8-sig\")\n"
+     "                )\n",
+     "                fh = open(path.parent / entry[\"path\"], newline=\"\", encoding=\"utf-8-sig\")\n"),
     # The default guard is the first relation variable set holding B.
     ("guard-last-edge", "cli.py",
      "    for e in edges:\n        if b <= e:",

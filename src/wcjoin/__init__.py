@@ -41,7 +41,7 @@ from .estimators import (
     solve_cover_degree,
     verify_estimator,
 )
-from .index import Cursors, SortedRelation, bit_width, build
+from .index import Cursors, bit_width, build
 from .oracle import chi_square_uniformity, nested_loop_join, prefix_counts
 from .sampler import (
     EmptyAnswerSetError,

@@ -102,8 +102,10 @@ def _pick_guard(edges: tuple[frozenset[str], ...], b: frozenset[str], what: str)
 class _CsvRows:
     """A relation's CSV rows after its header, read once, as the encoder consumes them.
 
-    A read error becomes a SpecError naming the relation. `len()` is the number
-    of rows read, which is all of them once the encoder is done.
+    A blank line is skipped, as `csv.DictReader` does: `csv.reader` reads it
+    as [], while a one-column "" reads as ['']. A read error becomes a
+    SpecError naming the relation. `len()` is the number of rows handed on,
+    which is all of them once the encoder is done.
     """
 
     def __init__(self, name: str, reader):
@@ -114,7 +116,7 @@ class _CsvRows:
     def __iter__(self):
         n = 0
         try:
-            for n, row in enumerate(self._reader, 1):
+            for n, row in enumerate(filter(None, self._reader), 1):
                 yield row
         except (OSError, UnicodeDecodeError, csv.Error) as exc:
             raise SpecError(f"cannot read relation {self._name!r}: {exc}") from exc
@@ -226,6 +228,15 @@ def _decode_row(query: JoinQuery, row: tuple[int, ...]) -> list[str]:
     return [query.dictionary.decode(c) for c in row]
 
 
+def _write_named(path, emit) -> None:
+    """emit(fh) into a named file; failing to open or write it is a SpecError (exit 2)."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            emit(fh)
+    except OSError as exc:
+        raise SpecError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_answers(out_path, order, query, rows) -> None:
     def emit(fh):
         writer = csv.writer(fh, lineterminator="\n")
@@ -234,15 +245,14 @@ def _write_answers(out_path, order, query, rows) -> None:
             writer.writerow(_decode_row(query, row))
 
     if out_path:
-        with open(out_path, "w", newline="", encoding="utf-8") as fh:
-            emit(fh)
+        _write_named(out_path, emit)
     else:
-        emit(sys.stdout)
+        emit(sys.stdout)  # a BrokenPipeError here is main's exit 1
 
 
 def _write_stats(path, payload: dict) -> None:
     if path:
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+        _write_named(path, lambda fh: fh.write(json.dumps(payload, indent=2) + "\n"))
 
 
 def _order(flag: str | None, spec: LoadedSpec) -> tuple[str, ...]:

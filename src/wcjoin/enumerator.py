@@ -103,7 +103,7 @@ def _step_search(cur: Cursors, sink: Sink) -> EnumerationStats:
                 bind(0)
                 depth += 1
                 continue
-            sink(cur.codes())
+            sink(tuple(child))  # at plain levels each child index is a code
         # Move to the next sibling, climbing out of exhausted levels.
         while depth:
             depth -= 1

@@ -1,24 +1,28 @@
-"""Sorted relations and the one cursor engine every search drives.
+"""The one cursor engine every search drives, over sorted relations.
 
-Columns follow the global variable order and rows are sorted, so the rows
-agreeing with a bound prefix stay contiguous. `Cursors` keeps a stack of row
-ranges per relation; binding a level narrows each relation on that level's
-variable to a code interval [a, c), unbinding pops. Plain levels are
-variables, child d being [d, d+1). Bit levels are the b bits of each
-variable, MSB first: child d of a level of width w narrows [a, a + 2w) to
-[a + d*w, a + (d+1)*w). A range agrees on all earlier columns and bits, so
-its codes stay sorted, and the bit-level tree over the original relations
+`build` puts a relation's columns in the global variable order and sorts its
+rows, so the rows agreeing with a bound prefix stay contiguous. `Cursors`
+keeps a stack of row ranges per relation; a level narrows each relation on
+that level's variable to a code interval [a, c), and unbinding pops. Plain
+levels are variables, child d being [d, d+1). Bit levels are the b bits of
+each variable, MSB first: child d of a level of width w narrows [a, a + 2w)
+to [a + d*w, a + (d+1)*w). A range agrees on all earlier columns and bits,
+so its codes stay sorted, and the bit-level tree over the original relations
 is, node for node, the plain tree of `binary.bin_query`'s bit-level copy.
 
-Child 0 keeps its parent's lo and the last child its parent's hi. So at a
-two-way level one bisect per column, at the midpoint a + w, splits the
-parent's range (lo, hi) into child 0's (lo, mid) and child 1's (mid, hi):
-`split` pushes child 0 and tells which children have rows, `sibling`
-turns child 0 into child 1 in place, and `unsibling` turns it back. The
-sampler expands a node this way, after `bind_prefix` has moved the cursors
-to the first node its cache lacks with one push per variable. The bit search
-reads the columns and pushes the ranges of each code it descends into
-itself.
+The moves, and who makes them:
+- `bind`/`unbind`: one level down or up, two bisects per column. The step
+  search of `enumerator.wcj` and `estimators.verify_estimator` use them.
+- `bind_prefix`: root to a prefix's node, one push per variable through the
+  same cut as `bind`. The sampler's walk rebinds its cached prefix with it.
+- `split`, `sibling`, `unsibling`: the sampler's expansion of a two-way
+  node. One bisect per column at the midpoint a + w splits the parent's
+  (lo, hi) into child 0's (lo, mid), which `split` pushes, and child 1's
+  (mid, hi); `sibling` turns child 0 into child 1 and `unsibling` back.
+- `reset`: back to the root in one step, after each sampler walk.
+- `prefix_codes`: the one code reader, arithmetic on child indices alone.
+The bit search (`enumerator.wcj_binarised`) reads the columns and pushes
+the ranges of each code it descends into itself.
 """
 from __future__ import annotations
 
@@ -35,34 +39,15 @@ def bit_width(domain_size: int) -> int:
     return max(1, (domain_size - 1).bit_length()) if domain_size else 1
 
 
-class SortedRelation:
-    """Distinct rows sorted lexicographically, plus per-column arrays for fast bisect."""
-
-    __slots__ = ("variables", "rows", "columns")
-
-    def __init__(self, variables: Sequence[str], rows: list[tuple[int, ...]]):
-        # `rows` are distinct and sorted, as `build` makes them.
-        self.variables = tuple(variables)
-        self.rows = rows
-        self.columns: list[list[int]] = (
-            [list(c) for c in zip(*rows)] if rows else [[] for _ in self.variables]
-        )
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-
-def build(rel: Relation, order: Sequence[str]) -> SortedRelation:
-    """Index a relation for the given global variable order."""
+def build(rel: Relation, order: Sequence[str]) -> list[tuple[int, ...]]:
+    """A relation's rows with its columns in the global variable order, sorted."""
     positions = {v: i for i, v in enumerate(order)}
     for v in rel.variables:
         if v not in positions:
             raise ValueError(f"variable {v!r} not in global order")
     perm = sorted(range(len(rel.variables)), key=lambda i: positions[rel.variables[i]])
-    variables = tuple(rel.variables[i] for i in perm)
     # The rows are distinct already, and so are their permutations.
-    rows = rel.rows if perm == sorted(perm) else rows_at(rel.rows, perm)
-    return SortedRelation(variables, sorted(rows))
+    return sorted(rel.rows if perm == sorted(perm) else rows_at(rel.rows, perm))
 
 
 class Cursors:
@@ -70,8 +55,8 @@ class Cursors:
 
     `stacks[i]` holds relation i's half-open row ranges (lo, hi), the top one
     matching the bound prefix; `affected[level]` lists the (column, stack)
-    pairs a level narrows. bind(d) moves to child d, unbind() to the parent,
-    reset() to the root, bind_prefix(p) from the root to p's node.
+    pairs a level narrows. The module docstring lists the moves and their
+    callers.
     """
 
     def __init__(
@@ -84,59 +69,55 @@ class Cursors:
         self.fanout = 2 if bits else domain_size
         self.depth = 0
         self._width = [1 << (per_var - 1 - level % per_var) for level in range(self.levels)]
-        # Start of the bound variable's code interval after each level; after
-        # a variable's last level it is the variable's code.
+        # Start of the bound variable's code interval after each level; the
+        # variable's next level starts from it.
         self._start = [0] * self.levels
         pos = {v: i for i, v in enumerate(order)}
         self.stacks: list[list[tuple[int, int]]] = []
         on_var: list[list[tuple[list[int], list[tuple[int, int]]]]] = [[] for _ in range(n)]
         for rel in relations:
-            sr = build(rel, order)
-            stack = [(0, len(sr))]
+            rows = build(rel, order)
+            variables = sorted(rel.variables, key=pos.__getitem__)
+            columns = [list(c) for c in zip(*rows)] if rows else [[] for _ in variables]
+            stack = [(0, len(rows))]
             self.stacks.append(stack)
-            for v, col in zip(sr.variables, sr.columns):
+            for v, col in zip(variables, columns):
                 on_var[pos[v]].append((col, stack))
         self.affected = [on_var[level // per_var] for level in range(self.levels)]
+
+    def _narrow(self, level: int, a: int, c: int) -> None:
+        """Push, for every column `level` narrows, the rows of its top range in [a, c)."""
+        for col, st in self.affected[level]:
+            lo, hi = st[-1]
+            lo = bisect_left(col, a, lo, hi)
+            st.append((lo, bisect_left(col, c, lo, hi)))
 
     def bind(self, d: int) -> None:
         level = self.depth
         w = self._width[level]
         a = (self._start[level - 1] if level % self.per_var else 0) + d * w
-        c = a + w
         self._start[level] = a
-        last = d == self.fanout - 1
-        for col, st in self.affected[level]:
-            lo, hi = st[-1]
-            if d:
-                lo = bisect_left(col, a, lo, hi)
-            if not last:
-                hi = bisect_left(col, c, lo, hi)
-            st.append((lo, hi))
+        self._narrow(level, a, a + w)
         self.depth = level + 1
 
     def bind_prefix(self, prefix: Sequence[int]) -> None:
         """Move from the root to the node of a nonempty prefix of child indices.
 
-        Each variable the prefix binds, wholly or in part, narrows its columns
-        to one code interval [a, a + w) with two bisects per column and one
-        push, where w is the width of the prefix's last level on it. So the
-        stacks hold one entry per variable, not one per level, and only the
-        prefix's last level gets its start. Only `split`, `sibling`,
-        `unsibling`, `reset` and `EstimatorContext.bound` may follow, since
-        they read just the top one or two entries and that start; never
-        `unbind`.
+        Each variable the prefix binds, wholly or in part, is cut once to one
+        code interval [a, a + w), where w is the width of the prefix's last
+        level on it. So the stacks hold one entry per variable, not one per
+        level, and only the prefix's last level gets its start. Only `split`,
+        `sibling`, `unsibling`, `reset` and `EstimatorContext.bound` may
+        follow, since they read just the top one or two entries and that
+        start; never `unbind`.
         """
-        width, depth = self._width, len(prefix)
+        width, depth, narrow = self._width, len(prefix), self._narrow
         for first in range(0, depth, self.per_var):
             end = min(first + self.per_var, depth)
             a = 0
             for level in range(first, end):
                 a += prefix[level] * width[level]
-            c = a + width[end - 1]
-            for col, st in self.affected[first]:
-                lo, hi = st[-1]
-                lo = bisect_left(col, a, lo, hi)
-                st.append((lo, bisect_left(col, c, lo, hi)))
+            narrow(first, a, a + width[end - 1])
         self._start[depth - 1] = a
         self.depth = depth
 
@@ -188,14 +169,10 @@ class Cursors:
             del st[1:]
         self.depth = 0
 
-    def codes(self) -> tuple[int, ...]:
-        """Codes of the fully bound variables, in order; the answer at a leaf."""
-        return tuple(self._start[self.per_var - 1 : self.depth : self.per_var])
-
     def prefix_codes(self, prefix: Sequence[int]) -> tuple[int, ...]:
-        """The codes a full prefix of child indices binds, without binding it."""
+        """The codes of the variables a prefix of child indices binds fully, in order."""
         w, p = self._width, self.per_var
         return tuple(
             sum(d * w[level] for level, d in enumerate(prefix[i : i + p], i))
-            for i in range(0, self.levels, p)
+            for i in range(0, len(prefix) - p + 1, p)
         )

@@ -105,13 +105,11 @@ class TestBinQuery:
             q = random_query(rng)
             lay = make_layout(q.order, q.domain_size)
             for r in q.relations:
-                sr = build(r, q.order)
-                bsr = build(bin_relation(r, lay), lay.bin_order)
                 expanded = [
                     tuple(bit for code in row for bit in bin_value(code, lay.b))
-                    for row in sr.rows
+                    for row in build(r, q.order)
                 ]
-                assert bsr.rows == expanded
+                assert build(bin_relation(r, lay), lay.bin_order) == expanded
 
 
 class TestTupleCodecs:

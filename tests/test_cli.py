@@ -298,6 +298,49 @@ class TestJoin:
             assert out.read_bytes() == plain.read_bytes()
             path.write_bytes(original[path])
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        # csv.reader reads a blank line as [], which is no row of any header.
+        spec = write_instance(tmp_path)
+        plain, out = tmp_path / "plain.csv", tmp_path / "out.csv"
+        assert main(["join", spec, "--output", str(plain)]) == EXIT_OK
+        r_csv = tmp_path / "R.csv"
+        lines = r_csv.read_bytes().splitlines(keepends=True)
+        for data in (
+            b"".join(lines) + b"\n",  # a trailing empty line
+            b"".join(lines[:3] + [b"\n", b"\r\n"] + lines[3:]),  # blank lines between rows
+        ):
+            r_csv.write_bytes(data)
+            assert main(["join", spec, "--output", str(out)]) == EXIT_OK
+            assert out.read_bytes() == plain.read_bytes()
+
+    def test_one_column_empty_string_is_a_row(self, tmp_path):
+        # A lone "" field reads as [''], not as a blank line.
+        (tmp_path / "A.csv").write_text('x\na\n""\n\n')
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"relations": {"A": {"path": "A.csv"}}}))
+        out = tmp_path / "out.csv"
+        assert main(["join", str(spec), "--output", str(out)]) == EXIT_OK
+        assert read_answer_csv(out) == (("x",), {("a",), ("",)})
+
+
+def test_unwritable_output_file_exits_2(tmp_path, capsys):
+    spec = write_instance(tmp_path)
+    empty_dir = tmp_path / "empty"
+    empty_dir.mkdir()
+    free = [t for t in TRIANGLE_TABLES if t[0] != "T"] + [("T", ("x1", "x3"), [])]
+    answer_free = write_instance(empty_dir, free)
+    missing = tmp_path / "no-such-dir"
+    for argv, target in (
+        (["join", spec, "--output"], missing / "out.csv"),
+        (["join", spec, "--stats-out"], missing / "s.json"),
+        (["sample", spec, "--output"], tmp_path),  # a directory
+        (["sample", answer_free, "--stats-out"], missing / "s.json"),  # the exit-4 path
+    ):
+        assert main([*argv, str(target)]) == EXIT_PARSE, argv
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line != "answer set empty"]
+        assert len(errors) == 1 and errors[0].startswith(f"error: cannot write {target}: ")
+
 
 class TestSample:
     def test_sampling_is_deterministic_per_seed(self, tmp_path):

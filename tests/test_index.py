@@ -1,4 +1,4 @@
-"""Sorted-array indexes and the cursor engine's narrowing."""
+"""Sorted relations and the cursor engine's moves."""
 import random
 
 import pytest
@@ -17,24 +17,33 @@ def count(stack):
     return hi - lo
 
 
+def columns(cur):
+    """The columns each level narrows, level by level."""
+    return [[col for col, _ in aff] for aff in cur.affected]
+
+
 class TestBuild:
     def test_triangle_relation_sorted(self, triangle_query):
-        sr = build(triangle_query.relations[0], TRIANGLE_ORDER)
-        assert sr.variables == ("x1", "x2")
-        assert sr.rows == [(0, 0), (1, 0), (1, 1), (2, 1)]
-        assert sr.columns == [[0, 1, 1, 2], [0, 0, 1, 1]]
+        r = triangle_query.relations[0]
+        assert build(r, TRIANGLE_ORDER) == [(0, 0), (1, 0), (1, 1), (2, 1)]
+        cur = Cursors([r], TRIANGLE_ORDER, 4, bits=False)
+        assert columns(cur) == [[[0, 1, 1, 2]], [[0, 0, 1, 1]], []]
 
     def test_columns_permuted_to_global_order(self):
         r = Relation(("x3", "x1"), frozenset({(5, 0), (2, 1)}))
-        sr = build(r, ("x1", "x2", "x3"))
-        assert sr.variables == ("x1", "x3")
-        assert sr.rows == [(0, 5), (1, 2)]
+        assert build(r, ("x1", "x2", "x3")) == [(0, 5), (1, 2)]
+        cur = Cursors([r], ("x1", "x2", "x3"), 6, bits=False)
+        assert columns(cur) == [[[0, 1]], [], [[5, 2]]]
+
+    def test_variable_outside_the_order(self):
+        with pytest.raises(ValueError):
+            build(Relation(("x9",), frozenset({(0,)})), ("x1",))
 
     def test_empty_relation(self):
-        sr = build(Relation(("x1",), frozenset()), ("x1",))
-        assert len(sr) == 0
+        assert build(Relation(("x1",), frozenset()), ("x1",)) == []
         cur = Cursors([Relation(("x1",), frozenset())], ("x1",), 4, bits=False)
         assert cur.stacks == [[(0, 0)]]
+        assert columns(cur) == [[[]]]  # one empty column per variable
         cur.bind(3)
         assert count(cur.stacks[0]) == 0
 
@@ -50,7 +59,6 @@ class TestNarrow:
         assert stack[-1] == (1, 3)
         cur.bind(0)
         assert stack[-1] == (1, 2)
-        assert cur.codes() == (1, 0)
         cur.unbind()
         cur.bind(2)
         assert count(stack) == 0
@@ -70,10 +78,8 @@ class TestNarrow:
         assert (cur.levels, cur.fanout) == (6, 2)
         cur.bind(0)
         assert stack[-1] == (0, 3)
-        assert cur.codes() == ()
         cur.bind(1)
         assert stack[-1] == (1, 3)
-        assert cur.codes() == (1,)
         cur.bind(1)  # x2 in [2, 4): none
         assert count(stack) == 0
 
@@ -120,8 +126,52 @@ class TestNarrow:
                 for bit in bin_value(code, b) if bits else (code,):
                     cur.bind(bit)
                 t[v] = code
-                assert cur.codes() == tuple(t.values())
                 assert count(cur.stacks[0]) == filter_relation(r, t).size
+
+
+class TestPrefixCodes:
+    """`prefix_codes` is the one code reader, and `bind_prefix` is `bind` level by level."""
+
+    @staticmethod
+    def codes(prefix, per_var):
+        """The code of every variable the prefix binds fully, MSB first."""
+        out = []
+        for first in range(0, len(prefix) // per_var * per_var, per_var):
+            code = 0
+            for d in prefix[first : first + per_var]:
+                code = code * 2 + d  # at plain levels, one level: the code is d
+            out.append(code)
+        return tuple(out)
+
+    def test_worked_triangle(self, triangle_query):
+        cur = Cursors(triangle_query.relations, TRIANGLE_ORDER, 4, bits=True)
+        assert cur.prefix_codes([0, 1]) == (1,)
+        assert cur.prefix_codes([0, 1, 0]) == (1,)
+        cur.bind_prefix([0, 1, 0, 0, 1, 1])
+        assert cur.prefix_codes([0, 1, 0, 0, 1, 1]) == (1, 0, 3)
+
+    def test_random_prefixes_of_every_length(self):
+        rng = random.Random(13)
+        prefixes = 0
+        for bits in [False, True] * 100:
+            q = random_query(rng)
+            cur = Cursors(q.relations, q.order, q.domain_size, bits)
+            assert cur.prefix_codes([]) == ()
+            for length in range(1, cur.levels + 1):
+                prefix = [rng.randrange(cur.fanout) for _ in range(length)]
+                expected = self.codes(prefix, cur.per_var)
+                assert cur.prefix_codes(prefix) == expected
+                for d in prefix:
+                    cur.bind(d)
+                walked = [st[-1] for st in cur.stacks], cur._start[length - 1]
+                cur.reset()
+                cur.bind_prefix(prefix)
+                assert cur.depth == length
+                assert cur.prefix_codes(prefix) == expected
+                assert ([st[-1] for st in cur.stacks], cur._start[length - 1]) == walked
+                cur.reset()
+                prefixes += 1
+        assert prefixes > 500
 
 
 class TestSplit:

@@ -116,7 +116,9 @@ class TestChildrenValues:
         ctx.bind(1)
         values = children_values(ctx)
         assert values == [1.0, 0.0]
-        assert ctx.depth == 2 and ctx.codes() == (1, 0) and ctx.estimate() == 1.0  # "c"
+        # On row (1, 0) of the bit copy, which encodes "c".
+        assert ctx.depth == 2 and ctx.stacks == [[(0, 3), (2, 3), (2, 3)]]
+        assert ctx.estimate() == 1.0
         ctx.reset()
 
 
@@ -417,9 +419,11 @@ def walk_probabilities(ctx, store):
     root = store.values[0]
     probs = {}
 
+    path = []  # the child indices from the root to the current node
+
     def descend(slot, value, p):
         if ctx.depth == ctx.levels:
-            probs[ctx.codes()] = p
+            probs[ctx.prefix_codes(path)] = p
             return
         at = store.child[slot] if slot >= 0 else -1
         if at >= 0:
@@ -430,7 +434,9 @@ def walk_probabilities(ctx, store):
         for d, vd in enumerate(block):
             if vd > 0.0:
                 ctx.bind(d)
+                path.append(d)
                 descend(at + d if at >= 0 else -1, vd, p * vd / value)
+                path.pop()
                 ctx.unbind()
 
     if root > 0.0:

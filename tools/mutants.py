@@ -3,7 +3,7 @@
 
     python tools/mutants.py                      # every mutant
     python tools/mutants.py --only v1-dropped    # a subset, by name
-    python tools/mutants.py --list               # names only
+    python tools/mutants.py --list               # names, and a check of every site
 
 Each mutant is one exact replacement (name, file under src/wcjoin/, old,
 new). It is applied to a temporary copy of src/, tests/ and pyproject.toml,
@@ -16,7 +16,8 @@ that hangs until the per-test time limit (tests/conftest.py) ends it.
 The tool exits 1 if an `old` string does not occur exactly once in its file,
 so a refactor that moves mutated code has to update this list; if the
 unmutated copy does not pass; or if any mutant survives. It is not part of
-the tier-1 suite: a full run takes several minutes.
+the tier-1 suite: a full run takes several minutes. `--list` runs no tests
+and checks only the sites, in well under a second.
 """
 from __future__ import annotations
 
@@ -49,16 +50,24 @@ MUTANTS = (
     ("unsibling-takes-parent-hi", "index.py",
      "            st[-1] = (st[-2][0], st[-1][0])",
      "            st[-1] = (st[-2][1], st[-1][0])"),
+    # The one narrowing loop of bind and bind_prefix: two bisects per column.
+    ("narrow-lower-bisect-dropped", "index.py",
+     "            lo = bisect_left(col, a, lo, hi)\n",
+     ""),
     # The walk's rebind: one code interval per variable of a cached prefix.
     ("bind-prefix-interval-one-short", "index.py",
-     "            c = a + width[end - 1]\n",
-     "            c = a + width[end - 1] - 1\n"),
+     "            narrow(first, a, a + width[end - 1])\n",
+     "            narrow(first, a, a + width[end - 1] - 1)\n"),
     ("bind-prefix-start-unset", "index.py",
      "        self._start[depth - 1] = a\n",
      ""),
     ("reset-keeps-depth", "index.py",
      "            del st[1:]\n        self.depth = 0\n",
      "            del st[1:]\n"),
+    # The one code reader: only the variables a prefix binds fully.
+    ("prefix-codes-counts-a-partial-variable", "index.py",
+     "            for i in range(0, len(prefix) - p + 1, p)\n",
+     "            for i in range(0, len(prefix) - p + 2, p)\n"),
     # The sampler's two-way draw and its refutation climb.
     ("v1-dropped", "sampler.py",
      "            elif r < v0 + values[at + 1]:",
@@ -186,12 +195,13 @@ def run_tests(copy: Path) -> tuple[bool, float, str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--only", nargs="+", metavar="NAME", help="run these mutants only")
-    parser.add_argument("--list", action="store_true", help="print the mutant names and exit")
+    parser.add_argument(
+        "--list", action="store_true", help="print the mutant names, check their sites and exit"
+    )
     args = parser.parse_args(argv)
     names = [m[0] for m in MUTANTS]
     if args.list:
         print("\n".join(names))
-        return 0
     unknown = sorted(set(args.only or ()) - set(names))
     if unknown:
         parser.error(f"unknown mutant(s): {', '.join(unknown)}")
@@ -200,6 +210,8 @@ def main(argv=None) -> int:
     if problems:
         print("\n".join(problems), file=sys.stderr)
         return 1
+    if args.list:
+        return 0
 
     with tempfile.TemporaryDirectory(prefix="wcjoin-mutants-") as tmp:
         copy = Path(tmp)

@@ -170,8 +170,6 @@ def load_spec(path: str | Path) -> LoadedSpec:
             order = list(dict.fromkeys(v for _, header, _ in tables for v in header))
         try:
             query = encode_instance(tables, _names(order, "'order'"))
-        except SpecError:
-            raise
         except ValueError as exc:
             raise SpecError(str(exc)) from exc
 
@@ -224,8 +222,19 @@ def load_spec(path: str | Path) -> LoadedSpec:
     return LoadedSpec(query, constraint_set, weights, explicit)
 
 
-def _decode_row(query: JoinQuery, row: tuple[int, ...]) -> list[str]:
-    return [query.dictionary.decode(c) for c in row]
+def _check_writable(*paths) -> None:
+    """Before any work, refuse a named output open(path, "w") would fail on, creating no file."""
+    for path in filter(None, paths):
+        folder = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path):
+            reason = "Is a directory"
+        elif not os.path.isdir(folder):
+            reason = "No such file or directory"
+        elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+            reason = "Permission denied"
+        else:
+            continue
+        raise SpecError(f"cannot write {path}: {reason}")
 
 
 def _write_named(path, emit) -> None:
@@ -242,7 +251,7 @@ def _write_answers(out_path, order, query, rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(order)
         for row in rows:
-            writer.writerow(_decode_row(query, row))
+            writer.writerow([query.dictionary.decode(c) for c in row])
 
     if out_path:
         _write_named(out_path, emit)
@@ -267,6 +276,7 @@ def _order(flag: str | None, spec: LoadedSpec) -> tuple[str, ...]:
 
 
 def cmd_join(args) -> int:
+    _check_writable(args.output, args.stats_out)
     spec = load_spec(args.spec)
     query = spec.query
     started = time.perf_counter()
@@ -321,6 +331,7 @@ def cmd_sample(args) -> int:
         seed = args.seed if args.seed is not None else int(os.environ.get("SEED", "0"))
     except ValueError as exc:
         raise SpecError(f"SEED must be an integer, got {os.environ['SEED']!r}") from exc
+    _check_writable(args.output, args.stats_out)
     spec = load_spec(args.spec)
     order = _order(args.order, spec)
     cs, cover = _sample_cover(spec, args.estimator)

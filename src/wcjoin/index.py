@@ -10,15 +10,16 @@ to [a + d*w, a + (d+1)*w). A range agrees on all earlier columns and bits,
 so its codes stay sorted, and the bit-level tree over the original relations
 is, node for node, the plain tree of `binary.bin_query`'s bit-level copy.
 
-The moves, and who makes them:
-- `bind`/`unbind`: one level down or up, two bisects per column. The step
-  search of `enumerator.wcj` and `estimators.verify_estimator` use them.
-- `bind_prefix`: root to a prefix's node, one push per variable through the
-  same cut as `bind`. The sampler's walk rebinds its cached prefix with it.
+The moves, and who makes them. None keeps a code: each reads its code
+interval off a prefix of child indices or off the rows.
 - `split`, `sibling`, `unsibling`: the sampler's expansion of a two-way
-  node. One bisect per column at the midpoint a + w splits the parent's
-  (lo, hi) into child 0's (lo, mid), which `split` pushes, and child 1's
-  (mid, hi); `sibling` turns child 0 into child 1 and `unsibling` back.
+  node. `split` pushes child 0 and tells which children have rows;
+  `sibling` turns child 0 into child 1 and `unsibling` back.
+- `bind`/`unbind`: one level down or up, for `enumerator.wcj`'s step search
+  and `estimators.verify_estimator`. Over bit levels `bind` is `split`, then
+  `sibling` for child 1; else two bisects per column cut [d, d + 1).
+- `bind_prefix`: root to a prefix's node, one cut per variable. The
+  sampler's walk rebinds its cached prefix with it.
 - `reset`: back to the root in one step, after each sampler walk.
 - `prefix_codes`: the one code reader, arithmetic on child indices alone.
 The bit search (`enumerator.wcj_binarised`) reads the columns and pushes
@@ -55,8 +56,8 @@ class Cursors:
 
     `stacks[i]` holds relation i's half-open row ranges (lo, hi), the top one
     matching the bound prefix; `affected[level]` lists the (column, stack)
-    pairs a level narrows. The module docstring lists the moves and their
-    callers.
+    pairs a level narrows. With `depth`, the stacks are all the state. The
+    module docstring lists the moves and their callers.
     """
 
     def __init__(
@@ -69,9 +70,6 @@ class Cursors:
         self.fanout = 2 if bits else domain_size
         self.depth = 0
         self._width = [1 << (per_var - 1 - level % per_var) for level in range(self.levels)]
-        # Start of the bound variable's code interval after each level; the
-        # variable's next level starts from it.
-        self._start = [0] * self.levels
         pos = {v: i for i, v in enumerate(order)}
         self.stacks: list[list[tuple[int, int]]] = []
         on_var: list[list[tuple[list[int], list[tuple[int, int]]]]] = [[] for _ in range(n)]
@@ -93,23 +91,22 @@ class Cursors:
             st.append((lo, bisect_left(col, c, lo, hi)))
 
     def bind(self, d: int) -> None:
-        level = self.depth
-        w = self._width[level]
-        a = (self._start[level - 1] if level % self.per_var else 0) + d * w
-        self._start[level] = a
-        self._narrow(level, a, a + w)
-        self.depth = level + 1
+        """Move to child d: `split` (+ `sibling` if d = 1) over bit levels, else cut [d, d + 1)."""
+        if self.per_var > 1:
+            self.split()
+            if d:
+                self.sibling()
+        else:
+            self._narrow(self.depth, d, d + 1)
+            self.depth += 1
 
     def bind_prefix(self, prefix: Sequence[int]) -> None:
-        """Move from the root to the node of a nonempty prefix of child indices.
+        """Move from the root to the node of a prefix of child indices.
 
         Each variable the prefix binds, wholly or in part, is cut once to one
         code interval [a, a + w), where w is the width of the prefix's last
         level on it. So the stacks hold one entry per variable, not one per
-        level, and only the prefix's last level gets its start. Only `split`,
-        `sibling`, `unsibling`, `reset` and `EstimatorContext.bound` may
-        follow, since they read just the top one or two entries and that
-        start; never `unbind`.
+        level: every move but `unbind` may follow.
         """
         width, depth, narrow = self._width, len(prefix), self._narrow
         for first in range(0, depth, self.per_var):
@@ -118,22 +115,26 @@ class Cursors:
             for level in range(first, end):
                 a += prefix[level] * width[level]
             narrow(first, a, a + width[end - 1])
-        self._start[depth - 1] = a
         self.depth = depth
 
     def split(self) -> tuple[bool, bool]:
         """Move to child 0 of a two-way node; whether child 0 and child 1 have rows.
 
-        One bisect per narrowed column at the midpoint a + w splits (lo, hi)
-        into child 0's (lo, mid), which is pushed, and child 1's (mid, hi).
-        The sampler's walk expands each new node with it.
+        The codes of a nonempty range share the node's prefix, so its first
+        code gives the midpoint m (with every range empty, any m keeps them
+        so). One bisect per column at m splits (lo, hi) into child 0's
+        (lo, mid), which is pushed, and child 1's (mid, hi).
         """
         level = self.depth
-        a = self._start[level - 1] if level % self.per_var else 0
-        m = a + self._width[level]
-        self._start[level] = a
+        affected = self.affected[level]
+        m = w = self._width[level]
+        for col, st in affected:
+            lo, hi = st[-1]
+            if lo < hi:
+                m = col[lo] & -w | w
+                break
         live0 = live1 = True
-        for col, st in self.affected[level]:
+        for col, st in affected:
             lo, hi = st[-1]
             mid = bisect_left(col, m, lo, hi)
             st.append((lo, mid))
@@ -146,16 +147,12 @@ class Cursors:
 
     def sibling(self) -> None:
         """Turn child 0 as `split` pushed it, (lo, mid), into child 1: (mid, parent's hi)."""
-        level = self.depth - 1
-        self._start[level] += self._width[level]
-        for _, st in self.affected[level]:
+        for _, st in self.affected[self.depth - 1]:
             st[-1] = (st[-1][1], st[-2][1])
 
     def unsibling(self) -> None:
         """Turn child 1, as `sibling` left it, back into child 0: (parent's lo, mid)."""
-        level = self.depth - 1
-        self._start[level] -= self._width[level]
-        for _, st in self.affected[level]:
+        for _, st in self.affected[self.depth - 1]:
             st[-1] = (st[-2][0], st[-1][0])
 
     def unbind(self) -> None:

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import wcjoin
+from wcjoin import cli
 from wcjoin.cli import (
     EXIT_BUDGET,
     EXIT_CLOSED_OUTPUT,
@@ -323,23 +324,40 @@ class TestJoin:
         assert read_answer_csv(out) == (("x",), {("a",), ("",)})
 
 
-def test_unwritable_output_file_exits_2(tmp_path, capsys):
+def test_unwritable_output_file_exits_2(tmp_path, capsys, monkeypatch):
+    # The outputs are checked before the search or the sampler starts, and
+    # the check creates no file.
+    def unreached(*args, **kwargs):
+        raise AssertionError("the run started before its outputs were checked")
+
+    for name in ("wcj", "wcj_binarised", "Sampler"):
+        monkeypatch.setattr(cli, name, unreached)
     spec = write_instance(tmp_path)
     empty_dir = tmp_path / "empty"
     empty_dir.mkdir()
     free = [t for t in TRIANGLE_TABLES if t[0] != "T"] + [("T", ("x1", "x3"), [])]
     answer_free = write_instance(empty_dir, free)
     missing = tmp_path / "no-such-dir"
+    out = str(tmp_path / "out.csv")
+    files = sorted(tmp_path.rglob("*"))
     for argv, target in (
         (["join", spec, "--output"], missing / "out.csv"),
+        (["join", spec, "--no-binarise", "--output"], missing / "out.csv"),
         (["join", spec, "--stats-out"], missing / "s.json"),
-        (["sample", spec, "--output"], tmp_path),  # a directory
-        (["sample", answer_free, "--stats-out"], missing / "s.json"),  # the exit-4 path
+        (["join", spec, "--output", out, "--stats-out"], tmp_path),  # a directory
+        (["sample", spec, "--output"], tmp_path),
+        (["sample", answer_free, "--stats-out"], missing / "s.json"),  # would exit 4
+        (["sample", answer_free, "--output"], missing / "out.csv"),  # would exit 4
     ):
         assert main([*argv, str(target)]) == EXIT_PARSE, argv
         err = capsys.readouterr().err
-        errors = [line for line in err.splitlines() if line != "answer set empty"]
-        assert len(errors) == 1 and errors[0].startswith(f"error: cannot write {target}: ")
+        assert len(err.splitlines()) == 1, argv
+        assert err.startswith(f"error: cannot write {target}: "), argv
+        assert sorted(tmp_path.rglob("*")) == files, argv
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)  # a read-only folder
+    assert main(["join", spec, "--output", out]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: cannot write {out}: Permission denied\n"
+    assert sorted(tmp_path.rglob("*")) == files
 
 
 class TestSample:

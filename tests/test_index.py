@@ -163,12 +163,12 @@ class TestPrefixCodes:
                 assert cur.prefix_codes(prefix) == expected
                 for d in prefix:
                     cur.bind(d)
-                walked = [st[-1] for st in cur.stacks], cur._start[length - 1]
+                walked = [st[-1] for st in cur.stacks]
                 cur.reset()
                 cur.bind_prefix(prefix)
                 assert cur.depth == length
                 assert cur.prefix_codes(prefix) == expected
-                assert ([st[-1] for st in cur.stacks], cur._start[length - 1]) == walked
+                assert [st[-1] for st in cur.stacks] == walked
                 cur.reset()
                 prefixes += 1
         assert prefixes > 500
@@ -177,7 +177,11 @@ class TestPrefixCodes:
 class TestSplit:
     @staticmethod
     def state(cur):
-        return [list(st) for st in cur.stacks], list(cur._start), cur.depth
+        return [list(st) for st in cur.stacks], cur.depth
+
+    @staticmethod
+    def top(cur):
+        return [st[-1] for st in cur.stacks], cur.depth
 
     @staticmethod
     def live(cur):
@@ -185,29 +189,43 @@ class TestSplit:
 
     def check_walks(self, make_cursors):
         # At every node of random root-to-leaf walks, consistent or not,
-        # split() is bind(0) and split() + sibling() is bind(1).
+        # split() is bind(0) and split() + sibling() is bind(1). Both reach
+        # the top ranges that bind_prefix cuts from the root, and so does
+        # bind(d) straight after bind_prefix.
         rng = random.Random(11)
         nodes = 0
         for _ in range(150):
-            cur = make_cursors(random_query(rng, max_domain=40, max_tuples=30))
+            q = random_query(rng, max_domain=40, max_tuples=30)
+            cur, ref = make_cursors(q), make_cursors(q)
             assert cur.fanout == 2
+            prefix = []
             while cur.depth < cur.levels:
-                cur.bind(0)
-                child0 = self.state(cur)
-                cur.unbind()
-                cur.bind(1)
-                child1 = self.state(cur)
-                cur.unbind()
+                children, tops = [], []
+                for d in range(2):
+                    cur.bind(d)
+                    children.append(self.state(cur))
+                    cur.unbind()
+                    ref.reset()
+                    ref.bind_prefix(prefix + [d])
+                    tops.append(self.top(ref))
+                    ref.reset()
+                    ref.bind_prefix(prefix)
+                    ref.bind(d)
+                    assert self.top(ref) == tops[d]
                 live0, live1 = cur.split()
-                assert self.state(cur) == child0
+                assert self.state(cur) == children[0]
+                assert self.top(cur) == tops[0]
                 assert live0 == self.live(cur)
                 cur.sibling()
-                assert self.state(cur) == child1
+                assert self.state(cur) == children[1]
+                assert self.top(cur) == tops[1]
                 assert live1 == self.live(cur)
                 cur.unbind()
                 nodes += 1
                 live = [d for d, ok in enumerate((live0, live1)) if ok]
-                cur.bind(rng.choice(live) if live and rng.random() < 0.9 else rng.randrange(2))
+                d = rng.choice(live) if live and rng.random() < 0.9 else rng.randrange(2)
+                prefix.append(d)
+                cur.bind(d)
         assert nodes > 1000
 
     def test_split_is_bind_at_bit_levels(self):
@@ -219,6 +237,24 @@ class TestSplit:
             return Cursors(bq.relations, bq.order, bq.domain_size, bits=False)
 
         self.check_walks(plain_over_bits)
+
+    def test_midpoint_read_past_an_empty_first_column(self):
+        # Under x1 = 0 and x2's top bit 1, r's range is empty and points at
+        # row (1, 0), whose x2 code 0 is outside [2, 4); s's range holds 2, 3.
+        r = Relation(("x1", "x2"), frozenset({(0, 0), (1, 0)}))
+        s = Relation(("x2",), frozenset({(2,), (3,)}))
+        cur = Cursors([r, s], ("x1", "x2"), 4, bits=True)
+        ref = Cursors([r, s], ("x1", "x2"), 4, bits=True)
+        cur.bind_prefix([0, 0, 1])
+        assert [st[-1] for st in cur.stacks] == [(1, 1), (0, 2)]
+        for d, live in enumerate(cur.split()):
+            if d:
+                cur.sibling()
+            ref.reset()
+            ref.bind_prefix([0, 0, 1, d])
+            assert live is False
+            assert self.top(cur) == self.top(ref)
+            assert cur.stacks[1][-1] == [(0, 1), (1, 2)][d]
 
     def test_sampler_rejects_contexts_that_are_not_two_way(self, triangle_query):
         ctx = build_agm_context(triangle_query)  # one level per variable, 4 values

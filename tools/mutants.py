@@ -36,13 +36,16 @@ RUN_TIMEOUT_S = 900  # per mutant; the tests' own limit normally ends a hang fir
 
 # (name, file, old, new)
 MUTANTS = (
-    # Cursors: the sampler's midpoint split.
+    # Cursors: the sampler's midpoint split, its midpoint read off the rows.
     ("split-mid-high", "index.py",
-     "        m = a + self._width[level]\n",
-     "        m = a + self._width[level] + 1\n"),
+     "                m = col[lo] & -w | w\n",
+     "                m = (col[lo] & -w | w) + 1\n"),
     ("split-mid-low", "index.py",
-     "        m = a + self._width[level]\n",
-     "        m = a + self._width[level] - 1\n"),
+     "                m = col[lo] & -w | w\n",
+     "                m = (col[lo] & -w | w) - 1\n"),
+    ("split-mid-read-off-an-empty-range", "index.py",
+     "            if lo < hi:\n",
+     "            if True:\n"),
     ("sibling-keeps-child0-hi", "index.py",
      "            st[-1] = (st[-1][1], st[-2][1])",
      "            st[-1] = (st[-1][1], st[-1][1])"),
@@ -58,9 +61,6 @@ MUTANTS = (
     ("bind-prefix-interval-one-short", "index.py",
      "            narrow(first, a, a + width[end - 1])\n",
      "            narrow(first, a, a + width[end - 1] - 1)\n"),
-    ("bind-prefix-start-unset", "index.py",
-     "        self._start[depth - 1] = a\n",
-     ""),
     ("reset-keeps-depth", "index.py",
      "            del st[1:]\n        self.depth = 0\n",
      "            del st[1:]\n"),

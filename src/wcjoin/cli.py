@@ -30,6 +30,7 @@ import time
 from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 from .constraints import (
@@ -223,8 +224,10 @@ def load_spec(path: str | Path) -> LoadedSpec:
 
 
 def _check_writable(*paths) -> None:
-    """Before any work, refuse a named output open(path, "w") would fail on, creating no file."""
-    for path in filter(None, paths):
+    """Before any work, refuse a named output open(path, "w") would fail on, or two
+    outputs naming one file (the second would overwrite the first), creating no file."""
+    named = [path for path in paths if path]
+    for path in named:
         folder = os.path.dirname(os.path.abspath(path))
         if os.path.isdir(path):
             reason = "Is a directory"
@@ -235,6 +238,11 @@ def _check_writable(*paths) -> None:
         else:
             continue
         raise SpecError(f"cannot write {path}: {reason}")
+    for first, second in combinations(named, 2):
+        if os.path.realpath(first) == os.path.realpath(second) or (
+            os.path.exists(first) and os.path.exists(second) and os.path.samefile(first, second)
+        ):
+            raise SpecError(f"cannot write {second}: same file as {first}")
 
 
 def _write_named(path, emit) -> None:
@@ -247,11 +255,12 @@ def _write_named(path, emit) -> None:
 
 
 def _write_answers(out_path, order, query, rows) -> None:
+    values = query.dictionary.backward  # a code's value, without a decode() call per code
+
     def emit(fh):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(order)
-        for row in rows:
-            writer.writerow([query.dictionary.decode(c) for c in row])
+        writer.writerows([values[c] for c in row] for row in rows)
 
     if out_path:
         _write_named(out_path, emit)

@@ -22,11 +22,20 @@ neighbours in the others, and one bisect seeks past each block of codes that
 some column lacks (leapfrog seeks on dyadic prefixes; Veldhuizen, ICDT 2014).
 Over `binary.bin_query`'s copy, wcj() is the independent reference the bit
 search is tested against.
+
+The bit search also caches a variable's subtree when the subtree depends on
+only part of the prefix above it, keyed by the rows it reads (trie-join
+caching; Kalinsky, Etsion & Kimelfeld, EDBT 2017): on a path, the subtree
+below x(i-1) = a is searched once, however many prefixes reach a. A cached
+subtree is replayed, not searched again, so its counts are derived with
+multiplicities rather than executed. They still describe the paper's search
+tree node for node, and the answers come in the same order.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
+from operator import mul
 from typing import Callable, Sequence
 
 from .constraints import ConstraintSet, resolve_order
@@ -119,6 +128,62 @@ def _step_search(cur: Cursors, sink: Sink) -> EnumerationStats:
     return EnumerationStats.derive(consistent, fanout)
 
 
+def _cache_keys(on_var: list) -> list:
+    """For each variable, the stacks whose top ranges fix its subtree, or None.
+
+    Variable i's subtree reads the relations on variables i and later, and
+    of those only the ones that also hold an earlier variable have left
+    their root ranges: their top ranges are i's key. A relation's ranges for
+    distinct codes of its earlier variables are disjoint and nonempty, so
+    the starts of the top ranges tell keys apart. If the earlier variables
+    of the key's relations are all of x0..x(i-1), every prefix has a key of
+    its own and i is not cached (None); else prefixes that differ only
+    outside them share one subtree. The key may be empty (a cross product).
+    """
+    held: dict[int, tuple[list, list[int]]] = {}  # each relation's stack and variables
+    for i, aff in enumerate(on_var):
+        for _, st in aff:
+            held.setdefault(id(st), (st, []))[1].append(i)
+    keys = []
+    for i in range(len(on_var)):
+        stacks, earlier = [], set()
+        for st, vs in held.values():
+            if vs[0] < i <= vs[-1]:
+                stacks.append(st)
+                earlier.update(v for v in vs if v < i)
+        keys.append(stacks if len(earlier) < i else None)
+    return keys
+
+
+def _replay(entry: list, i: int, last: int, codes: list[int], sink: Sink, skip: int) -> None:
+    """Emit the answers of variable i's recorded entry under codes[:i], in code order.
+
+    An entry's items start at index `skip`: leaf codes at the last variable,
+    else (code, child entry) pairs laid out flat.
+    """
+    if i == last:
+        head = tuple(codes)
+        for c in entry[skip:]:
+            sink(head + (c,))
+        return
+    items = iter(entry[skip:])
+    todo = [zip(items, items)]  # the pairs left at each variable from i down
+    while todo:
+        for c, child in todo[-1]:
+            codes[i] = c
+            if i + 1 < last:
+                items = iter(child[skip:])
+                todo.append(zip(items, items))
+                i += 1
+                break
+            head = tuple(codes)
+            for leaf in child[skip:]:
+                sink(head + (leaf,))
+        else:
+            todo.pop()
+            i -= 1
+
+
 def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
     """Settle one variable per step by seeks over its smallest column.
 
@@ -137,6 +202,19 @@ def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
     variable. Each scanned code is a distinct consistent leaf or
     inconsistent child and costs at most two bisects per column, so the
     paper's bound on recursive calls bounds the work too.
+
+    Subtrees are cached by the rows they read (`_cache_keys`). From the
+    first cached variable down, every visit of variable i is recorded as
+    one flat list, its entry: [mult, its count differences at depths
+    i*k + 1 .. i*k + k + 1, items...], the items being its leaf codes at
+    the last variable, else (code, child entry) pairs. A descent whose key
+    is cached pops the ranges it pushed, links the entry into its parent's
+    entry (or adds 1 to its mult when the parent is not recorded) and
+    replays the entry's answers after the current prefix. After the search
+    each entry's mult gains its parents' mults, one per link, level by
+    level, and mult x its differences go into the counts. So the counts
+    are those of the paper's search tree, derived with multiplicities, not
+    executed.
     """
     levels, k = cur.levels, cur.per_var
     if any(st[-1][0] == st[-1][1] for st in cur.stacks):
@@ -152,6 +230,12 @@ def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
     last = len(on_var) - 1
     codes = [0] * last
     saved = [None] * last  # the scan of each variable above the current one
+    keys = _cache_keys(on_var)
+    first = next((i for i, ks in enumerate(keys) if ks is not None), last + 1)
+    caches = [{} for _ in on_var]  # entry by key, at each cached variable
+    made = [[] for _ in on_var]  # the entries recorded at each variable
+    entry = [None] * (last + 1)  # the entry of the current visit at each variable
+    skip = k + 2  # an entry is [mult, its k + 1 count differences, items...]
     top = 1 << (k - 1)
     i = 0
     enter = True
@@ -169,8 +253,12 @@ def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
             col_s = scan[0]
             pos, end = scan[1][-1]
             others = [cs for cs in aff if cs is not scan]
-            base = i * k
-            head = tuple(codes) if i == last else None
+            # A recorded visit counts into its entry: its index t there is
+            # depth i*k + t.
+            dif, base = (entry[i], 0) if i >= first else (diff, i * k)
+            if i == last:
+                head = tuple(codes)
+                leaves = entry[i] if i >= first else None
             prev = col_s[pos] ^ top  # differs from the first code in its top bit
         while pos < end:
             a = col_s[pos]
@@ -194,8 +282,8 @@ def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
                     span = k - miss
             shared = k - (prev ^ a).bit_length()
             if span > shared:
-                diff[base + shared + 1] += 1
-                diff[base + span + 1] -= 1
+                dif[base + shared + 1] += 1
+                dif[base + span + 1] -= 1
             prev = a
             # Seek past the codes sharing a's (span + 1)-bit prefix; a itself
             # when a is a leaf.
@@ -205,14 +293,42 @@ def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
                 pos = nxt
             elif i == last:
                 sink(head + (a,))
+                if leaves is not None:
+                    leaves.append(a)
                 pos = nxt
             else:
                 scan[1].append((pos, nxt))
                 for (col, st), q in zip(others, found):
                     st.append((q, bisect_left(col, a + 1, q, st[-1][1])))
-                saved[i] = (scan, others, nxt, end, a)
                 codes[i] = a
-                i += 1
+                j = i + 1
+                if j >= first:
+                    # Record the visit of variable j, or link and replay the
+                    # entry its key already has.
+                    ks = keys[j]
+                    if ks is None:
+                        hit = None
+                    else:
+                        key = ks[0][-1][0] if len(ks) == 1 else tuple([st[-1][0] for st in ks])
+                        hit = caches[j].get(key)
+                    child = hit or [0] * skip
+                    if j > first:
+                        entry[i].append(a)
+                        entry[i].append(child)
+                    else:
+                        child[0] += 1
+                    if hit:
+                        for _, st in aff:
+                            st.pop()
+                        _replay(hit, j, last, codes, sink, skip)
+                        pos = nxt
+                        continue
+                    made[j].append(child)
+                    if ks is not None:
+                        caches[j][key] = child
+                    entry[j] = child
+                saved[i] = (scan, others, nxt, end, a)
+                i = j
                 enter = True
                 break
         else:
@@ -220,11 +336,26 @@ def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
             if not i:
                 break
             i -= 1
-            for _, st in on_var[i]:
+            aff = on_var[i]
+            for _, st in aff:
                 st.pop()
             scan, others, pos, end, prev = saved[i]
-            col_s, base = scan[0], i * k
+            col_s = scan[0]
+            dif, base = (entry[i], 0) if i >= first else (diff, i * k)
             enter = False
+    # Each recorded entry was visited as often as it was reached plus, once
+    # per link, as often as its parents were. Its count differences are
+    # added column by column; column 0 of a variable's entries is their mult.
+    for j in range(first, last + 1):
+        columns = zip(*made[j])
+        mults = next(columns, ())
+        for t, col in zip(range(j * k + 1, j * k + skip), columns):
+            diff[t] += sum(map(mul, mults, col))
+        if j < last:
+            for e in made[j]:
+                m = e[0]
+                for child in e[skip + 1 :: 2]:
+                    child[0] += m
     for depth in range(1, levels + 1):
         diff[depth] += diff[depth - 1]
     return EnumerationStats.derive(diff[:-1], 2)

@@ -360,6 +360,36 @@ def test_unwritable_output_file_exits_2(tmp_path, capsys, monkeypatch):
     assert sorted(tmp_path.rglob("*")) == files
 
 
+def test_output_and_stats_out_naming_one_file_exit_2(tmp_path, capsys, monkeypatch):
+    # The statistics would overwrite the answers. The paths are compared
+    # before the spec is read, and neither file is created or truncated.
+    def unreached(*args, **kwargs):
+        raise AssertionError("the spec was read before the outputs were checked")
+
+    monkeypatch.setattr(cli, "load_spec", unreached)
+    spec = write_instance(tmp_path)
+    (tmp_path / "sub").mkdir()
+    kept = tmp_path / "kept.csv"
+    kept.write_text("keep\n")
+    os.symlink(kept, tmp_path / "alias.csv")
+    os.link(kept, tmp_path / "hard.csv")
+    files = sorted(tmp_path.rglob("*"))
+    fresh = str(tmp_path / "out.csv")
+    for command in ("join", "sample"):
+        for output, stats_out in (
+            (fresh, fresh),
+            (fresh, str(tmp_path / "sub" / ".." / "out.csv")),  # one realpath
+            (str(kept), str(tmp_path / "alias.csv")),  # a symlink to it
+            (str(kept), str(tmp_path / "hard.csv")),  # a hard link: only samefile sees it
+        ):
+            argv = [command, spec, "--output", output, "--stats-out", stats_out]
+            assert main(argv) == EXIT_PARSE, argv
+            err = capsys.readouterr().err
+            assert err == f"error: cannot write {stats_out}: same file as {output}\n", argv
+            assert sorted(tmp_path.rglob("*")) == files, argv
+            assert kept.read_text() == "keep\n", argv
+
+
 class TestSample:
     def test_sampling_is_deterministic_per_seed(self, tmp_path):
         spec = write_instance(tmp_path)

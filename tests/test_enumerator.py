@@ -22,6 +22,7 @@ from wcjoin.constraints import (
 from wcjoin.core import Dictionary, JoinQuery, Relation, encode_instance, filter_relation
 from wcjoin.enumerator import wcj, wcj_binarised
 from wcjoin.estimators import build_agm_context
+from wcjoin.index import Cursors
 from wcjoin.oracle import nested_loop_join, prefix_counts
 from wcjoin.sampler import EmptyAnswerSetError, Sampler
 
@@ -358,6 +359,105 @@ class TestBisectBound:
         q = coded_query(("x",), [low, high], 2 * half)
         count, columns, calls = self.bisects_and_calls(monkeypatch, q)
         assert (count, columns, calls) == (2, 2, 3)
+
+
+def two_predecessor_path(n_vars, domain, seed):
+    """Coded tables of a path R1(x1, x2), ..., where each value of x2 .. x(n) has
+    two predecessors, so the subtree below each value is reached repeatedly."""
+    rng = random.Random(seed)
+    return [
+        ((f"x{i}", f"x{i + 1}"), [(s, v) for v in range(domain) for s in rng.sample(range(domain), 2)])
+        for i in range(1, n_vars)
+    ]
+
+
+def key_sizes(q, order):
+    """How many stacks key each variable's cached subtree; None where none is cached."""
+    cur = Cursors(q.relations, order, q.domain_size, True)
+    keys = enumerator._cache_keys(cur.affected[:: cur.per_var])
+    return [None if ks is None else len(ks) for ks in keys]
+
+
+class TestSubtreeCache:
+    """The bit search caches a variable's subtree under the rows it reads and
+    replays it. Answers, their order and every counter must stay those of the
+    uncached search: wcj over `bin_query`'s copy."""
+
+    @staticmethod
+    def assert_matches_reference(monkeypatch, q, order):
+        replays = 0
+        replay = enumerator._replay
+
+        def counting_replay(*args):
+            nonlocal replays
+            replays += 1
+            replay(*args)
+
+        monkeypatch.setattr(enumerator, "_replay", counting_replay)
+        out, stats = run_bin(q, None, order)
+        monkeypatch.undo()
+        ref_out, ref_stats = reference_join(q, order)
+        assert out == ref_out  # the same answers, in the same order
+        assert stats.per_depth_calls == ref_stats.per_depth_calls
+        assert stats.consistent_calls == ref_stats.consistent_calls
+        assert stats.recursive_calls == ref_stats.recursive_calls
+        assert stats.answers_emitted == len(ref_out)
+        return replays
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_path_where_every_value_has_two_predecessors(self, monkeypatch, seed):
+        tables = two_predecessor_path(5, 12, seed)
+        order = tuple(f"x{i}" for i in range(1, 6))
+        q = coded_query(order, tables, 12)
+        assert self.assert_matches_reference(monkeypatch, q, order) > 0
+
+    def test_cross_product_shares_one_subtree(self, monkeypatch):
+        # x2's subtree reads no relation bound above it: its key is empty,
+        # and every x1 after the first replays it. x3's key is S's rows of x2.
+        r = (("x1",), [(c,) for c in (0, 2, 3, 5, 7)])
+        s = (("x2", "x3"), [(0, 1), (0, 6), (3, 3), (4, 0), (4, 7), (6, 2)])
+        order = ("x1", "x2", "x3")
+        q = coded_query(order, [r, s], 8)
+        assert key_sizes(q, order) == [None, 0, 1]
+        assert self.assert_matches_reference(monkeypatch, q, order) == 4
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_four_cycle_keys_x4_by_two_stacks(self, monkeypatch, seed):
+        # x4's subtree reads T's rows of x3 and U's rows of x1, not x2. S
+        # sends the six values of x2 to three of x3, so the pair (x1, x3)
+        # repeats across x2.
+        rng = random.Random(seed)
+        pairs = [(a, b) for a in range(6) for b in range(6)]
+        r, t, u = (sorted(rng.sample(pairs, 24)) for _ in range(3))
+        s = [(b, b % 3) for b in range(6)] + [(b, rng.randrange(6)) for b in range(0, 6, 2)]
+        order = ("x1", "x2", "x3", "x4")
+        q = coded_query(order, [(("x1", "x2"), r), (("x2", "x3"), s), (("x3", "x4"), t),
+                                (("x4", "x1"), u)], 6)
+        assert key_sizes(q, order) == [None, None, None, 2]
+        assert self.assert_matches_reference(monkeypatch, q, order) > 0
+
+    def test_random_queries_and_orders(self, monkeypatch):
+        rng = random.Random(43)
+        for _ in range(150):
+            q = random_query(rng, max_vars=5, max_domain=6)
+            order = tuple(rng.sample(q.order, len(q.order)))
+            self.assert_matches_reference(monkeypatch, q, order)
+
+    def test_a_shared_subtree_is_searched_once(self, monkeypatch):
+        # m prefixes (x1, 0) reach x2 = 0, below which S and T hold a subtree
+        # of 64 leaves. Searched m times, it would cost m times its bisects.
+        def bisects(m):
+            r = (("x1", "x2"), [(c, 0) for c in range(m)])
+            s = (("x2", "x3"), [(0, c) for c in range(0, 256, 4)])
+            t = (("x3", "x4"), [(c, c + 1) for c in range(0, 256, 4)])
+            q = coded_query(("x1", "x2", "x3", "x4"), [r, s, t], 256)
+            count, _, _ = TestBisectBound.bisects_and_calls(monkeypatch, q)
+            return count
+
+        once = bisects(1)
+        assert once > 200
+        for m in (2, 8, 32):
+            assert bisects(m) <= once + 4 * (m - 1)
 
 
 def deep_path_tables(n_vars=121, pool=1000, seed=12):

@@ -98,6 +98,23 @@ MUTANTS = (
     ("no-seek", "enumerator.py",
      "            if span < k:\n                pos = nxt\n",
      "            if span < k:\n                pos += 1\n"),
+    # The subtree cache: a hit is counted, replays every answer, and is keyed
+    # by every stack the subtree reads; multiplicities run down every link.
+    ("hit-skips-its-multiplicity", "enumerator.py",
+     "                        child[0] += 1\n",
+     "                        child[0] += not hit\n"),
+    ("replay-drops-last-variable-codes", "enumerator.py",
+     "            for leaf in child[skip:]:\n",
+     "            for leaf in child[skip:-1]:\n"),
+    ("key-without-one-stack", "enumerator.py",
+     "tuple([st[-1][0] for st in ks])",
+     "tuple([st[-1][0] for st in ks[1:]])"),
+    ("link-adds-one-not-the-parent-mult", "enumerator.py",
+     "                    child[0] += m\n",
+     "                    child[0] += 1\n"),
+    ("every-variable-uncached", "enumerator.py",
+     "        keys.append(stacks if len(earlier) < i else None)\n",
+     "        keys.append(None)\n"),
     # The statistics both searches derive from the consistent nodes per depth.
     ("derivation-shifted-a-level", "enumerator.py",
      "        per_depth = [1] + [fanout * c for c in consistent[:-1]]",
@@ -152,6 +169,10 @@ MUTANTS = (
      "                    open(path.parent / entry[\"path\"], newline=\"\", encoding=\"utf-8-sig\")\n"
      "                )\n",
      "                fh = open(path.parent / entry[\"path\"], newline=\"\", encoding=\"utf-8-sig\")\n"),
+    # Two outputs naming one file: a hard link has its own real path.
+    ("same-file-by-real-path-only", "cli.py",
+     "            os.path.exists(first) and os.path.exists(second) and os.path.samefile(first, second)\n",
+     "            False\n"),
     # The default guard is the first relation variable set holding B.
     ("guard-last-edge", "cli.py",
      "    for e in edges:\n        if b <= e:",

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
-from operator import mul
 from typing import Callable, Sequence
 
 from .constraints import ConstraintSet, resolve_order
@@ -205,16 +204,16 @@ def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
 
     Subtrees are cached by the rows they read (`_cache_keys`). From the
     first cached variable down, every visit of variable i is recorded as
-    one flat list, its entry: [mult, its count differences at depths
+    one flat list, its entry: [extra, its count differences at depths
     i*k + 1 .. i*k + k + 1, items...], the items being its leaf codes at
-    the last variable, else (code, child entry) pairs. A descent whose key
-    is cached pops the ranges it pushed, links the entry into its parent's
-    entry (or adds 1 to its mult when the parent is not recorded) and
-    replays the entry's answers after the current prefix. After the search
-    each entry's mult gains its parents' mults, one per link, level by
-    level, and mult x its differences go into the counts. So the counts
-    are those of the paper's search tree, derived with multiplicities, not
-    executed.
+    the last variable, else (code, child entry) pairs. A descent is linked
+    into its parent's entry when the parent is recorded. If its key is
+    cached, it pops the ranges it pushed, adds 1 to the entry's `extra`
+    and replays the entry's answers after the current prefix. After the
+    search each entry's `extra` gains its parents' `extra`, one per link,
+    level by level, and the entry adds its differences (1 + extra) times to
+    the counts. So the counts are those of the paper's search tree,
+    derived with multiplicities, not executed.
     """
     levels, k = cur.levels, cur.per_var
     if any(st[-1][0] == st[-1][1] for st in cur.stacks):
@@ -235,7 +234,7 @@ def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
     caches = [{} for _ in on_var]  # entry by key, at each cached variable
     made = [[] for _ in on_var]  # the entries recorded at each variable
     entry = [None] * (last + 1)  # the entry of the current visit at each variable
-    skip = k + 2  # an entry is [mult, its k + 1 count differences, items...]
+    skip = k + 2  # an entry is [extra, its k + 1 count differences, items...]
     top = 1 << (k - 1)
     i = 0
     enter = True
@@ -315,9 +314,8 @@ def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
                     if j > first:
                         entry[i].append(a)
                         entry[i].append(child)
-                    else:
-                        child[0] += 1
                     if hit:
+                        hit[0] += 1
                         for _, st in aff:
                             st.pop()
                         _replay(hit, j, last, codes, sink, skip)
@@ -343,19 +341,23 @@ def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
             col_s = scan[0]
             dif, base = (entry[i], 0) if i >= first else (diff, i * k)
             enter = False
-    # Each recorded entry was visited as often as it was reached plus, once
-    # per link, as often as its parents were. Its count differences are
-    # added column by column; column 0 of a variable's entries is their mult.
+    # Each entry's own visit counts once, summed column by column. Each hit
+    # on it, and each extra visit of a parent it is linked to, replays it
+    # once more: those extra visits, e[0], run down the links level by level.
     for j in range(first, last + 1):
         columns = zip(*made[j])
-        mults = next(columns, ())
+        next(columns, None)  # the extras
         for t, col in zip(range(j * k + 1, j * k + skip), columns):
-            diff[t] += sum(map(mul, mults, col))
-        if j < last:
-            for e in made[j]:
-                m = e[0]
-                for child in e[skip + 1 :: 2]:
-                    child[0] += m
+            diff[t] += sum(col)
+        for e in made[j]:
+            m = e[0]
+            if m:
+                for t in range(1, skip):
+                    if e[t]:
+                        diff[j * k + t] += m * e[t]
+                if j < last:
+                    for child in e[skip + 1 :: 2]:
+                        child[0] += m
     for depth in range(1, levels + 1):
         diff[depth] += diff[depth - 1]
     return EnumerationStats.derive(diff[:-1], 2)

@@ -99,19 +99,19 @@ MUTANTS = (
      "            if span < k:\n                pos = nxt\n",
      "            if span < k:\n                pos += 1\n"),
     # The subtree cache: a hit is counted, replays every answer, and is keyed
-    # by every stack the subtree reads; multiplicities run down every link.
-    ("hit-skips-its-multiplicity", "enumerator.py",
-     "                        child[0] += 1\n",
-     "                        child[0] += not hit\n"),
+    # by every stack the subtree reads; extra visits run down every link.
+    ("hit-not-counted", "enumerator.py",
+     "                        hit[0] += 1\n",
+     "                        hit[0] += 0\n"),
     ("replay-drops-last-variable-codes", "enumerator.py",
      "            for leaf in child[skip:]:\n",
      "            for leaf in child[skip:-1]:\n"),
     ("key-without-one-stack", "enumerator.py",
      "tuple([st[-1][0] for st in ks])",
      "tuple([st[-1][0] for st in ks[1:]])"),
-    ("link-adds-one-not-the-parent-mult", "enumerator.py",
-     "                    child[0] += m\n",
-     "                    child[0] += 1\n"),
+    ("link-adds-one-not-the-parent-extra", "enumerator.py",
+     "                        child[0] += m\n",
+     "                        child[0] += 1\n"),
     ("every-variable-uncached", "enumerator.py",
      "        keys.append(stacks if len(earlier) < i else None)\n",
      "        keys.append(None)\n"),

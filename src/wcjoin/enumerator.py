@@ -254,7 +254,10 @@ def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
             others = [cs for cs in aff if cs is not scan]
             # A recorded visit counts into its entry: its index t there is
             # depth i*k + t.
-            dif, base = (entry[i], 0) if i >= first else (diff, i * k)
+            if i < first:
+                dif, base = diff, i * k
+            else:
+                dif, base = entry[i], 0
             if i == last:
                 head = tuple(codes)
                 leaves = entry[i] if i >= first else None
@@ -325,7 +328,7 @@ def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
                     if ks is not None:
                         caches[j][key] = child
                     entry[j] = child
-                saved[i] = (scan, others, nxt, end, a)
+                saved[i] = (scan, others, nxt, end, a, dif, base)
                 i = j
                 enter = True
                 break
@@ -337,9 +340,8 @@ def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
             aff = on_var[i]
             for _, st in aff:
                 st.pop()
-            scan, others, pos, end, prev = saved[i]
+            scan, others, pos, end, prev, dif, base = saved[i]
             col_s = scan[0]
-            dif, base = (entry[i], 0) if i >= first else (diff, i * k)
             enter = False
     # Each entry's own visit counts once, summed column by column. Each hit
     # on it, and each extra visit of a parent it is linked to, replays it

@@ -20,6 +20,9 @@ variable's columns are sorted, so its consistent bit prefixes can be read off
 the longest common prefixes of codes in its smallest column with their
 neighbours in the others, and one bisect seeks past each block of codes that
 some column lacks (leapfrog seeks on dyadic prefixes; Veldhuizen, ICDT 2014).
+A variable on exactly two columns, as in triangles, paths and cycles over
+binary relations, is scanned by a dedicated two-column loop, and the last
+variable is settled in one call on the descent into it, never entered.
 Over `binary.bin_query`'s copy, wcj() is the independent reference the bit
 search is tested against.
 
@@ -183,6 +186,70 @@ def _replay(entry: list, i: int, last: int, codes: list[int], sink: Sink, skip: 
             i -= 1
 
 
+def _smallest(aff: list) -> tuple[tuple, list]:
+    """The narrowed column with the fewest rows (the first such), and the others."""
+    # A plain loop: min() with a key made the whole search 8-15 % slower.
+    scan = aff[0]
+    for cs in aff:
+        lo, hi = cs[1][-1]
+        if hi - lo < scan[1][-1][1] - scan[1][-1][0]:
+            scan = cs
+    return scan, [cs for cs in aff if cs is not scan]
+
+
+def _settle_last(aff: list, k: int, head: tuple, sink: Sink, diff: list, base: int,
+                 entry: list | None) -> None:
+    """Settle the last variable at a consistent node by `_seek_search`'s scan.
+
+    It counts the variable's consistent nodes into `diff` from depth `base`
+    on, or into the visit's recorded `entry` (base 0), emits `head + (a,)`
+    for each leaf a and appends a to the entry.
+    """
+    dif, bound = (diff, base + k + 1) if entry is None else (entry, k + 1)
+    if len(aff) == 2:
+        (col_s, st), (col, ot) = aff
+        pos, end = st[-1]
+        lo, hi = ot[-1]
+        if hi - lo < end - pos:
+            col_s, pos, end, col, lo, hi = col, lo, hi, col_s, pos, end
+        others = None
+    else:
+        (col_s, st), others = _smallest(aff)
+        pos, end = st[-1]
+        others = [(col, *st[-1]) for col, st in others]
+    prev = col_s[pos] ^ (1 << (k - 1))
+    while pos < end:
+        a = col_s[pos]
+        if others is None:
+            q = bisect_left(col, a, lo, hi)
+            miss = (col[q] ^ a).bit_length() if q < hi else k
+            if miss and q > lo:
+                m = (col[q - 1] ^ a).bit_length()
+                if m < miss:
+                    miss = m
+        else:
+            miss = 0
+            for col, lo, hi in others:
+                q = bisect_left(col, a, lo, hi)
+                m = (col[q] ^ a).bit_length() if q < hi else k
+                if m and q > lo:
+                    m = min(m, (col[q - 1] ^ a).bit_length())
+                if m > miss:
+                    miss = m
+        d = (prev ^ a).bit_length()
+        if d > miss:
+            dif[bound - d] += 1
+            dif[bound - miss] -= 1
+        prev = a
+        if miss:
+            pos = bisect_left(col_s, ((a >> (miss - 1)) + 1) << (miss - 1), pos + 1, end)
+        else:
+            sink(head + (a,))
+            if entry is not None:
+                entry.append(a)
+            pos = bisect_left(col_s, a + 1, pos + 1, end)
+
+
 def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
     """Settle one variable per step by seeks over its smallest column.
 
@@ -196,11 +263,17 @@ def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
     (lcp(previous scanned code, a), L(a)]. If L(a) falls short of the
     variable's bits, the codes sharing a's (L + 1)-bit prefix, an
     inconsistent child, add nothing, and one bisect in S seeks past them.
-    Otherwise `a` is a consistent leaf: the search emits it at the last
-    variable, or pushes every column's rows of `a` and enters the next
-    variable. Each scanned code is a distinct consistent leaf or
-    inconsistent child and costs at most two bisects per column, so the
-    paper's bound on recursive calls bounds the work too.
+    Otherwise `a` is a consistent leaf: the search pushes every column's
+    rows of `a` and enters the next variable. Each scanned code is a
+    distinct consistent leaf or inconsistent child and costs at most two
+    bisects per column, so the paper's bound on recursive calls bounds the
+    work too.
+
+    A variable on exactly two columns is scanned by a dedicated kernel: the
+    other column's range is read once per node, the lower neighbour only on
+    a miss, and a leaf pushes that column's rows of `a` directly. The last
+    variable is never entered: the descent into it calls `_settle_last`,
+    which counts it, emits its answers and records its leaves.
 
     Subtrees are cached by the rows they read (`_cache_keys`). From the
     first cached variable down, every visit of variable i is recorded as
@@ -235,103 +308,68 @@ def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
     made = [[] for _ in on_var]  # the entries recorded at each variable
     entry = [None] * (last + 1)  # the entry of the current visit at each variable
     skip = k + 2  # an entry is [extra, its k + 1 count differences, items...]
-    top = 1 << (k - 1)
+    if not last:
+        _settle_last(on_var[0], k, (), sink, diff, 0, None)
     i = 0
     enter = True
-    while True:
+    while last:  # a one-variable query was settled above
         if enter:
             # A consistent node on variable i's first bit level: S is the
-            # narrowed column with the fewest rows. (A plain loop: min() with
-            # a key made the whole search 8-15 % slower.)
+            # narrowed column with the fewest rows.
             aff = on_var[i]
-            scan = aff[0]
-            for cs in aff:
-                lo, hi = cs[1][-1]
-                if hi - lo < scan[1][-1][1] - scan[1][-1][0]:
-                    scan = cs
+            if len(aff) == 2:  # the two-column kernel
+                scan, (ocol, ost) = aff
+                pos, end = scan[1][-1]
+                olo, ohi = ost[-1]
+                if ohi - olo < end - pos:
+                    scan, ocol, ost = (ocol, ost), scan[0], scan[1]
+                    pos, end, olo, ohi = olo, ohi, pos, end
+                others = None
+            else:
+                scan, others = _smallest(aff)
+                pos, end = scan[1][-1]
+                ocol = ost = olo = ohi = None
             col_s = scan[0]
-            pos, end = scan[1][-1]
-            others = [cs for cs in aff if cs is not scan]
             # A recorded visit counts into its entry: its index t there is
-            # depth i*k + t.
-            if i < first:
-                dif, base = diff, i * k
-            else:
-                dif, base = entry[i], 0
-            if i == last:
-                head = tuple(codes)
-                leaves = entry[i] if i >= first else None
-            prev = col_s[pos] ^ top  # differs from the first code in its top bit
+            # depth i*k + t. A code's nodes run from index bound - d to one
+            # short of bound - miss.
+            bound = (i * k if i < first else 0) + k + 1
+            dif = diff if i < first else entry[i]
+            prev = col_s[pos] ^ (1 << (k - 1))  # differs from the first code in its top bit
+            enter = False
         while pos < end:
+            # A code x shares k - (x ^ a).bit_length() leading bits with a:
+            # a misses the last `miss` bits of L(a), and d bits after its
+            # common prefix with the code scanned before it.
             a = col_s[pos]
-            span = k
-            found = []  # where each other column's rows of a start
-            for col, st in others:
-                # A code x shares k - (x ^ a).bit_length() leading bits with a.
-                lo, hi = st[-1]
-                q = bisect_left(col, a, lo, hi)
-                if q < hi:
-                    b = col[q]
-                    if b == a:
-                        found.append(q)
-                        continue
-                    miss = (b ^ a).bit_length()
-                    if q > lo:
-                        miss = min(miss, (col[q - 1] ^ a).bit_length())
-                else:
-                    miss = (col[q - 1] ^ a).bit_length()
-                if k - miss < span:
-                    span = k - miss
-            shared = k - (prev ^ a).bit_length()
-            if span > shared:
-                dif[base + shared + 1] += 1
-                dif[base + span + 1] -= 1
-            prev = a
-            # Seek past the codes sharing a's (span + 1)-bit prefix; a itself
-            # when a is a leaf.
-            shift = k - span - 1 if span < k else 0
-            nxt = bisect_left(col_s, ((a >> shift) + 1) << shift, pos + 1, end)
-            if span < k:
-                pos = nxt
-            elif i == last:
-                sink(head + (a,))
-                if leaves is not None:
-                    leaves.append(a)
-                pos = nxt
+            if ocol is not None:
+                q = bisect_left(ocol, a, olo, ohi)
+                miss = (ocol[q] ^ a).bit_length() if q < ohi else k
+                if miss and q > olo:
+                    m = (ocol[q - 1] ^ a).bit_length()
+                    if m < miss:
+                        miss = m
             else:
-                scan[1].append((pos, nxt))
-                for (col, st), q in zip(others, found):
-                    st.append((q, bisect_left(col, a + 1, q, st[-1][1])))
-                codes[i] = a
-                j = i + 1
-                if j >= first:
-                    # Record the visit of variable j, or link and replay the
-                    # entry its key already has.
-                    ks = keys[j]
-                    if ks is None:
-                        hit = None
-                    else:
-                        key = ks[0][-1][0] if len(ks) == 1 else tuple([st[-1][0] for st in ks])
-                        hit = caches[j].get(key)
-                    child = hit or [0] * skip
-                    if j > first:
-                        entry[i].append(a)
-                        entry[i].append(child)
-                    if hit:
-                        hit[0] += 1
-                        for _, st in aff:
-                            st.pop()
-                        _replay(hit, j, last, codes, sink, skip)
-                        pos = nxt
-                        continue
-                    made[j].append(child)
-                    if ks is not None:
-                        caches[j][key] = child
-                    entry[j] = child
-                saved[i] = (scan, others, nxt, end, a, dif, base)
-                i = j
-                enter = True
+                miss = 0
+                found = []  # where each other column's rows of a start
+                for col, st in others:
+                    lo, hi = st[-1]
+                    q = bisect_left(col, a, lo, hi)
+                    found.append(q)
+                    m = (col[q] ^ a).bit_length() if q < hi else k
+                    if m and q > lo:
+                        m = min(m, (col[q - 1] ^ a).bit_length())
+                    if m > miss:
+                        miss = m
+            d = (prev ^ a).bit_length()
+            if d > miss:
+                dif[bound - d] += 1
+                dif[bound - miss] -= 1
+            prev = a
+            if not miss:
                 break
+            # Seek past the codes sharing a's prefix one bit longer than L(a).
+            pos = bisect_left(col_s, ((a >> (miss - 1)) + 1) << (miss - 1), pos + 1, end)
         else:
             # Variable i is done: climb to the scan of the variable above.
             if not i:
@@ -340,9 +378,51 @@ def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
             aff = on_var[i]
             for _, st in aff:
                 st.pop()
-            scan, others, pos, end, prev, dif, base = saved[i]
+            scan, others, ocol, ost, olo, ohi, pos, end, prev, dif, bound = saved[i]
             col_s = scan[0]
-            enter = False
+            continue
+        # a is a consistent leaf: push every column's rows of a.
+        nxt = bisect_left(col_s, a + 1, pos + 1, end)
+        scan[1].append((pos, nxt))
+        if ocol is not None:
+            ost.append((q, bisect_left(ocol, a + 1, q, ohi)))
+        else:
+            for (col, st), q in zip(others, found):
+                st.append((q, bisect_left(col, a + 1, q, st[-1][1])))
+        codes[i] = a
+        pos = nxt
+        j = i + 1
+        if j >= first:
+            # Record the visit of variable j, or link and replay the entry
+            # its key already has.
+            ks = keys[j]
+            if ks is None:
+                hit = None
+            else:
+                key = ks[0][-1][0] if len(ks) == 1 else tuple([st[-1][0] for st in ks])
+                hit = caches[j].get(key)
+            child = hit or [0] * skip
+            if j > first:
+                entry[i].append(a)
+                entry[i].append(child)
+            if hit:
+                hit[0] += 1
+                for _, st in aff:
+                    st.pop()
+                _replay(hit, j, last, codes, sink, skip)
+                continue
+            made[j].append(child)
+            if ks is not None:
+                caches[j][key] = child
+            entry[j] = child
+        if j == last:
+            _settle_last(on_var[j], k, tuple(codes), sink, diff, j * k, entry[j])
+            for _, st in aff:
+                st.pop()
+            continue
+        saved[i] = (scan, others, ocol, ost, olo, ohi, pos, end, a, dif, bound)
+        i = j
+        enter = True
     # Each entry's own visit counts once, summed column by column. Each hit
     # on it, and each extra visit of a parent it is linked to, replays it
     # once more: those extra visits, e[0], run down the links level by level.

@@ -28,6 +28,7 @@ the ranges of each code it descends into itself.
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import itemgetter
 from typing import Sequence
 
 from .core import Relation, rows_at
@@ -76,11 +77,10 @@ class Cursors:
         for rel in relations:
             rows = build(rel, order)
             variables = sorted(rel.variables, key=pos.__getitem__)
-            columns = [list(c) for c in zip(*rows)] if rows else [[] for _ in variables]
             stack = [(0, len(rows))]
             self.stacks.append(stack)
-            for v, col in zip(variables, columns):
-                on_var[pos[v]].append((col, stack))
+            for i, v in enumerate(variables):
+                on_var[pos[v]].append((list(map(itemgetter(i), rows)), stack))
         self.affected = [on_var[level // per_var] for level in range(self.levels)]
 
     def _narrow(self, level: int, a: int, c: int) -> None:

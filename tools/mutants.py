@@ -83,26 +83,44 @@ MUTANTS = (
      "            if False:"),
     # The bit search's seeks over the smallest column of each variable.
     ("count-from-depth-0", "enumerator.py",
-     "            shared = k - (prev ^ a).bit_length()\n",
-     "            shared = 0\n"),
+     "            d = (prev ^ a).bit_length()\n",
+     "            d = k\n"),
     ("seek-past-the-L-block", "enumerator.py",
-     "            shift = k - span - 1 if span < k else 0\n",
-     "            shift = k - span if span < k else 0\n"),
+     "L(a).\n            pos = bisect_left(col_s, ((a >> (miss - 1)) + 1) << (miss - 1),",
+     "L(a).\n            pos = bisect_left(col_s, ((a >> miss) + 1) << miss,"),
     ("one-neighbour-only", "enumerator.py",
-     "                    if q > lo:\n                        miss = min(miss, (col[q - 1] ^ a).bit_length())\n",
+     "                    if m and q > lo:\n                        m = min(m, (col[q - 1] ^ a).bit_length())\n",
      ""),
     ("a+1-bisect-dropped", "enumerator.py",
      "st.append((q, bisect_left(col, a + 1, q, st[-1][1])))",
      "st.append((q, st[-1][1]))"),
+    # The two-column kernel: both neighbours of a miss, and the other
+    # column's rows of a leaf pushed directly.
+    ("two-column-one-neighbour-only", "enumerator.py",
+     "                if miss and q > olo:\n",
+     "                if False:\n"),
+    ("two-column-a+1-bisect-dropped", "enumerator.py",
+     "ost.append((q, bisect_left(ocol, a + 1, q, ohi)))",
+     "ost.append((q, ohi))"),
+    # The last variable's settle call: counts, both neighbours, recorded leaves.
+    ("settle-counts-from-depth-0", "enumerator.py",
+     "\n        d = (prev ^ a).bit_length()\n",
+     "\n        d = k\n"),
+    ("settle-two-column-one-neighbour-only", "enumerator.py",
+     "            if miss and q > lo:\n",
+     "            if False:\n"),
+    ("settle-leaves-not-recorded", "enumerator.py",
+     "            if entry is not None:\n                entry.append(a)\n",
+     ""),
     # Answers and counts stay right; only the bisect bound sees the extra scans.
     ("no-seek", "enumerator.py",
-     "            if span < k:\n                pos = nxt\n",
-     "            if span < k:\n                pos += 1\n"),
+     "        if miss:\n            pos = bisect_left(col_s, ((a >> (miss - 1)) + 1) << (miss - 1), pos + 1, end)\n",
+     "        if miss:\n            pos += 1\n"),
     # The subtree cache: a hit is counted, replays every answer, and is keyed
     # by every stack the subtree reads; extra visits run down every link.
     ("hit-not-counted", "enumerator.py",
-     "                        hit[0] += 1\n",
-     "                        hit[0] += 0\n"),
+     "                hit[0] += 1\n",
+     "                hit[0] += 0\n"),
     ("replay-drops-last-variable-codes", "enumerator.py",
      "            for leaf in child[skip:]:\n",
      "            for leaf in child[skip:-1]:\n"),

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .constraints import ConstraintSet, cardinality_constraints, guard_relations, resolve_order
@@ -248,6 +249,32 @@ class EstimatorContext(Cursors):
             return math.exp(log_total) if log_total != 0.0 else 1.0
         except OverflowError:
             raise CoverError(f"bound 2^{log_total / math.log(2):.4g} overflows a float") from None
+
+    @cached_property
+    def frontier_plans(self) -> list[tuple]:
+        """Per level, what the sampler's one-pass expansion of a node there reads.
+
+        A plan is (affected, width, terms). A term of `_terms` enters the
+        children's bounds as (j, table, stack) if column j of `affected`
+        narrows its stack, (-1, table, stack) if none does, and (-1, None, w *
+        log N) while static; `table[n]` is `bound`'s w * log(n), or the 0.0
+        `bound` skips for n < 2. Terms keep their order, but one whose stack
+        no later level narrows is left out: at a consistent node it adds 0.0.
+        """
+        keys = {(w, stack[0][1]) for w, _, _, stack in self._terms}
+        tables = {(w, n): [0.0, 0.0] + [w * math.log(k) for k in range(2, n + 1)] for w, n in keys}
+        last = {id(st): level for level, affected in enumerate(self.affected) for _, st in affected}
+        plans = []
+        for level, affected in enumerate(self.affected):
+            terms = []
+            for w, static, ready, stack in self._terms:
+                if level + 1 < ready:
+                    terms.append((-1, None, static))
+                elif level < last.get(id(stack), self.levels):
+                    j = next((j for j, (_, st) in enumerate(affected) if st is stack), -1)
+                    terms.append((j, tables[w, stack[0][1]], stack))
+            plans.append((affected, self._width[level], terms))
+        return plans
 
 
 def build_agm_context(

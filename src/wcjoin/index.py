@@ -12,18 +12,17 @@ is, node for node, the plain tree of `binary.bin_query`'s bit-level copy.
 
 The moves, and who makes them. None keeps a code: each reads its code
 interval off a prefix of child indices or off the rows.
-- `split`, `sibling`, `unsibling`: the sampler's expansion of a two-way
-  node. `split` pushes child 0 and tells which children have rows;
-  `sibling` turns child 0 into child 1 and `unsibling` back.
 - `bind`/`unbind`: one level down or up, for `enumerator.wcj`'s step search
   and `estimators.verify_estimator`. Over bit levels `bind` is `split`, then
   `sibling` for child 1; else two bisects per column cut [d, d + 1).
+- `split`, `sibling`: `bind` at bit levels, and `sampler.children_values`.
+  `split` pushes child 0 and tells which children have rows; `sibling`
+  turns child 0 into child 1.
 - `bind_prefix`: root to a prefix's node, one cut per variable. The
-  sampler's walk rebinds its cached prefix with it.
-- `reset`: back to the root in one step, after each sampler walk.
+  sampler's walk cuts its cached prefix with it, and `reset` returns.
 - `prefix_codes`: the one code reader, arithmetic on child indices alone.
-The bit search (`enumerator.wcj_binarised`) reads the columns and pushes
-the ranges of each code it descends into itself.
+The bit search (`enumerator.wcj_binarised`) and the sampler's walk below its
+cut read the columns and push the ranges they descend into themselves.
 """
 from __future__ import annotations
 
@@ -108,14 +107,14 @@ class Cursors:
         level on it. So the stacks hold one entry per variable, not one per
         level: every move but `unbind` may follow.
         """
-        width, depth, narrow = self._width, len(prefix), self._narrow
-        for first in range(0, depth, self.per_var):
-            end = min(first + self.per_var, depth)
-            a = 0
-            for level in range(first, end):
-                a += prefix[level] * width[level]
-            narrow(first, a, a + width[end - 1])
-        self.depth = depth
+        width, narrow, last = self._width, self._narrow, len(prefix) - 1
+        a = 0
+        for level, d in enumerate(prefix):
+            a += d * width[level]
+            if width[level] == 1 or level == last:  # the variable's last level here
+                narrow(level, a, a + width[level])
+                a = 0
+        self.depth = last + 1
 
     def split(self) -> tuple[bool, bool]:
         """Move to child 0 of a two-way node; whether child 0 and child 1 have rows.
@@ -149,11 +148,6 @@ class Cursors:
         """Turn child 0 as `split` pushed it, (lo, mid), into child 1: (mid, parent's hi)."""
         for _, st in self.affected[self.depth - 1]:
             st[-1] = (st[-1][1], st[-2][1])
-
-    def unsibling(self) -> None:
-        """Turn child 1, as `sibling` left it, back into child 0: (parent's lo, mid)."""
-        for _, st in self.affected[self.depth - 1]:
-            st[-1] = (st[-2][0], st[-1][0])
 
     def unbind(self) -> None:
         self.depth -= 1

@@ -4,36 +4,38 @@ A single trial walks the trace tree from the root, choosing child d with
 probability value(d) / value(parent) and failing outright with the leftover
 probability, so that each answer is returned with probability exactly
 1 / up(root). Sampler walks the bit levels of the original relations; the
-functions below take any two-way EstimatorContext, whose nodes one
-`Cursors.split` expands into both children. Repetition yields i.i.d.
+functions below take any two-way EstimatorContext. Repetition yields i.i.d.
 uniform answers with geometric trial counts.
 
 A Sampler's only learned state is its ValueStore: the child values of every
-prefix its walks have expanded, each estimated once. A walk draws from the
-store without touching a cursor and binds the cursors to its prefix, one
-code interval per variable, only at the first node the store lacks
-(`Cursors.bind_prefix`). From there on every node is new: one
-`split` expands it and leaves the cursors on a child, and after the draw they
-move to the drawn child in place, so no bisect runs twice. The walk reads an
-answer's codes off its prefix, and `Cursors.reset` returns the cursors to
-the root in one step. A node whose children are all 0 is proven
+prefix its walks have expanded, each estimated once. A walk first draws
+through the store with the cursors at the root, so a walk that ends there
+moves no cursor. At the first node the store lacks, it cuts the cursors to
+its prefix (`Cursors.bind_prefix`) and expands that node and every later
+one in one pass: one bisect per column at the midpoint, both children's
+bounds in one loop over the level's terms (`EstimatorContext.frontier_plans`),
+and after the draw a push of the drawn child's ranges only;
+`children_values` is that expansion by cursor moves, the tests' reference.
+The walk reads an answer's codes off its prefix, and `Cursors.reset` returns
+the cursors to the root. A node whose children are all 0 is proven
 answer-free: its slot is zeroed, and so is every ancestor's whose children
 are then all 0. On instances with no answers the root's slot reaches 0
-after finitely many refutations, which is how emptiness is detected. The
-store is unbounded but holds one block per consistent inner node reached,
-so it never outgrows the join's own recursive-call bound.
+after finitely many refutations, which is how emptiness is detected.
 """
 from __future__ import annotations
 
 import math
 import random
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
 from .constraints import ConstraintSet
 from .core import JoinQuery
 from .estimators import CoverError, EstimatorContext, FractionalCover, check_coverage
+
+_NEW_BLOCK = array("i", [-1, -1])  # a new block's child slots: no child expanded yet
 
 
 class EmptyAnswerSetError(Exception):
@@ -85,7 +87,7 @@ class ValueStore:
     context at the root and kept as `up_root`. Expanding a node appends one
     block of its two child values to `values` and a parallel block of -1s to
     `child`, and points the node's slot in `child` at the block's offset. The
-    values are the very floats `children_values` returned; a refutation zeroes
+    values are the very floats `children_values` returns; a refutation zeroes
     the refuted node's slot (slot 0 for the root) and counts it in `refuted`.
 
     The store is not bounded: it holds one block per consistent inner node a
@@ -106,23 +108,16 @@ class ValueStore:
         self.child = array("i", [-1])
         self.refuted = 0
 
-    def add(self, slot: int, block: list[float]) -> int:
-        """Record the child values of the node in `slot`; the offset of its block."""
-        at = len(self.values)
-        self.values.extend(block)
-        self.child.extend([-1] * len(block))
-        self.child[slot] = at
-        return at
-
 
 def children_values(ctx: EstimatorContext) -> list[float]:
     """Expand the current node, which must be consistent: its two children's values.
 
-    One `split` serves both children, and the context stays on a child:
-    child 1 if its value is positive, else child 0. A child left with no rows
-    in some column is inconsistent, so its value is 0.0 without an estimate;
-    a child with rows in every narrowed column is consistent, so its value is
-    the product bound without a consistency scan.
+    The walk's expansion by cursor moves, kept as its reference. One `split`
+    serves both children, and the context stays on a child: child 1 if its
+    value is positive, else child 0. A child left with no rows in some column
+    is inconsistent, so its value is 0.0 without an estimate; a child with
+    rows in every narrowed column is consistent, so its value is the product
+    bound without a consistency scan.
     """
     live0, live1 = ctx.split()
     v0 = ctx.bound() if live0 else 0.0
@@ -132,13 +127,12 @@ def children_values(ctx: EstimatorContext) -> list[float]:
     return [v0, 0.0]
 
 
-def _refute(store: ValueStore, slots: list[int]) -> None:
-    """Zero the current node's slot, then that of every ancestor whose children are all 0.
-
-    `slots[i]` is the store slot of the node at depth i on the walk; nothing
-    is estimated.
-    """
+def _refute(store: ValueStore, prefix: Sequence[int]) -> None:
+    """Zero the slot of the node at `prefix`, then each ancestor's whose children are all 0."""
     values, child = store.values, store.child
+    slots = [0]  # the slots of the nodes on the path, by depth
+    for d in prefix:
+        slots.append(child[slots[-1]] + d)
     for i in range(len(slots) - 1, -1, -1):
         values[slots[i]] = 0.0
         store.refuted += 1
@@ -151,52 +145,97 @@ def _refute(store: ValueStore, slots: list[int]) -> None:
 def sample_once(
     ctx: EstimatorContext, store: ValueStore, rng: random.Random
 ) -> tuple[int, ...] | None:
-    """One guided walk: an answer's code tuple, or None on failure.
+    """One guided walk, in the module docstring's two phases: an answer's codes, or None.
 
     Each answer comes out with probability 1 / up(root); once the root's slot
     is 0 every walk fails. Walks that prove a subtree empty zero its slot.
-    The walk draws from the store's cached values and binds cursors only at
-    the first node the store lacks; below it, each node is expanded where the
-    cursors stand. The context is back at the root on return.
+    The context is at the root on return.
     """
     values, child = store.values, store.child
     value = values[0]
     if value <= 0.0:
         return None
+    random = rng.random
     prefix: list[int] = []
-    slots = [0]
     slot = 0
+    # One uniform draw per level against cumulative child values; mass beyond
+    # the children (clamped at >= 0 by construction) is the failure branch.
+    for level in range(ctx.levels):
+        at = child[slot]
+        if at < 0:
+            break
+        r = random() * value
+        v0 = values[at]
+        if r < v0:
+            d = 0
+        elif r < v0 + values[at + 1]:
+            d = 1
+        else:
+            return None
+        prefix.append(d)
+        slot = at + d
+        value = values[slot]
+    else:
+        return ctx.prefix_codes(prefix)
+    ctx.bind_prefix(prefix)
     try:
-        for level in range(ctx.levels):
-            at = child[slot]
-            if at < 0:
-                # The cursors wait at the root below a cached prefix, or
-                # stand on this node.
-                if ctx.depth < level:
-                    ctx.bind_prefix(prefix)
-                block = children_values(ctx)
-                if sum(block) <= 0.0:
-                    _refute(store, slots)
-                    return None
-                at = store.add(slot, block)
-            # One uniform draw against cumulative child values; mass beyond the
-            # children (clamped at >= 0 by construction) is the failure branch.
-            r = rng.random() * value
-            v0 = values[at]
+        plans, exp = ctx.frontier_plans, math.exp
+        for level in range(level, ctx.levels):
+            # The node is consistent: every range has rows, and gives the midpoint.
+            affected, w, terms = plans[level]
+            col, st = affected[0]
+            m = col[st[-1][0]] & -w | w
+            cuts = []
+            live0 = live1 = True
+            for col, st in affected:
+                lo, hi = st[-1]
+                mid = bisect_left(col, m, lo, hi)
+                cuts.append((lo, mid, hi))
+                if mid == lo:
+                    live0 = False
+                elif mid == hi:
+                    live1 = False
+            if not (live0 or live1):
+                _refute(store, prefix)
+                return None
+            # `bound`'s float operations for both children; a dead child gets none.
+            t0 = t1 = 0.0
+            for j, table, stack in terms:
+                if j >= 0:
+                    lo, mid, hi = cuts[j]
+                    t0 += table[mid - lo]
+                    t1 += table[hi - mid]
+                else:
+                    x = stack if table is None else table[stack[-1][1] - stack[-1][0]]
+                    t0 += x
+                    t1 += x
+            v0 = exp(t0) if live0 else 0.0
+            v1 = exp(t1) if live1 else 0.0
+            at = len(values)  # the block, as the store's docstring lays it out
+            values.append(v0)
+            values.append(v1)
+            child.extend(_NEW_BLOCK)
+            child[slot] = at
+            r = random() * value
             if r < v0:
                 d = 0
-                # The expansion left the cursors on child 1 if it has a value.
-                if ctx.depth > level and values[at + 1]:
-                    ctx.unsibling()
-            elif r < v0 + values[at + 1]:
+                value = v0
+                for (_, st), (lo, mid, _) in zip(affected, cuts):
+                    st.append((lo, mid))
+            elif r < v0 + v1:
                 d = 1
+                value = v1
+                for (_, st), (_, mid, hi) in zip(affected, cuts):
+                    st.append((mid, hi))
             else:
                 return None
             prefix.append(d)
             slot = at + d
-            slots.append(slot)
-            value = values[slot]
         return ctx.prefix_codes(prefix)
+    except OverflowError:
+        ctx.depth = level  # the walk below its cut leaves `depth` at the cut
+        children_values(ctx)  # raises `bound`'s CoverError at the node that overflowed
+        raise
     finally:
         ctx.reset()
 

@@ -7,6 +7,7 @@ import pytest
 
 from wcjoin import sampler as sampler_module
 from wcjoin.binary import bin_query
+from wcjoin.constraints import ConstraintSet, DegreeConstraint, cardinality_constraints
 from wcjoin.core import encode_instance
 from wcjoin.estimators import (
     CoverError,
@@ -48,6 +49,15 @@ ANSWER_FREE_TABLES = [
 
 def bin_ctx(query):
     return build_agm_context(bin_query(query))
+
+
+def add_block(store, slot, block):
+    """Store the child values of the node in `slot` as the walk does; the block's offset."""
+    at = len(store.values)
+    store.values.extend(block)
+    store.child.extend([-1] * len(block))
+    store.child[slot] = at
+    return at
 
 
 def stored_slots(ctx, store):
@@ -93,14 +103,15 @@ class TestChildrenValues:
         # Root value 8 splits between the x1#1 = 0 and x1#1 = 1 subtrees.
         assert sum(values) <= store.up_root + 1e-9
         assert values[0] > 0.0 and values[1] > 0.0
-        # The context stays on child 1, and moves back to child 0 in place.
+        # The context stays on child 1; child 0 is one bind from the root.
         assert ctx.depth == 1 and ctx.estimate() == values[1]
-        ctx.unsibling()
+        ctx.reset()
+        ctx.bind(0)
         assert ctx.depth == 1 and ctx.estimate() == values[0]
         ctx.reset()
         assert ctx.depth == 0 and ctx.estimate() == store.up_root
-        at = store.add(0, values)
-        _refute(store, [0, at])  # a refuted child counts 0
+        at = add_block(store, 0, values)
+        _refute(store, [0])  # a refuted child counts 0
         assert list(store.values[at : at + 2]) == [0.0, values[1]]
         assert store.refuted == 1 and store.values[0] == store.up_root
         assert children_values(ctx) == values
@@ -150,7 +161,7 @@ class TestSampleOnce:
         s = Sampler(encode_instance([("R", ("x1",), [["a"], ["b"]])], ("x1",)))
         assert s.ctx.levels == 1
         s.store.values[0] = 4.0
-        s.store.add(0, [1.0, 2.0])
+        add_block(s.store, 0, [1.0, 2.0])
 
         class StubRandom:
             draws = iter([math.nextafter(0.25, 0.0), 0.25, math.nextafter(0.75, 0.0), 0.75])
@@ -287,66 +298,63 @@ class TestSuppliedCover:
 
 class TestValueStore:
     def test_each_prefix_is_estimated_once(self, triangle_query, monkeypatch):
+        # The walk expands nodes in place, with no call per node: each block it
+        # appends to the store is one expansion, of the node whose slot points
+        # at the block, and each `math.exp` it takes is one child's bound. The
+        # cursor moves of the reference expansion must not run at all.
         s = Sampler(triangle_query)
         expanded = set()
         estimates = expansions = 0
-        children, bound = sampler_module.children_values, s.ctx.bound
-        bind, unbind, reset = s.ctx.bind, s.ctx.unbind, s.ctx.reset
-        bind_prefix = s.ctx.bind_prefix
-        split, sibling, unsibling = s.ctx.split, s.ctx.sibling, s.ctx.unsibling
+        walk, exp = sampler_module.sample_once, math.exp
+        bind_prefix, reset = s.ctx.bind_prefix, s.ctx.reset
         path = []  # the context's bound prefix
-
-        def tracking_bind(d):
-            path.append(d)
-            bind(d)
+        cuts = []  # every prefix the walk cut the cursors to
+        node = {0: ()}  # a store slot's prefix
 
         def tracking_bind_prefix(prefix):
             path[:] = prefix
+            cuts.append(tuple(prefix))
             bind_prefix(prefix)
-
-        def tracking_split():
-            path.append(0)
-            return split()
-
-        def tracking_sibling():
-            path[-1] = 1
-            sibling()
-
-        def tracking_unsibling():
-            path[-1] = 0
-            unsibling()
-
-        def tracking_unbind():
-            path.pop()
-            unbind()
 
         def tracking_reset():
             path.clear()
             reset()
 
-        def recording_children(ctx):
-            nonlocal expansions
-            assert len(path) == ctx.depth
-            expansions += 1
-            expanded.add(tuple(path))
-            return children(ctx)
-
-        def counting_bound():
-            # The walk's estimator entry point: the bound at a node it knows
-            # to be consistent.
+        def counting_exp(x):
             nonlocal estimates
             estimates += 1
-            return bound()
+            return exp(x)
 
-        monkeypatch.setattr(sampler_module, "children_values", recording_children)
-        monkeypatch.setattr(s.ctx, "bound", counting_bound)
-        monkeypatch.setattr(s.ctx, "bind", tracking_bind)
+        def tracking_walk(ctx, store, rng):
+            nonlocal expansions
+            first, walks_cut = len(store.values), len(cuts)
+            out = walk(ctx, store, rng)
+            blocks = range(first, len(store.values), ctx.fanout)
+            # A walk cuts once if it expands, and at most once if it refutes
+            # the first node it lacks.
+            assert len(cuts) - walks_cut == 1 if blocks else len(cuts) - walks_cut <= 1
+            parent = {at: slot for slot, at in enumerate(store.child) if at >= first}
+            for at in blocks:
+                # The first expansion is at the cut, each later one at a child
+                # of the one before.
+                prefix = node[parent[at]]
+                assert (prefix if at == first else prefix[:-1]) == cuts[-1]
+                cuts[-1] = prefix
+                expansions += 1
+                expanded.add(prefix)
+                node.update((at + d, prefix + (d,)) for d in range(ctx.fanout))
+            return out
+
+        def forbidden(*args):
+            raise AssertionError("the walk ran a cursor move or bound of the reference")
+
+        monkeypatch.setattr(sampler_module, "sample_once", tracking_walk)
+        monkeypatch.setattr(sampler_module, "children_values", forbidden)
+        monkeypatch.setattr(math, "exp", counting_exp)
         monkeypatch.setattr(s.ctx, "bind_prefix", tracking_bind_prefix)
-        monkeypatch.setattr(s.ctx, "unbind", tracking_unbind)
         monkeypatch.setattr(s.ctx, "reset", tracking_reset)
-        monkeypatch.setattr(s.ctx, "split", tracking_split)
-        monkeypatch.setattr(s.ctx, "sibling", tracking_sibling)
-        monkeypatch.setattr(s.ctx, "unsibling", tracking_unsibling)
+        for name in ("bind", "unbind", "split", "sibling", "bound"):
+            monkeypatch.setattr(s.ctx, name, forbidden)
         s.sample(200, random.Random(42))
         assert estimates > 0 and path == []
         assert expansions == len(expanded)
@@ -409,6 +417,129 @@ class TestValueStore:
         blocks = sum(at >= 0 for at in store.child)
         assert blocks * ctx.fanout + 1 == len(store.values)
         assert ctx.depth == 0
+
+
+def check_blocks(ctx, store, answers_bits):
+    """Every stored block holds what `children_values` gives at its prefix, but
+    for children refuted since, which prefix no answer; the number of blocks."""
+    blocks = 0
+    pending = [((), 0)]  # (prefix, slot)
+    while pending:
+        prefix, slot = pending.pop()
+        at = store.child[slot]
+        if at < 0:
+            continue
+        blocks += 1
+        for d in prefix:
+            ctx.bind(d)
+        fresh = children_values(ctx)
+        ctx.reset()
+        for d, value in enumerate(fresh):
+            below = prefix + (d,)
+            if store.values[at + d] != value:
+                assert store.values[at + d] == 0.0 and value > 0.0
+                assert not any(bits[: len(below)] == below for bits in answers_bits)
+            pending.append((below, at + d))
+    assert blocks * ctx.fanout + 1 == len(store.values)
+    return blocks
+
+
+class TestWalkAgainstReference:
+    """The walk's one-pass expansion against the cursor-move reference, after
+    seeded sessions; the check itself draws nothing. Seeds fixed before the
+    first run."""
+
+    @staticmethod
+    def session(query, constraint_set=None, seed=1):
+        s = Sampler(query, constraint_set)
+        try:
+            s.sample(20, random.Random(seed), max_work=200)
+        except (EmptyAnswerSetError, WorkBudgetError):
+            pass
+        per_var = s.ctx.per_var
+        answers_bits = [
+            tuple((code >> (per_var - 1 - j)) & 1 for code in answer for j in range(per_var))
+            for answer in nested_loop_join(query, s.order)
+        ]
+        blocks = check_blocks(s.ctx, s.store, answers_bits)
+        assert s.ctx.depth == 0 and all(len(st) == 1 for st in s.ctx.stacks)
+        return s, blocks
+
+    def test_agm_random_queries(self):
+        expanded = 0
+        for seed in range(40):
+            q = random_query(random.Random(seed), max_vars=4, max_rels=4, max_tuples=30)
+            expanded += self.session(q, seed=seed)[1] > 0
+        assert expanded >= 20
+
+    def test_pm_with_static_terms(self):
+        # A degree term reads its static N until its earlier variable is
+        # bound, and its live count below.
+        expanded = static = 0
+        for seed in range(40):
+            q, cs = tight_degree_instance(random.Random(seed))
+            s, blocks = self.session(q, cs, seed)
+            expanded += blocks > 0
+            static += any(ready > 0 for _, _, ready, _ in s.ctx._terms)
+        assert expanded >= 20 and static >= 10
+
+    def test_one_variable_on_two_relations(self):
+        q = encode_instance(
+            [("R", ("x1",), [["a"], ["b"], ["c"], ["e"]]), ("S", ("x1",), [["b"], ["c"], ["d"]])],
+            ("x1",),
+        )
+        assert self.session(q)[1] > 0
+
+    @pytest.mark.parametrize("tables", [ANSWER_FREE_TABLES, [
+        ("R", ("x1", "x2"), [["0", "0"], ["0", "1"], ["1", "1"]]),
+        ("S", ("x2", "x3"), [["0", "1"], ["1", "0"], ["1", "1"]]),
+    ]])
+    def test_one_bit_domain(self, tables):
+        s, blocks = self.session(encode_instance(tables, ("x1", "x2", "x3")))
+        assert s.ctx.per_var == 1 and blocks > 0
+
+    def test_a_walk_within_the_store_moves_no_cursor(self, triangle_query, monkeypatch):
+        # A walk that ends inside the store neither grows nor refutes it, and
+        # never cuts the cursors, so it needs no reset.
+        s = Sampler(triangle_query)
+        roots = [list(st) for st in s.ctx.stacks]
+        resets = 0
+        reset = s.ctx.reset
+
+        def counting_reset():
+            nonlocal resets
+            resets += 1
+            reset()
+
+        monkeypatch.setattr(s.ctx, "reset", counting_reset)
+        rng = random.Random(8)
+        within = []
+        for _ in range(300):
+            size, refuted, before = len(s.store.values), s.store.refuted, resets
+            sample_once(s.ctx, s.store, rng)
+            within.append(len(s.store.values) == size and s.store.refuted == refuted)
+            assert resets == before + (not within[-1])
+            assert s.ctx.depth == 0 and s.ctx.stacks == roots
+        assert set(within) == {True, False}
+
+    def test_a_bound_overflowing_below_the_root_raises_as_bound_does(self):
+        # The degree term x1 -> x2 reads its static N = 1 at the root, which
+        # stays finite, and the live count 2 below it, with weight 2000.
+        q = encode_instance(
+            [("R", ("x1", "x2"), [["0", "0"], ["0", "1"], ["1", "0"], ["1", "1"]])], ("x1", "x2")
+        )
+        base, edge = cardinality_constraints(q), frozenset({"x1", "x2"})
+        degree = DegreeConstraint(frozenset({"x1"}), edge, 1, edge)
+        cs = ConstraintSet(base.variables, base.edges, base.constraints + (degree,))
+        s = Sampler(q, cs, FractionalCover((Fraction(1), Fraction(2000))))
+        assert s.store.up_root == 4.0
+        with pytest.raises(CoverError) as reference:
+            children_values(s.ctx)
+        s.ctx.reset()
+        with pytest.raises(CoverError) as walk:
+            s.sample(1, random.Random(1))
+        assert str(walk.value) == str(reference.value) == "bound 2^2001 overflows a float"
+        assert s.ctx.depth == 0
 
 
 def walk_probabilities(ctx, store):

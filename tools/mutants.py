@@ -49,18 +49,14 @@ MUTANTS = (
     ("sibling-keeps-child0-hi", "index.py",
      "            st[-1] = (st[-1][1], st[-2][1])",
      "            st[-1] = (st[-1][1], st[-1][1])"),
-    # The sampler's in-place moves: back to child 0, and to the root.
-    ("unsibling-takes-parent-hi", "index.py",
-     "            st[-1] = (st[-2][0], st[-1][0])",
-     "            st[-1] = (st[-2][1], st[-1][0])"),
     # The one narrowing loop of bind and bind_prefix: two bisects per column.
     ("narrow-lower-bisect-dropped", "index.py",
      "            lo = bisect_left(col, a, lo, hi)\n",
      ""),
     # The walk's rebind: one code interval per variable of a cached prefix.
     ("bind-prefix-interval-one-short", "index.py",
-     "            narrow(first, a, a + width[end - 1])\n",
-     "            narrow(first, a, a + width[end - 1] - 1)\n"),
+     "                narrow(level, a, a + width[level])\n",
+     "                narrow(level, a, a + width[level] - 1)\n"),
     ("reset-keeps-depth", "index.py",
      "            del st[1:]\n        self.depth = 0\n",
      "            del st[1:]\n"),
@@ -70,8 +66,8 @@ MUTANTS = (
      "            for i in range(0, len(prefix) - p + 2, p)\n"),
     # The sampler's two-way draw and its refutation climb.
     ("v1-dropped", "sampler.py",
-     "            elif r < v0 + values[at + 1]:",
-     "            elif r < v0:"),
+     "        elif r < v0 + values[at + 1]:",
+     "        elif r < v0:"),
     ("refute-stops-after-one-slot", "sampler.py",
      "            if values[at] or values[at + 1]:",
      "            if True:"),
@@ -81,6 +77,32 @@ MUTANTS = (
     ("coverage-check-dropped", "sampler.py",
      "            if uncovered is not None:",
      "            if False:"),
+    # The walk below its cut: the cut itself, the one-pass expansion's
+    # midpoint, bounds and term plan, and the drawn child's push.
+    ("cut-one-level-short", "sampler.py",
+     "    ctx.bind_prefix(prefix)\n",
+     "    ctx.bind_prefix(prefix[:-1])\n"),
+    ("frontier-mid-high", "sampler.py",
+     "            m = col[st[-1][0]] & -w | w\n",
+     "            m = (col[st[-1][0]] & -w | w) + 1\n"),
+    ("unnarrowed-term-to-child-0-only", "sampler.py",
+     "                    t0 += x\n                    t1 += x\n",
+     "                    t0 += x\n"),
+    ("dead-child-bounded", "sampler.py",
+     "            v1 = exp(t1) if live1 else 0.0\n",
+     "            v1 = exp(t1)\n"),
+    ("frontier-v1-dropped", "sampler.py",
+     "            elif r < v0 + v1:",
+     "            elif r < v0:"),
+    ("child-1-pushes-child-0-rows", "sampler.py",
+     "                    st.append((mid, hi))\n",
+     "                    st.append((st[-1][0], mid))\n"),
+    ("overflow-escapes-as-overflow-error", "sampler.py",
+     "        children_values(ctx)  # raises",
+     "        pass  # raises"),
+    ("plan-drops-terms-a-level-early", "estimators.py",
+     "                elif level < last.get(id(stack), self.levels):\n",
+     "                elif level < last.get(id(stack), self.levels) - 1:\n"),
     # The bit search's seeks over the smallest column of each variable.
     ("count-from-depth-0", "enumerator.py",
      "            d = (prev ^ a).bit_length()\n",

@@ -163,6 +163,27 @@ def solve_cover_degree(cs: ConstraintSet) -> FractionalCover:
     return FractionalCover(_minimise_cover(cover_sets, bounds, sorted(cs.variables)))
 
 
+class _Values(dict):
+    """A plan's child bounds by the row count n of its one live column, each taken once.
+
+    The term loop of the sampler's expansion, in term order, then `exp`: the
+    very float that loop gives for a child with n rows in that column.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: list) -> None:
+        super().__init__()
+        self.terms = terms
+
+    def __missing__(self, n: int) -> float:
+        t = 0.0
+        for j, table, x in self.terms:
+            t += x if j < 0 else table[n]
+        value = self[n] = math.exp(t)
+        return value
+
+
 class EstimatorContext(Cursors):
     """Cursor-backed evaluation of the product upper bound at a prefix node.
 
@@ -254,17 +275,27 @@ class EstimatorContext(Cursors):
     def frontier_plans(self) -> list[tuple]:
         """Per level, what the sampler's one-pass expansion of a node there reads.
 
-        A plan is (affected, width, terms). A term of `_terms` enters the
-        children's bounds as (j, table, stack) if column j of `affected`
-        narrows its stack, (-1, table, stack) if none does, and (-1, None, w *
-        log N) while static; `table[n]` is `bound`'s w * log(n), or the 0.0
-        `bound` skips for n < 2. Terms keep their order, but one whose stack
-        no later level narrows is left out: at a consistent node it adds 0.0.
+        A plan is (affected, width, terms, single, end, values). A term of
+        `_terms` enters the children's bounds as (j, table, stack) if column j
+        of `affected` narrows its stack, (-1, table, stack) if none does, and
+        (-1, None, w * log N) while static; `table[n]` is `bound`'s w * log(n),
+        or the 0.0 `bound` skips for n < 2. Terms keep their order, but one
+        whose stack no later level narrows is left out: at a consistent node
+        it adds 0.0.
+
+        If the children's bounds read exactly one live row count, all other
+        terms being static, `single` is the column it comes from and
+        `values[n]` is a child's bound when that column keeps n rows: the
+        term loop's sum and `exp`, taken on first use. Otherwise `single` is
+        -1 and `values` None. `end` is the first later level on another
+        variable or with other columns or terms: a stretch of the walk that
+        starts at this level stops there at the latest. Built on the first
+        expansion.
         """
         keys = {(w, stack[0][1]) for w, _, _, stack in self._terms}
         tables = {(w, n): [0.0, 0.0] + [w * math.log(k) for k in range(2, n + 1)] for w, n in keys}
         last = {id(st): level for level, affected in enumerate(self.affected) for _, st in affected}
-        plans = []
+        plans, shapes, shared = [], [], {}
         for level, affected in enumerate(self.affected):
             terms = []
             for w, static, ready, stack in self._terms:
@@ -273,8 +304,16 @@ class EstimatorContext(Cursors):
                 elif level < last.get(id(stack), self.levels):
                     j = next((j for j, (_, st) in enumerate(affected) if st is stack), -1)
                     terms.append((j, tables[w, stack[0][1]], stack))
-            plans.append((affected, self._width[level], terms))
-        return plans
+            live = {j for j, table, _ in terms if table is not None}  # -1: an unnarrowed stack
+            single = live.pop() if len(live) == 1 else -1
+            shape = (id(affected), *((j, id(table), id(x)) for j, table, x in terms))
+            table = None if single < 0 else shared.setdefault(shape, _Values(terms))
+            plans.append([affected, self._width[level], terms, single, level + 1, table])
+            shapes.append(shape)
+        for level in range(self.levels - 2, -1, -1):
+            if shapes[level] == shapes[level + 1]:
+                plans[level][4] = plans[level + 1][4]
+        return [tuple(plan) for plan in plans]
 
 
 def build_agm_context(

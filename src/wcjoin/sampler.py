@@ -16,6 +16,17 @@ one in one pass: one bisect per column at the midpoint, both children's
 bounds in one loop over the level's terms (`EstimatorContext.frontier_plans`),
 and after the draw a push of the drawn child's ranges only;
 `children_values` is that expansion by cursor moves, the tests' reference.
+
+Where a level's bound reads one live row count, of column j, and j's rows
+agree on the next bits of the variable, the levels down to where they part
+(or the plan changes) form a stretch: only the side of j's codes can be
+live, and its bound is the plan's table value for j's row count. The walk
+settles a stretch in one step. One seek per other column gives L(a), the
+longest prefix of j's first code a that every column holds; per level the
+walk stores the block [v, 0.0] or [0.0, v] and draws once, refutes the node
+where a's side loses its rows, and at the stretch's end pushes each other
+column's rows of the prefix settled. The blocks, draws and refutations are
+those of the expansion level by level.
 The walk reads an answer's codes off its prefix, and `Cursors.reset` returns
 the cursors to the root. A node whose children are all 0 is proven
 answer-free: its slot is zeroed, and so is every ancestor's whose children
@@ -179,10 +190,64 @@ def sample_once(
         return ctx.prefix_codes(prefix)
     ctx.bind_prefix(prefix)
     try:
-        plans, exp = ctx.frontier_plans, math.exp
-        for level in range(level, ctx.levels):
+        plans, exp, levels, k = ctx.frontier_plans, math.exp, ctx.levels, ctx.per_var
+        while level < levels:
             # The node is consistent: every range has rows, and gives the midpoint.
-            affected, w, terms = plans[level]
+            affected, w, terms, j, end, table = plans[level]
+            if j >= 0:
+                col, st = affected[j]
+                lo, hi = st[-1]
+                a = col[lo]
+                # A stretch (module docstring): column j keeps all its rows on
+                # the side of its first code a down to `stop`, where its codes
+                # part or the plan ends. a's side dies at `dead`, below L(a)
+                # (`_seek_search`'s miss over the other columns).
+                stop = level + w.bit_length() - (col[hi - 1] ^ a).bit_length()
+                if stop > end:
+                    stop = end
+                if stop > level:
+                    n, miss, seeks = hi - lo, 0, []
+                    for c, (col, st) in enumerate(affected):
+                        if c != j:
+                            lo, hi = st[-1]
+                            q = bisect_left(col, a, lo, hi)
+                            m = (col[q] ^ a).bit_length() if q < hi else k
+                            if m and q > lo and (col[q - 1] ^ a).bit_length() < m:
+                                m = (col[q - 1] ^ a).bit_length()
+                            if m > miss:
+                                miss = m
+                            seeks.append((col, st, lo, q, hi))
+                    dead = level + w.bit_length() - miss
+                    low = w >> (stop - 1 - level)  # the width of the last level settled
+                    if dead > level:
+                        v = table[n]
+                        for level in range(level, stop if stop < dead else dead):
+                            at = len(values)
+                            if a & w:
+                                d = 1
+                                values.append(0.0)
+                                values.append(v)
+                            else:
+                                d = 0
+                                values.append(v)
+                                values.append(0.0)
+                            child.extend(_NEW_BLOCK)
+                            child[slot] = at
+                            if random() * value >= v:  # the draw against the block
+                                return None
+                            value = v
+                            prefix.append(d)
+                            slot = at + d
+                            w >>= 1
+                    if dead < stop:
+                        _refute(store, prefix)
+                        return None
+                    p = a & -low  # the prefix settled: each column's rows of it hold q
+                    for col, st, lo, q, hi in seeks:
+                        lo = q if p == a else bisect_left(col, p, lo, q)
+                        st.append((lo, bisect_left(col, p + low, q, hi)))
+                    level = stop
+                    continue
             col, st = affected[0]
             m = col[st[-1][0]] & -w | w
             cuts = []
@@ -198,19 +263,24 @@ def sample_once(
             if not (live0 or live1):
                 _refute(store, prefix)
                 return None
-            # `bound`'s float operations for both children; a dead child gets none.
-            t0 = t1 = 0.0
-            for j, table, stack in terms:
-                if j >= 0:
-                    lo, mid, hi = cuts[j]
-                    t0 += table[mid - lo]
-                    t1 += table[hi - mid]
-                else:
-                    x = stack if table is None else table[stack[-1][1] - stack[-1][0]]
-                    t0 += x
-                    t1 += x
-            v0 = exp(t0) if live0 else 0.0
-            v1 = exp(t1) if live1 else 0.0
+            if table is not None:
+                lo, mid, hi = cuts[j]
+                v0 = table[mid - lo] if live0 else 0.0
+                v1 = table[hi - mid] if live1 else 0.0
+            else:
+                # `bound`'s float operations for both children; a dead child gets none.
+                t0 = t1 = 0.0
+                for j, table, stack in terms:
+                    if j >= 0:
+                        lo, mid, hi = cuts[j]
+                        t0 += table[mid - lo]
+                        t1 += table[hi - mid]
+                    else:
+                        x = stack if table is None else table[stack[-1][1] - stack[-1][0]]
+                        t0 += x
+                        t1 += x
+                v0 = exp(t0) if live0 else 0.0
+                v1 = exp(t1) if live1 else 0.0
             at = len(values)  # the block, as the store's docstring lays it out
             values.append(v0)
             values.append(v1)
@@ -231,6 +301,7 @@ def sample_once(
                 return None
             prefix.append(d)
             slot = at + d
+            level += 1
         return ctx.prefix_codes(prefix)
     except OverflowError:
         ctx.depth = level  # the walk below its cut leaves `depth` at the cut

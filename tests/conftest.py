@@ -11,7 +11,7 @@ from wcjoin.constraints import (
     DegreeConstraint,
     cardinality_constraints,
 )
-from wcjoin.core import JoinQuery, encode_instance
+from wcjoin.core import Dictionary, JoinQuery, Relation, encode_instance
 
 # Property tests draw the same examples on every run and keep no example
 # database, so the suite's verdict never depends on earlier runs.
@@ -57,6 +57,17 @@ TRIANGLE_ANSWERS = {(0, 0, 3), (1, 0, 2), (1, 1, 0), (1, 1, 2)}
 @pytest.fixture
 def triangle_query() -> JoinQuery:
     return encode_instance(TRIANGLE_TABLES, TRIANGLE_ORDER)
+
+
+def coded_query(order, tables, domain_size) -> JoinQuery:
+    """A query whose codes are given directly: code i stands for the value str(i)."""
+    values = tuple(str(i) for i in range(domain_size))
+    return JoinQuery(
+        tuple(order),
+        tuple(Relation(tuple(vs), frozenset(rows)) for vs, rows in tables),
+        domain_size,
+        Dictionary({v: i for i, v in enumerate(values)}, values),
+    )
 
 
 def random_query(

@@ -26,7 +26,7 @@ from wcjoin.index import Cursors
 from wcjoin.oracle import nested_loop_join, prefix_counts
 from wcjoin.sampler import EmptyAnswerSetError, Sampler
 
-from conftest import TRIANGLE_ANSWERS, TRIANGLE_TABLES, random_query
+from conftest import TRIANGLE_ANSWERS, TRIANGLE_TABLES, coded_query, random_query
 from test_differential import queries, reference_join
 
 
@@ -40,17 +40,6 @@ def run_bin(query, constraint_set=None, order=None):
     out = []
     stats = wcj_binarised(query, out.append, constraint_set, order)
     return out, stats
-
-
-def coded_query(order, tables, domain_size):
-    """A query whose codes are given directly: code i stands for the value str(i)."""
-    values = tuple(str(i) for i in range(domain_size))
-    return JoinQuery(
-        tuple(order),
-        tuple(Relation(tuple(vs), frozenset(rows)) for vs, rows in tables),
-        domain_size,
-        Dictionary({v: i for i, v in enumerate(values)}, values),
-    )
 
 
 @given(queries(), st.data())

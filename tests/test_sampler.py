@@ -1,14 +1,21 @@
 """Guided trace-tree walks: uniformity, trial counts, emptiness detection."""
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from wcjoin import sampler as sampler_module
 from wcjoin.binary import bin_query
-from wcjoin.constraints import ConstraintSet, DegreeConstraint, cardinality_constraints
+from wcjoin.constraints import (
+    ConstraintSet,
+    DegreeConstraint,
+    cardinality_constraints,
+    functional_dependency,
+)
 from wcjoin.core import encode_instance
+from wcjoin.enumerator import wcj_binarised
 from wcjoin.estimators import (
     CoverError,
     EstimatorContext,
@@ -32,6 +39,7 @@ from wcjoin.sampler import (
 from conftest import (
     TRIANGLE_ANSWERS,
     TRIANGLE_TABLES,
+    coded_query,
     random_degree_instance,
     random_query,
     tight_degree_instance,
@@ -444,6 +452,44 @@ def check_blocks(ctx, store, answers_bits):
     return blocks
 
 
+def degree_path_instance(rng: random.Random, values: int = 20):
+    """A path R1(x1,x2) ... R5(x5,x6) over `values` values, most of its joins functional.
+
+    R1-R4 give four fifths of the values one successor, or two with
+    probability 1/4, and R5 is a function x5 -> x6 on four fifths of them.
+    The constraints: one cardinality constraint per relation, degree bounds
+    x2 -> x3, x3 -> x4 and x4 -> x5 at the data's maxima, and the FD x5 -> x6.
+    """
+    vs = [str(v) for v in range(values)]
+    tables = []
+    for i in range(1, 5):
+        rows = [(u, w) for u in rng.sample(vs, values * 4 // 5)
+                for w in rng.sample(vs, rng.choice((1, 1, 1, 2)))]
+        tables.append((f"R{i}", (f"x{i}", f"x{i + 1}"), rows))
+    tables.append(("R5", ("x5", "x6"), [(u, rng.choice(vs)) for u in rng.sample(vs, values * 4 // 5)]))
+    query = encode_instance(tables, [f"x{i}" for i in range(1, 7)])
+    base = cardinality_constraints(query)
+    degree = []
+    for rel in query.relations[1:4]:
+        b = frozenset(rel.variables)
+        top = max(Counter(row[0] for row in rel.rows).values())
+        degree.append(DegreeConstraint(frozenset(rel.variables[:1]), b, top, b))
+    degree.append(functional_dependency(["x5"], "x6", ["x5", "x6"]))
+    return query, ConstraintSet(base.variables, base.edges, base.constraints + tuple(degree))
+
+
+def stored_blocks(store):
+    """Every stored block by the prefix of the node it expands."""
+    blocks, pending = {}, [((), 0)]
+    while pending:
+        prefix, slot = pending.pop()
+        at = store.child[slot]
+        if at >= 0:
+            blocks[prefix] = (store.values[at], store.values[at + 1])
+            pending += [(prefix + (d,), at + d) for d in (0, 1)]
+    return blocks
+
+
 class TestWalkAgainstReference:
     """The walk's one-pass expansion against the cursor-move reference, after
     seeded sessions; the check itself draws nothing. Seeds fixed before the
@@ -456,10 +502,14 @@ class TestWalkAgainstReference:
             s.sample(20, random.Random(seed), max_work=200)
         except (EmptyAnswerSetError, WorkBudgetError):
             pass
+        # The answers come from the bit search, which the oracle checks
+        # elsewhere: the oracle's grid of 20^6 assignments would be too slow.
+        answers = []
+        wcj_binarised(query, answers.append, order=s.order)
         per_var = s.ctx.per_var
         answers_bits = [
             tuple((code >> (per_var - 1 - j)) & 1 for code in answer for j in range(per_var))
-            for answer in nested_loop_join(query, s.order)
+            for answer in answers
         ]
         blocks = check_blocks(s.ctx, s.store, answers_bits)
         assert s.ctx.depth == 0 and all(len(st) == 1 for st in s.ctx.stacks)
@@ -540,6 +590,107 @@ class TestWalkAgainstReference:
             s.sample(1, random.Random(1))
         assert str(walk.value) == str(reference.value) == "bound 2^2001 overflows a float"
         assert s.ctx.depth == 0
+
+    def test_degree_path_settles_stretches(self, monkeypatch):
+        # Where the bound reads one live count and that column's rows agree on
+        # the next bits, the walk settles those levels with one seek per other
+        # column: fewer bisects than blocks.
+        bisects = 0
+        bisect_left = sampler_module.bisect_left
+
+        def counting_bisect_left(*args):
+            nonlocal bisects
+            bisects += 1
+            return bisect_left(*args)
+
+        monkeypatch.setattr(sampler_module, "bisect_left", counting_bisect_left)
+        for seed in range(6):
+            q, cs = degree_path_instance(random.Random(seed))
+            bisects = 0
+            blocks = self.session(q, cs, seed)[1]
+            assert 0 < bisects < blocks
+
+    @pytest.mark.parametrize("rewrite", [
+        # Every level expanded by the term loop, no stretch and no value table.
+        lambda level, affected, w, terms, j, end, table: (affected, w, terms, -1, level + 1, None),
+        # Every stretch cut after one level, so most end mid-variable.
+        lambda level, affected, w, terms, j, end, table: (affected, w, terms, j, level + 1, table),
+    ], ids=["levels", "one-level-stretches"])
+    def test_stretches_store_what_single_levels_store(self, rewrite):
+        for seed in range(6):
+            q, cs = degree_path_instance(random.Random(seed))
+            runs = []
+            for rewritten in (False, True):
+                s = Sampler(q, cs)
+                if rewritten:
+                    s.ctx.frontier_plans = [
+                        rewrite(level, *plan) for level, plan in enumerate(s.ctx.frontier_plans)
+                    ]
+                rng = random.Random(seed)
+                calls = []
+                for _ in range(40):
+                    try:
+                        calls.append(s.sample(1, rng, max_work=20))
+                    except WorkBudgetError as exc:
+                        calls.append((exc.answers, exc.stats))
+                runs.append((
+                    [(answers, stats.as_dict()) for answers, stats in calls],
+                    s.store.values.tobytes(), s.store.child.tobytes(), s.store.refuted,
+                ))
+            assert runs[0] == runs[1]
+
+    def test_a_stretch_refuted_partway_down(self):
+        # Under x1 = 0, R's x2 column holds the one code 5 = 101b, and S
+        # holds 6 = 110b and 7 = 111b, which share only 5's top bit: the
+        # stretch on x2 stores the block of x2's first level, then refutes
+        # the node below it, and with it x1 = 0. Under x1 = 1, R holds 5 and
+        # 6: a stretch of one level, then the level that parts them.
+        q = coded_query(("x1", "x2"), [
+            (("x1", "x2"), [(0, 5), (1, 5), (1, 6)]),
+            (("x2",), [(6,), (7,)]),
+        ], 8)
+        s = Sampler(q)
+        plans = s.ctx.frontier_plans
+        assert [plan[3:5] for plan in plans] == [(0, 3)] * 3 + [(0, 5)] * 2 + [(-1, 6)]
+        answers, _ = s.sample(20, random.Random(3))
+        assert set(answers) == {(1, 6)}
+        assert s.store.refuted == 2
+        up = s.store.up_root
+        assert stored_blocks(s.store) == {
+            (): (up, 0.0), (0,): (up, 0.0), (0, 0): (0.0, 2.0),
+            (0, 0, 0): (0.0, 0.0),
+            (0, 0, 1): (0.0, 2.0), (0, 0, 1, 1): (0.0, 1.0), (0, 0, 1, 1, 1): (1.0, 0.0),
+        }
+        assert check_blocks(s.ctx, s.store, [(0, 0, 1, 1, 1, 0)]) == 7
+
+    def test_a_stretch_value_overflowing_raises_at_the_stretch_start(self, monkeypatch):
+        # The degree term x2 -> x3 turns live at x2's last level, the first
+        # level of a stretch on R2's x2 column, and reads the live count 2
+        # with weight 2000 (the data breaks its N = 1).
+        q = coded_query(("x1", "x2", "x3"), [
+            (("x1", "x2"), [(0, 1), (1, 2)]),
+            (("x2", "x3"), [(1, 0), (1, 1), (2, 3)]),
+        ], 4)
+        base, edge = cardinality_constraints(q), frozenset({"x2", "x3"})
+        degree = DegreeConstraint(frozenset({"x2"}), edge, 1, edge)
+        cs = ConstraintSet(base.variables, base.edges, base.constraints + (degree,))
+        cover = FractionalCover((Fraction(1), Fraction(0), Fraction(2000)))
+        s = Sampler(q, cs, cover)
+        assert s.ctx.frontier_plans[3][3:5] == (1, 4)
+        reported = []
+        reference = sampler_module.children_values
+
+        def recording_children_values(ctx):
+            reported.append((ctx.depth, [st[-1] for st in ctx.stacks]))
+            return reference(ctx)
+
+        monkeypatch.setattr(sampler_module, "children_values", recording_children_values)
+        with pytest.raises(CoverError, match=r"^bound 2\^2000 overflows a float$"):
+            s.sample(20, random.Random(1))
+        node = Sampler(q, cs, cover).ctx
+        node.bind_prefix([0, 0, 0])  # x1 = 0, x2's first bit 0
+        assert reported == [(3, [st[-1] for st in node.stacks])]
+        assert s.ctx.depth == 0 and all(len(st) == 1 for st in s.ctx.stacks)
 
 
 def walk_probabilities(ctx, store):

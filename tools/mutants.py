@@ -86,8 +86,8 @@ MUTANTS = (
      "            m = col[st[-1][0]] & -w | w\n",
      "            m = (col[st[-1][0]] & -w | w) + 1\n"),
     ("unnarrowed-term-to-child-0-only", "sampler.py",
-     "                    t0 += x\n                    t1 += x\n",
-     "                    t0 += x\n"),
+     "                        t0 += x\n                        t1 += x\n",
+     "                        t0 += x\n"),
     ("dead-child-bounded", "sampler.py",
      "            v1 = exp(t1) if live1 else 0.0\n",
      "            v1 = exp(t1)\n"),
@@ -100,6 +100,26 @@ MUTANTS = (
     ("overflow-escapes-as-overflow-error", "sampler.py",
      "        children_values(ctx)  # raises",
      "        pass  # raises"),
+    # The stretches: a's side dies where a column stops holding its prefix,
+    # a stretch ends where the plan does, and one that stops mid-variable
+    # pushes the rows of the prefix it settled. A plan's value table is read
+    # at each child's own count, and a plan whose bound reads another
+    # stack's live count gets none.
+    ("stretch-dies-a-level-late", "sampler.py",
+     "                    dead = level + w.bit_length() - miss\n",
+     "                    dead = level + w.bit_length() - miss + 1\n"),
+    ("stretch-runs-past-a-plan-change", "estimators.py",
+     "            if shapes[level] == shapes[level + 1]:\n",
+     "            if plans[level][1] > 1:\n"),
+    ("mid-variable-stretch-pushes-the-full-code", "sampler.py",
+     "                    p = a & -low  #",
+     "                    p, low = a, 1  #"),
+    ("value-table-child-0-reads-child-1-rows", "sampler.py",
+     "                v0 = table[mid - lo] if live0 else 0.0\n",
+     "                v0 = table[hi - mid] if live0 else 0.0\n"),
+    ("stretch-ignores-another-live-count", "estimators.py",
+     "            live = {j for j, table, _ in terms if table is not None}",
+     "            live = {j for j, table, _ in terms if j >= 0}"),
     ("plan-drops-terms-a-level-early", "estimators.py",
      "                elif level < last.get(id(stack), self.levels):\n",
      "                elif level < last.get(id(stack), self.levels) - 1:\n"),

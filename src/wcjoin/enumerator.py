@@ -340,7 +340,9 @@ def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
         while pos < end:
             # A code x shares k - (x ^ a).bit_length() leading bits with a:
             # a misses the last `miss` bits of L(a), and d bits after its
-            # common prefix with the code scanned before it.
+            # common prefix with the code scanned before it. The seeks are
+            # `index.seek` inlined, here and in `_settle_last`: a call per
+            # code costs the join 1-7 %.
             a = col_s[pos]
             if ocol is not None:
                 q = bisect_left(ocol, a, olo, ohi)

@@ -275,7 +275,7 @@ class EstimatorContext(Cursors):
     def frontier_plans(self) -> list[tuple]:
         """Per level, what the sampler's one-pass expansion of a node there reads.
 
-        A plan is (affected, width, terms, single, end, values). A term of
+        A plan is (affected, width, terms, single). A term of
         `_terms` enters the children's bounds as (j, table, stack) if column j
         of `affected` narrows its stack, (-1, table, stack) if none does, and
         (-1, None, w * log N) while static; `table[n]` is `bound`'s w * log(n),
@@ -284,12 +284,12 @@ class EstimatorContext(Cursors):
         it adds 0.0.
 
         If the children's bounds read exactly one live row count, all other
-        terms being static, `single` is the column it comes from and
-        `values[n]` is a child's bound when that column keeps n rows: the
-        term loop's sum and `exp`, taken on first use. Otherwise `single` is
-        -1 and `values` None. `end` is the first later level on another
-        variable or with other columns or terms: a stretch of the walk that
-        starts at this level stops there at the latest. Built on the first
+        terms being static, `single` is (j, end, values): j is the column the
+        count comes from, and `values[n]` is a child's bound when that column
+        keeps n rows, the term loop's sum and `exp` taken on first use. `end`
+        is the first later level on another variable or with other columns
+        or terms: a stretch of the walk that starts at this level stops there
+        at the latest. Otherwise `single` is None. Built on the first
         expansion.
         """
         keys = {(w, stack[0][1]) for w, _, _, stack in self._terms}
@@ -313,7 +313,10 @@ class EstimatorContext(Cursors):
         for level in range(self.levels - 2, -1, -1):
             if shapes[level] == shapes[level + 1]:
                 plans[level][4] = plans[level + 1][4]
-        return [tuple(plan) for plan in plans]
+        return [
+            (affected, w, terms, None if j < 0 else (j, end, table))
+            for affected, w, terms, j, end, table in plans
+        ]
 
 
 def build_agm_context(

@@ -21,6 +21,8 @@ interval off a prefix of child indices or off the rows.
 - `bind_prefix`: root to a prefix's node, one cut per variable. The
   sampler's walk cuts its cached prefix with it, and `reset` returns.
 - `prefix_codes`: the one code reader, arithmetic on child indices alone.
+- `seek`: where a code's rows start in one column's range, and how much of
+  the code the range holds, for the sampler's stretches.
 The bit search (`enumerator.wcj_binarised`) and the sampler's walk below its
 cut read the columns and push the ranges they descend into themselves.
 """
@@ -167,3 +169,20 @@ class Cursors:
             sum(d * w[level] for level, d in enumerate(prefix[i : i + p], i))
             for i in range(0, len(prefix) - p + 1, p)
         )
+
+
+def seek(col: Sequence[int], a: int, lo: int, hi: int, k: int) -> tuple[int, int]:
+    """Seek the k-bit code a in the sorted range col[lo:hi]: (q, miss).
+
+    q is where a's rows start (`bisect_left`). The longest prefix of a that
+    some code of the range holds is k - miss bits long, and a's nearest
+    codes, col[q - 1] and col[q], hold it. miss is 0 if the range holds a,
+    and k if the range is empty.
+    """
+    q = bisect_left(col, a, lo, hi)
+    miss = (col[q] ^ a).bit_length() if q < hi else k
+    if miss and q > lo:
+        m = (col[q - 1] ^ a).bit_length()
+        if m < miss:
+            miss = m
+    return q, miss

@@ -45,6 +45,7 @@ from typing import Sequence
 from .constraints import ConstraintSet
 from .core import JoinQuery
 from .estimators import CoverError, EstimatorContext, FractionalCover, check_coverage
+from .index import seek
 
 _NEW_BLOCK = array("i", [-1, -1])  # a new block's child slots: no child expanded yet
 
@@ -193,15 +194,16 @@ def sample_once(
         plans, exp, levels, k = ctx.frontier_plans, math.exp, ctx.levels, ctx.per_var
         while level < levels:
             # The node is consistent: every range has rows, and gives the midpoint.
-            affected, w, terms, j, end, table = plans[level]
-            if j >= 0:
+            affected, w, terms, single = plans[level]
+            if single is not None:
+                j, end, table = single
                 col, st = affected[j]
                 lo, hi = st[-1]
                 a = col[lo]
                 # A stretch (module docstring): column j keeps all its rows on
                 # the side of its first code a down to `stop`, where its codes
                 # part or the plan ends. a's side dies at `dead`, below L(a)
-                # (`_seek_search`'s miss over the other columns).
+                # (the largest `seek` miss over the other columns).
                 stop = level + w.bit_length() - (col[hi - 1] ^ a).bit_length()
                 if stop > end:
                     stop = end
@@ -210,10 +212,7 @@ def sample_once(
                     for c, (col, st) in enumerate(affected):
                         if c != j:
                             lo, hi = st[-1]
-                            q = bisect_left(col, a, lo, hi)
-                            m = (col[q] ^ a).bit_length() if q < hi else k
-                            if m and q > lo and (col[q - 1] ^ a).bit_length() < m:
-                                m = (col[q - 1] ^ a).bit_length()
+                            q, m = seek(col, a, lo, hi, k)
                             if m > miss:
                                 miss = m
                             seeks.append((col, st, lo, q, hi))
@@ -263,11 +262,7 @@ def sample_once(
             if not (live0 or live1):
                 _refute(store, prefix)
                 return None
-            if table is not None:
-                lo, mid, hi = cuts[j]
-                v0 = table[mid - lo] if live0 else 0.0
-                v1 = table[hi - mid] if live1 else 0.0
-            else:
+            if single is None:
                 # `bound`'s float operations for both children; a dead child gets none.
                 t0 = t1 = 0.0
                 for j, table, stack in terms:
@@ -281,6 +276,10 @@ def sample_once(
                         t1 += x
                 v0 = exp(t0) if live0 else 0.0
                 v1 = exp(t1) if live1 else 0.0
+            else:
+                lo, mid, hi = cuts[j]
+                v0 = table[mid - lo] if live0 else 0.0
+                v1 = table[hi - mid] if live1 else 0.0
             at = len(values)  # the block, as the store's docstring lays it out
             values.append(v0)
             values.append(v1)

@@ -6,7 +6,7 @@ import pytest
 from wcjoin.binary import bin_query, bin_value, bit_width
 from wcjoin.core import Relation, filter_relation
 from wcjoin.estimators import build_agm_context
-from wcjoin.index import Cursors, build
+from wcjoin.index import Cursors, build, seek
 from wcjoin.sampler import ValueStore
 
 from conftest import TRIANGLE_ORDER, random_query
@@ -261,3 +261,20 @@ class TestSplit:
         assert ctx.fanout == 4
         with pytest.raises(ValueError):
             ValueStore(ctx)
+
+
+class TestSeek:
+    def test_against_every_prefix(self):
+        # miss is k minus the longest prefix of a that some code in the range
+        # holds; q is where a's rows start.
+        rng = random.Random(5)
+        k = 4
+        for _ in range(300):
+            col = sorted(rng.choices(range(1 << k), k=rng.randrange(0, 8)))
+            lo = rng.randrange(0, len(col) + 1)
+            hi = rng.randrange(lo, len(col) + 1)
+            a = rng.randrange(1 << k)
+            held = [p for p in range(k + 1) if any(x >> (k - p) == a >> (k - p) for x in col[lo:hi])]
+            assert seek(col, a, lo, hi, k) == (
+                next((i for i in range(lo, hi) if col[i] >= a), hi), k - max(held, default=0)
+            )

@@ -478,6 +478,17 @@ def degree_path_instance(rng: random.Random, values: int = 20):
     return query, ConstraintSet(base.variables, base.edges, base.constraints + tuple(degree))
 
 
+def bit_search_answers(query, order):
+    """The join's answers by the bit search, which the oracle checks elsewhere.
+
+    The reference for instances like `degree_path_instance`, whose grid of
+    20^6 assignments the oracle refuses.
+    """
+    answers = []
+    wcj_binarised(query, answers.append, order=order)
+    return answers
+
+
 def stored_blocks(store):
     """Every stored block by the prefix of the node it expands."""
     blocks, pending = {}, [((), 0)]
@@ -496,20 +507,16 @@ class TestWalkAgainstReference:
     first run."""
 
     @staticmethod
-    def session(query, constraint_set=None, seed=1):
+    def session(query, constraint_set=None, seed=1, reference=nested_loop_join):
         s = Sampler(query, constraint_set)
         try:
             s.sample(20, random.Random(seed), max_work=200)
         except (EmptyAnswerSetError, WorkBudgetError):
             pass
-        # The answers come from the bit search, which the oracle checks
-        # elsewhere: the oracle's grid of 20^6 assignments would be too slow.
-        answers = []
-        wcj_binarised(query, answers.append, order=s.order)
         per_var = s.ctx.per_var
         answers_bits = [
             tuple((code >> (per_var - 1 - j)) & 1 for code in answer for j in range(per_var))
-            for answer in answers
+            for answer in reference(query, s.order)
         ]
         blocks = check_blocks(s.ctx, s.store, answers_bits)
         assert s.ctx.depth == 0 and all(len(st) == 1 for st in s.ctx.stacks)
@@ -607,14 +614,15 @@ class TestWalkAgainstReference:
         for seed in range(6):
             q, cs = degree_path_instance(random.Random(seed))
             bisects = 0
-            blocks = self.session(q, cs, seed)[1]
+            blocks = self.session(q, cs, seed, reference=bit_search_answers)[1]
             assert 0 < bisects < blocks
 
     @pytest.mark.parametrize("rewrite", [
         # Every level expanded by the term loop, no stretch and no value table.
-        lambda level, affected, w, terms, j, end, table: (affected, w, terms, -1, level + 1, None),
+        lambda level, affected, w, terms, single: (affected, w, terms, None),
         # Every stretch cut after one level, so most end mid-variable.
-        lambda level, affected, w, terms, j, end, table: (affected, w, terms, j, level + 1, table),
+        lambda level, affected, w, terms, single: (
+            affected, w, terms, single and (single[0], level + 1, single[2])),
     ], ids=["levels", "one-level-stretches"])
     def test_stretches_store_what_single_levels_store(self, rewrite):
         for seed in range(6):
@@ -651,7 +659,7 @@ class TestWalkAgainstReference:
         ], 8)
         s = Sampler(q)
         plans = s.ctx.frontier_plans
-        assert [plan[3:5] for plan in plans] == [(0, 3)] * 3 + [(0, 5)] * 2 + [(-1, 6)]
+        assert [plan[3] and plan[3][:2] for plan in plans] == [(0, 3)] * 3 + [(0, 5)] * 2 + [None]
         answers, _ = s.sample(20, random.Random(3))
         assert set(answers) == {(1, 6)}
         assert s.store.refuted == 2
@@ -676,7 +684,7 @@ class TestWalkAgainstReference:
         cs = ConstraintSet(base.variables, base.edges, base.constraints + (degree,))
         cover = FractionalCover((Fraction(1), Fraction(0), Fraction(2000)))
         s = Sampler(q, cs, cover)
-        assert s.ctx.frontier_plans[3][3:5] == (1, 4)
+        assert s.ctx.frontier_plans[3][3][:2] == (1, 4)
         reported = []
         reference = sampler_module.children_values
 

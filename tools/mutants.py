@@ -120,6 +120,10 @@ MUTANTS = (
     ("stretch-ignores-another-live-count", "estimators.py",
      "            live = {j for j, table, _ in terms if table is not None}",
      "            live = {j for j, table, _ in terms if j >= 0}"),
+    # A stretch's seek reads the nearest codes on both sides of a.
+    ("seek-one-neighbour-only", "index.py",
+     "    if miss and q > lo:\n",
+     "    if False:\n"),
     ("plan-drops-terms-a-level-early", "estimators.py",
      "                elif level < last.get(id(stack), self.levels):\n",
      "                elif level < last.get(id(stack), self.levels) - 1:\n"),

@@ -13,7 +13,11 @@ JSON query spec:
       "weights": ["1/2", "1/2", "1/2"]                    # optional exact cover
     }
 
-Relation paths are resolved relative to the spec file. Exit codes: 0 ok,
+Relation paths are resolved relative to the spec file. `join` writes its
+answers as the search finds them, a chunk at a time, and holds no answer
+list; its `wall_time_s` covers the search with decoding and writing. Every
+answer output goes through one writer, which joins plain fields itself and
+leaves values csv.writer would quote to csv.writer. Exit codes: 0 ok,
 1 stdout closed by its reader, 2 parse/validation failure, 3 constraint
 incompatibility or infeasible LP, 4 empty answer set (sample), 5 work budget
 exhausted (sample).
@@ -25,6 +29,7 @@ import csv
 import json
 import os
 import random
+import re
 import sys
 import time
 from contextlib import ExitStack
@@ -245,32 +250,61 @@ def _check_writable(*paths) -> None:
             raise SpecError(f"cannot write {second}: same file as {first}")
 
 
-def _write_named(path, emit) -> None:
-    """emit(fh) into a named file; failing to open or write it is a SpecError (exit 2)."""
+def _emit(path, emit):
+    """emit(fh) into a named file, else stdout, and return its result.
+
+    Failing to open or write a named file is a SpecError (exit 2); a
+    BrokenPipeError on stdout is main's exit 1.
+    """
+    if not path:
+        return emit(sys.stdout)
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            emit(fh)
+            return emit(fh)
     except OSError as exc:
         raise SpecError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+# Values holding a character csv.writer may quote or treat apart (NUL, \r)
+# are left to csv.writer. Answers are written _CHUNK rows at a time.
+_QUOTED = re.compile('[,"\r\n\0]')
+_CHUNK = 1024
+
+
+def _answer_writer(fh, order, values):
+    """Write `order` as the CSV header; return write(rows), which writes a list
+    of code rows decoded through `values`, byte for byte as csv.writer would.
+
+    Where no value needs quoting and every row has at least two fields (a lone
+    empty field is written as ""), a row is its values joined by commas, and
+    a list of rows is decoded and joined by C-level calls alone, one write in all.
+    """
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(order)
+    if len(order) < 2 or _QUOTED.search("".join(values)):
+        return lambda rows: writer.writerows([values[c] for c in row] for row in rows)
+    decode = values.__getitem__
+
+    def write(rows):
+        lines = list(map(",".join, zip(*[map(decode, column) for column in zip(*rows)])))
+        lines.append("")  # the last row's newline
+        fh.write("\n".join(lines))
+
+    return write
+
+
 def _write_answers(out_path, order, query, rows) -> None:
-    values = query.dictionary.backward  # a code's value, without a decode() call per code
-
     def emit(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(order)
-        writer.writerows([values[c] for c in row] for row in rows)
+        write = _answer_writer(fh, order, query.dictionary.backward)
+        for at in range(0, len(rows), _CHUNK):
+            write(rows[at : at + _CHUNK])
 
-    if out_path:
-        _write_named(out_path, emit)
-    else:
-        emit(sys.stdout)  # a BrokenPipeError here is main's exit 1
+    _emit(out_path, emit)
 
 
 def _write_stats(path, payload: dict) -> None:
     if path:
-        _write_named(path, lambda fh: fh.write(json.dumps(payload, indent=2) + "\n"))
+        _emit(path, lambda fh: fh.write(json.dumps(payload, indent=2) + "\n"))
 
 
 def _order(flag: str | None, spec: LoadedSpec) -> tuple[str, ...]:
@@ -290,11 +324,25 @@ def cmd_join(args) -> int:
     query = spec.query
     started = time.perf_counter()
     order = _order(args.order, spec)
-    answers: list[tuple[int, ...]] = []
     search = wcj if args.no_binarise else wcj_binarised
-    stats = search(query, answers.append, order=order)
+
+    def emit(fh):
+        # Answers are written as the search finds them, a chunk at a time.
+        write = _answer_writer(fh, order, query.dictionary.backward)
+        chunk = []
+
+        def sink(row):
+            chunk.append(row)
+            if len(chunk) == _CHUNK:
+                write(chunk)
+                chunk.clear()
+
+        stats = search(query, sink, order=order)
+        write(chunk)
+        return stats
+
+    stats = _emit(args.output, emit)
     elapsed = time.perf_counter() - started
-    _write_answers(args.output, order, query, answers)
     payload = stats.as_dict()
     payload["wall_time_s"] = elapsed
     payload["order"] = list(order)

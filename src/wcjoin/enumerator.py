@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
+from operator import mul
 from typing import Callable, Sequence
 
 from .constraints import ConstraintSet, resolve_order
@@ -425,23 +426,21 @@ def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
         saved[i] = (scan, others, ocol, ost, olo, ohi, pos, end, a, dif, bound)
         i = j
         enter = True
-    # Each entry's own visit counts once, summed column by column. Each hit
-    # on it, and each extra visit of a parent it is linked to, replays it
-    # once more: those extra visits, e[0], run down the links level by level.
-    for j in range(first, last + 1):
-        columns = zip(*made[j])
-        next(columns, None)  # the extras
-        for t, col in zip(range(j * k + 1, j * k + skip), columns):
-            diff[t] += sum(col)
+    # Each hit on an entry, and each extra visit of a parent it is linked to,
+    # replays it once more: those extra visits, e[0], run down the links level
+    # by level. Then each entry's differences count 1 + e[0] times, summed
+    # column by column.
+    for j in range(first, last):
         for e in made[j]:
             m = e[0]
             if m:
-                for t in range(1, skip):
-                    if e[t]:
-                        diff[j * k + t] += m * e[t]
-                if j < last:
-                    for child in e[skip + 1 :: 2]:
-                        child[0] += m
+                for child in e[skip + 1 :: 2]:
+                    child[0] += m
+    for j in range(first, last + 1):
+        columns = zip(*made[j])
+        weights = [1 + m for m in next(columns, ())]
+        for t, col in zip(range(j * k + 1, j * k + skip), columns):
+            diff[t] += sum(map(mul, weights, col))
     for depth in range(1, levels + 1):
         diff[depth] += diff[depth - 1]
     return EnumerationStats.derive(diff[:-1], 2)

@@ -8,8 +8,11 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import wcjoin
 from wcjoin import cli
@@ -322,6 +325,171 @@ class TestJoin:
         out = tmp_path / "out.csv"
         assert main(["join", str(spec), "--output", str(out)]) == EXIT_OK
         assert read_answer_csv(out) == (("x",), {("a",), ("",)})
+
+
+    def test_quoted_values_round_trip(self, tmp_path):
+        # Values holding commas and quotes are read from quoted CSV fields and
+        # must be written back quoted, so that csv reads the same values.
+        tables = [
+            ("R", ("x1", "x2"), [["a,b", 'say "hi"'], ["plain", 'say "hi"'], ["c", "d"]]),
+            ("S", ("x2", "x3"), [['say "hi"', "e\nf"], ['say "hi"', ""], ["d", '""']]),
+        ]
+        spec = write_instance(tmp_path, tables)
+        assert '"a,b","say ""hi"""' in (tmp_path / "R.csv").read_text()
+        out = tmp_path / "ans.csv"
+        assert main(["join", spec, "--output", str(out)]) == EXIT_OK
+        assert read_answer_csv(out) == (
+            ("x1", "x2", "x3"),
+            {
+                ("a,b", 'say "hi"', "e\nf"),
+                ("a,b", 'say "hi"', ""),
+                ("plain", 'say "hi"', "e\nf"),
+                ("plain", 'say "hi"', ""),
+                ("c", "d", '""'),
+            },
+        )
+
+
+# Characters csv.writer quotes or treats apart, and plain ones. A dictionary
+# is drawn from the plain ones and none, one or two of the others, so that
+# the writer's own join runs and a lone quote, say, must turn it off.
+SPECIAL = (",", '"', "\r", "\n", "\0")
+PLAIN = ("a", "b", "0", " ", "é", "雪")
+
+
+@st.composite
+def answer_outputs(draw):
+    """(order, values, rows): 1-3 variables and 0-3000 code rows over distinct values."""
+    # Sizes come from a Random that hypothesis seeds: its own integers favour
+    # small values, and most outputs would hold no row.
+    rng = draw(st.randoms(use_true_random=True))
+    alphabet = PLAIN + tuple(rng.sample(SPECIAL, rng.randrange(3)))
+    values = draw(
+        st.lists(st.text(st.sampled_from(alphabet), max_size=4), min_size=1, max_size=12, unique=True)
+    )
+    order = [f"x{i}" for i in range(rng.randint(1, 3))]
+    n = rng.choice([0, 1, 1023, 1024, 1025, 2048, 2049, rng.randint(0, 3000)])  # chunk edges
+    rows = [tuple(rng.randrange(len(values)) for _ in order) for _ in range(n)]
+    return order, values, rows
+
+
+@settings(max_examples=150)
+@given(answer_outputs())
+@example((["x0", "x1"], ["a", 'say "hi"'], [(0, 1), (1, 0)] * 700))  # a quote, no comma
+@example((["x0"], ["", "a"], [(0,), (1,)]))  # a lone empty field is written as ""
+def test_answers_are_written_as_csv_writer_writes_them(tmp_path_factory, output):
+    order, values, rows = output
+    folder = tmp_path_factory.mktemp("answers")
+    expected, written = folder / "expected.csv", folder / "written.csv"
+    with open(expected, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(order)
+        try:
+            writer.writerows([values[c] for c in row] for row in rows)
+        except csv.Error:  # NUL, on a Python whose csv module refuses it
+            with pytest.raises(csv.Error):
+                cli._write_answers(str(written), order, dictionary_query(values), rows)
+            return
+    cli._write_answers(str(written), order, dictionary_query(values), rows)
+    assert written.read_bytes() == expected.read_bytes()
+
+
+def dictionary_query(values):
+    """What `_write_answers` reads of a query: its dictionary's values by code."""
+    return SimpleNamespace(dictionary=SimpleNamespace(backward=tuple(values)))
+
+
+def write_star_join(tmp_path, n):
+    """R(x1,x2) and S(x2,x3), n rows each through one x2 value: n * n answers."""
+    (tmp_path / "R.csv").write_text("x1,x2\n" + "".join(f"a{i},0\n" for i in range(n)))
+    (tmp_path / "S.csv").write_text("x2,x3\n" + "".join(f"0,b{i}\n" for i in range(n)))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"relations": {"R": {"path": "R.csv"}, "S": {"path": "S.csv"}}}))
+    return str(spec)
+
+
+class TestStreamedJoin:
+    def test_answers_are_not_held(self, tmp_path):
+        # 360 000 answers. Held in a list, their pointers alone would take
+        # 8 bytes each, and the tuples eight times more; streamed, only a
+        # chunk of them is alive at once.
+        spec = write_star_join(tmp_path, 600)
+        out = tmp_path / "out.csv"
+        tracemalloc.start()
+        try:
+            code = main(["join", spec, "--output", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        with open(out, newline="") as fh:
+            assert sum(1 for _ in fh) == 1 + 600 * 600
+        assert peak < 8 * 600 * 600, peak
+
+    @pytest.mark.parametrize("flag", [[], ["--no-binarise"]])
+    def test_closed_stdout_stops_the_search(self, tmp_path, monkeypatch, flag):
+        # A reader that leaves after the header and one chunk: the search
+        # stops at the next write, far short of its 360 000 answers.
+        spec = write_star_join(tmp_path, 600)
+        received = 0
+
+        def counted(search):
+            def run(query, sink, *args, **kwargs):
+                def count(row):
+                    nonlocal received
+                    received += 1
+                    sink(row)
+
+                return search(query, count, *args, **kwargs)
+
+            return run
+
+        for name in ("wcj", "wcj_binarised"):
+            monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
+
+        class ClosedAfterTwoWrites:
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes > 2:
+                    raise BrokenPipeError(32, "Broken pipe")
+                return len(text)
+
+            def fileno(self):  # main points it at devnull
+                return self.fh.fileno()
+
+        with open(tmp_path / "stdout", "w") as fh:
+            monkeypatch.setattr(sys, "stdout", ClosedAfterTwoWrites(fh))
+            code = main(["join", spec, *flag])
+            monkeypatch.undo()
+        assert code == EXIT_CLOSED_OUTPUT
+        assert 1024 <= received <= 2 * 1024, received
+
+    @pytest.mark.parametrize(
+        "constraints, argv, code",
+        [
+            (["x3 ->"], [], EXIT_PARSE),  # a malformed spec
+            ([], ["--order", "x1,x2"], EXIT_PARSE),  # not a permutation
+            (["x3 -> x1"], ["--order", "x1,x3,x2"], EXIT_INCOMPATIBLE),  # x3 must come first
+            (["x3 -> x1"], ["--no-binarise", "--order", "x1,x3,x2"], EXIT_INCOMPATIBLE),
+            (["x3 -> x1", "x1 -> x3"], [], EXIT_INCOMPATIBLE),  # cyclic
+        ],
+    )
+    def test_no_output_file_before_the_search(
+        self, tmp_path, monkeypatch, capsys, constraints, argv, code
+    ):
+        def unreached(*args, **kwargs):
+            raise AssertionError("the search started")
+
+        for name in ("wcj", "wcj_binarised"):
+            monkeypatch.setattr(cli, name, unreached)
+        spec = write_instance(tmp_path, extra={"constraints": constraints})
+        out, stats = tmp_path / "out.csv", tmp_path / "stats.json"
+        assert main(["join", spec, "--output", str(out), "--stats-out", str(stats), *argv]) == code
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists() and not stats.exists()
 
 
 def test_unwritable_output_file_exits_2(tmp_path, capsys, monkeypatch):

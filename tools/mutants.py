@@ -163,7 +163,8 @@ MUTANTS = (
      "        if miss:\n            pos = bisect_left(col_s, ((a >> (miss - 1)) + 1) << (miss - 1), pos + 1, end)\n",
      "        if miss:\n            pos += 1\n"),
     # The subtree cache: a hit is counted, replays every answer, and is keyed
-    # by every stack the subtree reads; extra visits run down every link.
+    # by every stack the subtree reads; extra visits run down every link
+    # and weight the entry's counts.
     ("hit-not-counted", "enumerator.py",
      "                hit[0] += 1\n",
      "                hit[0] += 0\n"),
@@ -174,8 +175,11 @@ MUTANTS = (
      "tuple([st[-1][0] for st in ks])",
      "tuple([st[-1][0] for st in ks[1:]])"),
     ("link-adds-one-not-the-parent-extra", "enumerator.py",
-     "                        child[0] += m\n",
-     "                        child[0] += 1\n"),
+     "                    child[0] += m\n",
+     "                    child[0] += 1\n"),
+    ("epilogue-weight-ignores-extra", "enumerator.py",
+     "        weights = [1 + m for m in next(columns, ())]\n",
+     "        weights = [1 for m in next(columns, ())]\n"),
     ("every-variable-uncached", "enumerator.py",
      "        keys.append(stacks if len(earlier) < i else None)\n",
      "        keys.append(None)\n"),
@@ -237,6 +241,14 @@ MUTANTS = (
     ("same-file-by-real-path-only", "cli.py",
      "            os.path.exists(first) and os.path.exists(second) and os.path.samefile(first, second)\n",
      "            False\n"),
+    # The answer writer joins fields itself only where csv.writer would quote
+    # none, and `join` writes the chunk its sink holds when the search ends.
+    ("plain-check-misses-quote", "cli.py",
+     "_QUOTED = re.compile('[,\"\\r\\n\\0]')",
+     "_QUOTED = re.compile('[,\\r\\n\\0]')"),
+    ("last-chunk-dropped", "cli.py",
+     "        write(chunk)\n        return stats\n",
+     "        return stats\n"),
     # The default guard is the first relation variable set holding B.
     ("guard-last-edge", "cli.py",
      "    for e in edges:\n        if b <= e:",

@@ -21,8 +21,9 @@ the longest common prefixes of codes in its smallest column with their
 neighbours in the others, and one bisect seeks past each block of codes that
 some column lacks (leapfrog seeks on dyadic prefixes; Veldhuizen, ICDT 2014).
 A variable on exactly two columns, as in triangles, paths and cycles over
-binary relations, is scanned by a dedicated two-column loop, and the last
-variable is settled in one call on the descent into it, never entered.
+binary relations, is scanned by a dedicated two-column loop. The last
+variable is scanned like every other, and its consistent leaves are the
+answers.
 Over `binary.bin_query`'s copy, wcj() is the independent reference the bit
 search is tested against.
 
@@ -188,67 +189,15 @@ def _replay(entry: list, i: int, last: int, codes: list[int], sink: Sink, skip: 
 
 
 def _smallest(aff: list) -> tuple[tuple, list]:
-    """The narrowed column with the fewest rows (the first such), and the others."""
+    """The narrowed column with the fewest rows (the first such), and the others
+    as (column, stack, lo, hi), with their top ranges."""
     # A plain loop: min() with a key made the whole search 8-15 % slower.
     scan = aff[0]
     for cs in aff:
         lo, hi = cs[1][-1]
         if hi - lo < scan[1][-1][1] - scan[1][-1][0]:
             scan = cs
-    return scan, [cs for cs in aff if cs is not scan]
-
-
-def _settle_last(aff: list, k: int, head: tuple, sink: Sink, diff: list, base: int,
-                 entry: list | None) -> None:
-    """Settle the last variable at a consistent node by `_seek_search`'s scan.
-
-    It counts the variable's consistent nodes into `diff` from depth `base`
-    on, or into the visit's recorded `entry` (base 0), emits `head + (a,)`
-    for each leaf a and appends a to the entry.
-    """
-    dif, bound = (diff, base + k + 1) if entry is None else (entry, k + 1)
-    if len(aff) == 2:
-        (col_s, st), (col, ot) = aff
-        pos, end = st[-1]
-        lo, hi = ot[-1]
-        if hi - lo < end - pos:
-            col_s, pos, end, col, lo, hi = col, lo, hi, col_s, pos, end
-        others = None
-    else:
-        (col_s, st), others = _smallest(aff)
-        pos, end = st[-1]
-        others = [(col, *st[-1]) for col, st in others]
-    prev = col_s[pos] ^ (1 << (k - 1))
-    while pos < end:
-        a = col_s[pos]
-        if others is None:
-            q = bisect_left(col, a, lo, hi)
-            miss = (col[q] ^ a).bit_length() if q < hi else k
-            if miss and q > lo:
-                m = (col[q - 1] ^ a).bit_length()
-                if m < miss:
-                    miss = m
-        else:
-            miss = 0
-            for col, lo, hi in others:
-                q = bisect_left(col, a, lo, hi)
-                m = (col[q] ^ a).bit_length() if q < hi else k
-                if m and q > lo:
-                    m = min(m, (col[q - 1] ^ a).bit_length())
-                if m > miss:
-                    miss = m
-        d = (prev ^ a).bit_length()
-        if d > miss:
-            dif[bound - d] += 1
-            dif[bound - miss] -= 1
-        prev = a
-        if miss:
-            pos = bisect_left(col_s, ((a >> (miss - 1)) + 1) << (miss - 1), pos + 1, end)
-        else:
-            sink(head + (a,))
-            if entry is not None:
-                entry.append(a)
-            pos = bisect_left(col_s, a + 1, pos + 1, end)
+    return scan, [(*cs, *cs[1][-1]) for cs in aff if cs is not scan]
 
 
 def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
@@ -265,16 +214,16 @@ def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
     variable's bits, the codes sharing a's (L + 1)-bit prefix, an
     inconsistent child, add nothing, and one bisect in S seeks past them.
     Otherwise `a` is a consistent leaf: the search pushes every column's
-    rows of `a` and enters the next variable. Each scanned code is a
-    distinct consistent leaf or inconsistent child and costs at most two
-    bisects per column, so the paper's bound on recursive calls bounds the
-    work too.
+    rows of `a` and enters the next variable. At the last variable the leaf
+    is an answer instead: the scan emits it, appends `a` to the visit's
+    entry when the visit is recorded, and seeks past it. Each scanned code
+    is a distinct consistent leaf or inconsistent child and costs at most
+    three bisects per column, so the paper's bound on recursive calls
+    bounds the work too.
 
     A variable on exactly two columns is scanned by a dedicated kernel: the
     other column's range is read once per node, the lower neighbour only on
-    a miss, and a leaf pushes that column's rows of `a` directly. The last
-    variable is never entered: the descent into it calls `_settle_last`,
-    which counts it, emits its answers and records its leaves.
+    a miss, and a leaf pushes that column's rows of `a` directly.
 
     Subtrees are cached by the rows they read (`_cache_keys`). From the
     first cached variable down, every visit of variable i is recorded as
@@ -309,11 +258,10 @@ def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
     made = [[] for _ in on_var]  # the entries recorded at each variable
     entry = [None] * (last + 1)  # the entry of the current visit at each variable
     skip = k + 2  # an entry is [extra, its k + 1 count differences, items...]
-    if not last:
-        _settle_last(on_var[0], k, (), sink, diff, 0, None)
+    head = ()  # the codes above the last variable, at a visit of it
     i = 0
     enter = True
-    while last:  # a one-variable query was settled above
+    while True:
         if enter:
             # A consistent node on variable i's first bit level: S is the
             # narrowed column with the fewest rows.
@@ -342,8 +290,7 @@ def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
             # A code x shares k - (x ^ a).bit_length() leading bits with a:
             # a misses the last `miss` bits of L(a), and d bits after its
             # common prefix with the code scanned before it. The seeks are
-            # `index.seek` inlined, here and in `_settle_last`: a call per
-            # code costs the join 1-7 %.
+            # `index.seek` inlined: a call per code costs the join 1-7 %.
             a = col_s[pos]
             if ocol is not None:
                 q = bisect_left(ocol, a, olo, ohi)
@@ -354,11 +301,8 @@ def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
                         miss = m
             else:
                 miss = 0
-                found = []  # where each other column's rows of a start
-                for col, st in others:
-                    lo, hi = st[-1]
+                for col, st, lo, hi in others:
                     q = bisect_left(col, a, lo, hi)
-                    found.append(q)
                     m = (col[q] ^ a).bit_length() if q < hi else k
                     if m and q > lo:
                         m = min(m, (col[q - 1] ^ a).bit_length())
@@ -369,10 +313,17 @@ def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
                 dif[bound - d] += 1
                 dif[bound - miss] -= 1
             prev = a
-            if not miss:
+            if miss:
+                # Seek past the codes sharing a's prefix one bit longer than L(a).
+                pos = bisect_left(col_s, ((a >> (miss - 1)) + 1) << (miss - 1), pos + 1, end)
+            elif i < last:
                 break
-            # Seek past the codes sharing a's prefix one bit longer than L(a).
-            pos = bisect_left(col_s, ((a >> (miss - 1)) + 1) << (miss - 1), pos + 1, end)
+            else:
+                # a is an answer: emit it, record it and seek past it.
+                sink(head + (a,))
+                if dif is not diff:
+                    dif.append(a)
+                pos = bisect_left(col_s, a + 1, pos + 1, end)
         else:
             # Variable i is done: climb to the scan of the variable above.
             if not i:
@@ -390,8 +341,11 @@ def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
         if ocol is not None:
             ost.append((q, bisect_left(ocol, a + 1, q, ohi)))
         else:
-            for (col, st), q in zip(others, found):
-                st.append((q, bisect_left(col, a + 1, q, st[-1][1])))
+            # The generic scan seeks a again here: keeping each column's q
+            # in a list per scanned code cost answer-dense joins 5 %.
+            for col, st, lo, hi in others:
+                q = bisect_left(col, a, lo, hi)
+                st.append((q, bisect_left(col, a + 1, q, hi)))
         codes[i] = a
         pos = nxt
         j = i + 1
@@ -419,10 +373,7 @@ def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
                 caches[j][key] = child
             entry[j] = child
         if j == last:
-            _settle_last(on_var[j], k, tuple(codes), sink, diff, j * k, entry[j])
-            for _, st in aff:
-                st.pop()
-            continue
+            head = tuple(codes)
         saved[i] = (scan, others, ocol, ost, olo, ohi, pos, end, a, dif, bound)
         i = j
         enter = True

@@ -1,12 +1,15 @@
 """Command line front end: spec parsing, outputs, exit codes, determinism."""
+import copy
 import csv
 import gc
+import io
 import json
 import os
 import random
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -826,3 +829,109 @@ class TestCoverAndValidate:
         spec = write_instance(tmp_path)
         assert main(["validate", spec]) == EXIT_OK
         assert "no constraints" in capsys.readouterr().out
+
+
+# The CLI contract on any input: no exception escapes main, the exit code is
+# one of the documented ones, and stderr carries exactly what the code says.
+CONTRACT_SPEC = {
+    "relations": {name: {"path": f"{name}.csv"} for name in "RST"},
+    "order": ["x1", "x2", "x3"],
+    "constraints": [
+        {"A": [], "B": ["x1", "x2"], "N": 4},
+        {"A": [], "B": ["x2", "x3"], "N": 4},
+        {"A": [], "B": ["x1", "x3"], "N": 4},
+        {"A": ["x1"], "B": ["x1", "x2"], "N": 2},
+    ],
+}
+FIELDS = st.sampled_from(
+    ("relations", "path", "variables", "order", "constraints", "weights", "A", "B", "N", "guard", "fd")
+) | st.text(max_size=3)
+# Values that still make sense in some field: orders, dependencies that close
+# a cycle, a bound the data breaks, weights.
+PLAUSIBLE = st.sampled_from([
+    "x1", "x9", "R.csv", "1/0", "1/2", "x2 -> x1", "x3 -> x1", 0, 1, 10**400,
+    ["x3", "x2", "x1"], ["x2", "x3", "x1"], ["x1", "x2"], ["1/2", "1/2", "1/2", "0"],
+    {"A": ["x2"], "B": ["x1", "x2"], "N": 1}, {"A": ["x3"], "B": ["x3", "x1"], "N": 2},
+])
+JUNK = PLAUSIBLE | st.recursive(
+    PLAUSIBLE | st.none() | st.booleans() | st.integers(-2, 5) | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(FIELDS, inner, max_size=3),
+    max_leaves=5,
+)
+CSV_JUNK = st.none() | st.binary(max_size=24) | st.text(max_size=24).map(str.encode) | st.sampled_from(
+    [b"", b"x1,x2\n", b"x1,x2\n0\n", b"x1,x1\n0,0\n", b"x1,x2,x3\n0,0,0\n", b"x1,x2\n9,9\n",
+     b"x1,x2\n\xff,1\n", b"x1,x2\n" + b"a" * 200_000 + b",1\n"]
+)  # None deletes the file
+COMMANDS = (["join"], ["join", "--no-binarise"], ["sample", "--estimator", "agm"],
+            ["sample", "--estimator", "pm"], ["cover"], ["validate"])
+
+
+def containers(node):
+    """Every dict and list in a JSON document, the root first."""
+    yield node
+    for child in node.values() if isinstance(node, dict) else node:
+        if isinstance(child, (dict, list)):
+            yield from containers(child)
+
+
+@st.composite
+def contract_runs(draw):
+    """(spec document, CSV edit or None, command line): a valid triangle spec
+    with up to three fields set to junk, deleted or appended."""
+    doc = copy.deepcopy(CONTRACT_SPEC)
+    for _ in range(draw(st.sampled_from((0, 0, 1, 1, 2, 3)))):
+        place = draw(st.sampled_from(list(containers(doc))))
+        keys = list(place) if isinstance(place, dict) else list(range(len(place)))
+        edit = draw(st.sampled_from(("junk", "delete", "append") if keys else ("append",)))
+        if edit == "append" and isinstance(place, dict):
+            place[draw(FIELDS)] = draw(JUNK)
+        elif edit == "append":
+            place.append(draw(JUNK))
+        elif edit == "delete":
+            del place[draw(st.sampled_from(keys))]
+        else:
+            place[draw(st.sampled_from(keys))] = draw(JUNK)
+    csv_edit = None
+    if draw(st.sampled_from((False, False, False, True))):
+        csv_edit = draw(st.tuples(st.sampled_from("RST"), CSV_JUNK))
+    command = draw(st.sampled_from(COMMANDS))
+    if command[0] == "sample":
+        command = command + ["--seed", "1", "--count", "2",
+                             "--max-work", draw(st.sampled_from(("1", "3", "200")))]
+    return doc, csv_edit, command
+
+
+SAMPLE_PM = ["sample", "--estimator", "pm", "--seed", "1", "--count", "2", "--max-work", "200"]
+
+
+@settings(max_examples=200)
+@given(contract_runs())
+@example((CONTRACT_SPEC, None, SAMPLE_PM))  # exit 0
+@example(({**CONTRACT_SPEC, "order": ["x3", "x2", "x1"]}, None, ["join"]))  # x1 -> x2: exit 3
+@example((CONTRACT_SPEC, ("R", b"x1,x2\n9,9\n"), SAMPLE_PM))  # no answer: exit 4
+@example((CONTRACT_SPEC, None, SAMPLE_PM[:-1] + ["1"]))  # one trial: exit 5
+def test_every_input_keeps_the_exit_code_and_stderr_contract(tmp_path_factory, run):
+    doc, csv_edit, command = run
+    folder = tmp_path_factory.mktemp("contract")
+    spec = write_instance(folder)
+    Path(spec).write_text(json.dumps(doc))
+    if csv_edit is not None:
+        name, data = csv_edit
+        target = folder / f"{name}.csv"
+        if data is None:
+            target.unlink()
+        else:
+            target.write_bytes(data)
+    if command[0] in ("join", "sample"):
+        command = command + ["--output", str(folder / "out.csv")]
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main([command[0], spec, *command[1:]])  # nothing may escape
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_INCOMPATIBLE, EXIT_EMPTY, EXIT_BUDGET)
+    lines = err.getvalue().splitlines()
+    if code == EXIT_OK:
+        assert lines == []
+    elif code == EXIT_EMPTY:
+        assert lines == ["answer set empty"]
+    else:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines

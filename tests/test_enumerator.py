@@ -313,7 +313,7 @@ class TestCallBound:
 class TestBisectBound:
     """The bit search's work stays within the paper's bound: each code it
     scans is a consistent leaf or an inconsistent child, and costs at most
-    two bisects per column on its variable."""
+    three bisects per column on its variable."""
 
     @staticmethod
     def bisects_and_calls(monkeypatch, q, order=None):
@@ -440,28 +440,28 @@ class TestSubtreeCache:
             assert bisects(m) <= once + 4 * (m - 1)
 
 
+def last_columns(q, order):
+    """How many narrowed columns the last variable's scan reads."""
+    cur = Cursors(q.relations, order, q.domain_size, True)
+    return len(cur.affected[:: cur.per_var][-1])
+
+
 class TestLastVariable:
-    """The bit search never enters the last variable: the descent into it calls
-    `enumerator._settle_last`, which scans two columns in a dedicated loop.
-    Answers, their order and every counter must stay those of the uncached
-    search: wcj over `bin_query`'s copy."""
+    """The bit search scans the last variable like every other: its consistent
+    leaves are the answers, emitted and, in a recorded visit, appended to the
+    entry. Answers, their order and every counter must stay those of the
+    uncached search: wcj over `bin_query`'s copy."""
 
     @staticmethod
     def run_and_compare(monkeypatch, q, order, spy_bisect=None):
-        """Compare both searches; the (columns, recorded) of each settle call, and
-        for each replay whether it started at the last variable."""
-        settles, replays = [], []
-        settle, replay = enumerator._settle_last, enumerator._replay
-
-        def counting_settle(aff, k, head, sink, diff, base, entry):
-            settles.append((len(aff), entry is not None))
-            settle(aff, k, head, sink, diff, base, entry)
+        """Compare both searches; for each replay, whether it started at the last variable."""
+        replays = []
+        replay = enumerator._replay
 
         def counting_replay(entry, i, last, *rest):
             replays.append(i == last)
             replay(entry, i, last, *rest)
 
-        monkeypatch.setattr(enumerator, "_settle_last", counting_settle)
         monkeypatch.setattr(enumerator, "_replay", counting_replay)
         if spy_bisect is not None:
             monkeypatch.setattr(enumerator, "bisect_left", spy_bisect)
@@ -471,19 +471,21 @@ class TestLastVariable:
         assert out == ref_out  # the same answers, in the same order
         assert stats.as_dict() == ref_stats.as_dict()
         assert out  # every instance here has answers
-        return settles, replays
+        return replays
 
     @pytest.mark.parametrize("relations", [1, 2])
     def test_one_variable_query_is_settled_at_the_root(self, monkeypatch, relations):
+        # The root's scan is the last variable's: every leaf is an answer.
         r = (("x",), [(c,) for c in (1, 4, 5, 11, 12)])
         s = (("x",), [(c,) for c in (0, 4, 11, 13)])
         q = coded_query(("x",), [r, s][:relations], 16)
-        settles, _ = self.run_and_compare(monkeypatch, q, ("x",))
-        assert settles == [(relations, False)]
+        assert last_columns(q, ("x",)) == relations
+        assert self.run_and_compare(monkeypatch, q, ("x",)) == []
 
     @pytest.mark.parametrize("columns", [1, 2, 3])
     def test_last_variable_on_one_two_and_three_columns(self, monkeypatch, columns):
-        # x3 ends R; S and T add its second and third column.
+        # x3 ends R; S and T add its second and third column, so its scan
+        # takes the generic loop, the two-column kernel, then the generic loop.
         rng = random.Random(8)
         r = (("x1", "x2", "x3"), {(rng.randrange(8), rng.randrange(8), rng.randrange(32))
                                   for _ in range(60)})
@@ -491,25 +493,25 @@ class TestLastVariable:
         t = (("x3",), {(rng.randrange(32),) for _ in range(24)})
         order = ("x1", "x2", "x3")
         q = coded_query(order, [r, s, t][:columns], 32)
-        settles, _ = self.run_and_compare(monkeypatch, q, order)
-        assert settles and all(cols == columns for cols, _ in settles)
+        assert last_columns(q, order) == columns
+        self.run_and_compare(monkeypatch, q, order)
 
     @pytest.mark.parametrize("seed", [6, 7])
     def test_cached_last_variable_replays_its_recorded_leaves(self, monkeypatch, seed):
         # Every x2 has two predecessors, so x3's entry, keyed by R2's rows of
-        # x2, is recorded by the settle call and replayed by the second.
+        # x2, records the leaves of its first visit, and the second replays them.
         order = ("x1", "x2", "x3")
         q = coded_query(order, two_predecessor_path(3, 12, seed), 12)
         assert key_sizes(q, order) == [None, None, 1]
-        settles, replays = self.run_and_compare(monkeypatch, q, order)
-        assert settles and all(recorded for _, recorded in settles)
+        assert last_columns(q, order) == 1
+        replays = self.run_and_compare(monkeypatch, q, order)
         assert any(replays) and all(replays)
 
     @pytest.mark.parametrize("order", [("x1", "x2"), ("x2", "x1")])
     def test_two_column_scan_past_both_ends_of_the_other_column(self, monkeypatch, order):
         # x2's smallest column is R's, codes 1, 7 and 12: 1 falls before S's
-        # first row (q == lo) and 12 past its last (q == hi). x2 is settled
-        # by the leaf call in order (x1, x2), scanned by the main loop in (x2, x1).
+        # first row (q == lo) and 12 past its last (q == hi). x2 is the last
+        # variable in order (x1, x2) and the first in (x2, x1).
         s_codes = [5, 6, 7, 8, 9]
         r = (("x1", "x2"), [(0, 1), (0, 7), (0, 12)])
         q = coded_query(order, [r, (("x2",), [(c,) for c in s_codes])], 16)
@@ -521,9 +523,9 @@ class TestLastVariable:
                 outside.add((x, "lo" if q == lo else "hi"))
             return q
 
-        settles, _ = self.run_and_compare(monkeypatch, q, order, spy_bisect)
+        self.run_and_compare(monkeypatch, q, order, spy_bisect)
         assert {(1, "lo"), (12, "hi")} <= outside
-        assert settles == ([(2, False)] if order[-1] == "x2" else [(1, False)])
+        assert last_columns(q, order) == (2 if order[-1] == "x2" else 1)
 
 
 def deep_path_tables(n_vars=121, pool=1000, seed=12):

@@ -132,14 +132,14 @@ MUTANTS = (
      "            d = (prev ^ a).bit_length()\n",
      "            d = k\n"),
     ("seek-past-the-L-block", "enumerator.py",
-     "L(a).\n            pos = bisect_left(col_s, ((a >> (miss - 1)) + 1) << (miss - 1),",
-     "L(a).\n            pos = bisect_left(col_s, ((a >> miss) + 1) << miss,"),
+     "L(a).\n                pos = bisect_left(col_s, ((a >> (miss - 1)) + 1) << (miss - 1),",
+     "L(a).\n                pos = bisect_left(col_s, ((a >> miss) + 1) << miss,"),
     ("one-neighbour-only", "enumerator.py",
      "                    if m and q > lo:\n                        m = min(m, (col[q - 1] ^ a).bit_length())\n",
      ""),
     ("a+1-bisect-dropped", "enumerator.py",
-     "st.append((q, bisect_left(col, a + 1, q, st[-1][1])))",
-     "st.append((q, st[-1][1]))"),
+     "st.append((q, bisect_left(col, a + 1, q, hi)))",
+     "st.append((q, hi))"),
     # The two-column kernel: both neighbours of a miss, and the other
     # column's rows of a leaf pushed directly.
     ("two-column-one-neighbour-only", "enumerator.py",
@@ -148,20 +148,23 @@ MUTANTS = (
     ("two-column-a+1-bisect-dropped", "enumerator.py",
      "ost.append((q, bisect_left(ocol, a + 1, q, ohi)))",
      "ost.append((q, ohi))"),
-    # The last variable's settle call: counts, both neighbours, recorded leaves.
-    ("settle-counts-from-depth-0", "enumerator.py",
-     "\n        d = (prev ^ a).bit_length()\n",
-     "\n        d = k\n"),
-    ("settle-two-column-one-neighbour-only", "enumerator.py",
-     "            if miss and q > lo:\n",
-     "            if False:\n"),
-    ("settle-leaves-not-recorded", "enumerator.py",
-     "            if entry is not None:\n                entry.append(a)\n",
+    # The last variable's leaves: each answer is emitted under the codes of
+    # its own descent and recorded in a recorded visit, and the scan goes on
+    # at the next code.
+    ("leaf-head-stale", "enumerator.py",
+     "        if j == last:\n            head = tuple(codes)\n",
+     "        if j == last and not head:\n            head = tuple(codes)\n"),
+    ("leaf-seek-skips-the-next-code", "enumerator.py",
+     "pos = bisect_left(col_s, a + 1, pos + 1, end)",
+     "pos = bisect_left(col_s, a + 2, pos + 1, end)"),
+    ("leaf-not-recorded", "enumerator.py",
+     "                if dif is not diff:\n                    dif.append(a)\n",
      ""),
     # Answers and counts stay right; only the bisect bound sees the extra scans.
     ("no-seek", "enumerator.py",
-     "        if miss:\n            pos = bisect_left(col_s, ((a >> (miss - 1)) + 1) << (miss - 1), pos + 1, end)\n",
-     "        if miss:\n            pos += 1\n"),
+     "            if miss:\n                # Seek past the codes sharing a's prefix one bit longer than L(a).\n"
+     "                pos = bisect_left(col_s, ((a >> (miss - 1)) + 1) << (miss - 1), pos + 1, end)\n",
+     "            if miss:\n                pos += 1\n"),
     # The subtree cache: a hit is counted, replays every answer, and is keyed
     # by every stack the subtree reads; extra visits run down every link
     # and weight the entry's counts.

@@ -318,6 +318,25 @@ class EstimatorContext(Cursors):
             for affected, w, terms, j, end, table in plans
         ]
 
+    @cached_property
+    def frontier_cuts(self) -> list[list[list]]:
+        """Per level L, the (column, stack) pairs the sampler's cut to a prefix of length L narrows.
+
+        Below the cut the walk reads only stacks that some level >= L
+        narrows: its plans (`frontier_plans`) read the levels' columns, and
+        keep a term only while a later level narrows the term's stack. So
+        `frontier_cuts[L][u]` holds the pairs of variable u that the prefix
+        binds whose stacks a level >= L narrows, for `Cursors.bind_prefix`.
+        Built with the plans, on the first expansion.
+        """
+        k = self.per_var
+        last = {id(st): level for level, affected in enumerate(self.affected) for _, st in affected}
+        return [
+            [[(col, st) for col, st in self.affected[u * k] if last[id(st)] >= level]
+             for u in range((level + k - 1) // k)]
+            for level in range(self.levels)
+        ]
+
 
 def build_agm_context(
     query: JoinQuery,

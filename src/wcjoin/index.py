@@ -18,8 +18,11 @@ interval off a prefix of child indices or off the rows.
 - `split`, `sibling`: `bind` at bit levels, and `sampler.children_values`.
   `split` pushes child 0 and tells which children have rows; `sibling`
   turns child 0 into child 1.
-- `bind_prefix`: root to a prefix's node, one cut per variable. The
-  sampler's walk cuts its cached prefix with it, and `reset` returns.
+- `bind_prefix`: root to a prefix's node, one cut per variable, the codes
+  read off the prefix's bits as one int. The sampler's walk cuts its
+  cached prefix with it, in only the stacks its later levels read, and
+  `reset` returns. `bind` and `bind_prefix` share one narrowing loop,
+  two bisects per (column, stack) pair.
 - `prefix_codes`: the one code reader, arithmetic on child indices alone.
 - `seek`: where a code's rows start in one column's range, and how much of
   the code the range holds, for the sampler's stretches.
@@ -33,6 +36,8 @@ from operator import itemgetter
 from typing import Sequence
 
 from .core import Relation, rows_at
+
+_BITS = bytes.maketrans(b"\0\1", b"01")  # child indices 0 and 1 as the digits of a binary int
 
 
 def bit_width(domain_size: int) -> int:
@@ -84,9 +89,9 @@ class Cursors:
                 on_var[pos[v]].append((list(map(itemgetter(i), rows)), stack))
         self.affected = [on_var[level // per_var] for level in range(self.levels)]
 
-    def _narrow(self, level: int, a: int, c: int) -> None:
-        """Push, for every column `level` narrows, the rows of its top range in [a, c)."""
-        for col, st in self.affected[level]:
+    def _narrow(self, pairs: Sequence[tuple], a: int, c: int) -> None:
+        """Push, for every (column, stack) pair, the rows of the stack's top range in [a, c)."""
+        for col, st in pairs:
             lo, hi = st[-1]
             lo = bisect_left(col, a, lo, hi)
             st.append((lo, bisect_left(col, c, lo, hi)))
@@ -98,25 +103,31 @@ class Cursors:
             if d:
                 self.sibling()
         else:
-            self._narrow(self.depth, d, d + 1)
+            self._narrow(self.affected[self.depth], d, d + 1)
             self.depth += 1
 
-    def bind_prefix(self, prefix: Sequence[int]) -> None:
+    def bind_prefix(self, prefix: Sequence[int], columns: Sequence[Sequence] | None = None) -> None:
         """Move from the root to the node of a prefix of child indices.
 
         Each variable the prefix binds, wholly or in part, is cut once to one
         code interval [a, a + w), where w is the width of the prefix's last
         level on it. So the stacks hold one entry per variable, not one per
-        level: every move but `unbind` may follow.
+        level: every move but `unbind` may follow. `columns[u]` lists the
+        (column, stack) pairs variable u cuts; by default, all it narrows.
+        The sampler's walk passes fewer (`EstimatorContext.frontier_cuts`).
         """
-        width, narrow, last = self._width, self._narrow, len(prefix) - 1
-        a = 0
-        for level, d in enumerate(prefix):
-            a += d * width[level]
-            if width[level] == 1 or level == last:  # the variable's last level here
-                narrow(level, a, a + width[level])
-                a = 0
-        self.depth = last + 1
+        depth = self.depth = len(prefix)
+        if not depth:
+            return
+        if columns is None:
+            columns = self.affected[:: self.per_var]
+        codes = self._codes(prefix)
+        last = len(codes) - 1
+        w = 1 << (-depth % self.per_var)  # the width of the prefix's last level
+        narrow = self._narrow
+        for u in range(last):
+            narrow(columns[u], codes[u], codes[u] + 1)
+        narrow(columns[last], codes[last], codes[last] + w)
 
     def split(self) -> tuple[bool, bool]:
         """Move to child 0 of a two-way node; whether child 0 and child 1 have rows.
@@ -162,13 +173,20 @@ class Cursors:
             del st[1:]
         self.depth = 0
 
+    def _codes(self, prefix: Sequence[int]) -> Sequence[int]:
+        """The code of every variable a prefix of child indices binds, its unbound bits 0."""
+        k = self.per_var
+        if k == 1 or not prefix:
+            return prefix  # one level per variable: the child index is the code
+        pad = -len(prefix) % k
+        x = int(bytes(prefix).translate(_BITS), 2) << pad  # the prefix's bits as one int
+        n = (len(prefix) + pad) // k
+        mask = (1 << k) - 1
+        return [x >> (n - 1 - u) * k & mask for u in range(n)]
+
     def prefix_codes(self, prefix: Sequence[int]) -> tuple[int, ...]:
         """The codes of the variables a prefix of child indices binds fully, in order."""
-        w, p = self._width, self.per_var
-        return tuple(
-            sum(d * w[level] for level, d in enumerate(prefix[i : i + p], i))
-            for i in range(0, len(prefix) - p + 1, p)
-        )
+        return tuple(self._codes(prefix)[: len(prefix) // self.per_var])
 
 
 def seek(col: Sequence[int], a: int, lo: int, hi: int, k: int) -> tuple[int, int]:

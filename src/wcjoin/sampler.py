@@ -11,11 +11,16 @@ A Sampler's only learned state is its ValueStore: the child values of every
 prefix its walks have expanded, each estimated once. A walk first draws
 through the store with the cursors at the root, so a walk that ends there
 moves no cursor. At the first node the store lacks, it cuts the cursors to
-its prefix (`Cursors.bind_prefix`) and expands that node and every later
-one in one pass: one bisect per column at the midpoint, both children's
-bounds in one loop over the level's terms (`EstimatorContext.frontier_plans`),
-and after the draw a push of the drawn child's ranges only;
-`children_values` is that expansion by cursor moves, the tests' reference.
+its prefix (`Cursors.bind_prefix`), but only the stacks that this level or
+a later one reads (`EstimatorContext.frontier_cuts`), and expands that node
+and every later one in one pass: one bisect per column at the midpoint,
+both children's bounds in one loop over the level's terms
+(`EstimatorContext.frontier_plans`), and after the draw a push of the drawn
+child's ranges only. A level on exactly two columns has a kernel of its
+own that keeps both columns' cuts in locals. `children_values` is that
+expansion by cursor moves, the tests' reference; the walk reports a bound
+that overflows through it, after cutting every stack, as `bound` reads
+every term.
 
 Where a level's bound reads one live row count, of column j, and j's rows
 agree on the next bits of the variable, the levels down to where they part
@@ -172,26 +177,30 @@ def sample_once(
     slot = 0
     # One uniform draw per level against cumulative child values; mass beyond
     # the children (clamped at >= 0 by construction) is the failure branch.
-    for level in range(ctx.levels):
+    # A leaf's slot has no block, so the draws stop there too.
+    while True:
         at = child[slot]
         if at < 0:
             break
         r = random() * value
-        v0 = values[at]
-        if r < v0:
-            d = 0
-        elif r < v0 + values[at + 1]:
-            d = 1
+        value = values[at]
+        if r < value:
+            prefix.append(0)
+            slot = at
         else:
-            return None
-        prefix.append(d)
-        slot = at + d
-        value = values[slot]
-    else:
+            v1 = values[at + 1]
+            if r < value + v1:
+                prefix.append(1)
+                slot = at + 1
+                value = v1
+            else:
+                return None
+    level, levels = len(prefix), ctx.levels
+    if level == levels:
         return ctx.prefix_codes(prefix)
-    ctx.bind_prefix(prefix)
+    plans, exp, k = ctx.frontier_plans, math.exp, ctx.per_var
+    ctx.bind_prefix(prefix, ctx.frontier_cuts[level])
     try:
-        plans, exp, levels, k = ctx.frontier_plans, math.exp, ctx.levels, ctx.per_var
         while level < levels:
             # The node is consistent: every range has rows, and gives the midpoint.
             affected, w, terms, single = plans[level]
@@ -247,6 +256,58 @@ def sample_once(
                         st.append((lo, bisect_left(col, p + low, q, hi)))
                     level = stop
                     continue
+            if len(affected) == 2:
+                # The two-column kernel: the generic expansion below, with
+                # both columns' cuts held in locals and pushed directly.
+                (col, st), (col1, st1) = affected
+                lo, hi = st[-1]
+                lo1, hi1 = st1[-1]
+                m = col[lo] & -w | w
+                mid = bisect_left(col, m, lo, hi)
+                mid1 = bisect_left(col1, m, lo1, hi1)
+                live0 = lo < mid and lo1 < mid1
+                live1 = mid < hi and mid1 < hi1
+                if not (live0 or live1):
+                    _refute(store, prefix)
+                    return None
+                n0, n1 = (mid - lo, mid1 - lo1), (hi - mid, hi1 - mid1)  # the children's counts
+                if single is None:
+                    t0 = t1 = 0.0
+                    for j, table, stack in terms:
+                        if j >= 0:
+                            t0 += table[n0[j]]
+                            t1 += table[n1[j]]
+                        else:
+                            x = stack if table is None else table[stack[-1][1] - stack[-1][0]]
+                            t0 += x
+                            t1 += x
+                    v0 = exp(t0) if live0 else 0.0
+                    v1 = exp(t1) if live1 else 0.0
+                else:
+                    v0 = table[n0[j]] if live0 else 0.0
+                    v1 = table[n1[j]] if live1 else 0.0
+                at = len(values)
+                values.append(v0)
+                values.append(v1)
+                child.extend(_NEW_BLOCK)
+                child[slot] = at
+                r = random() * value
+                if r < v0:
+                    prefix.append(0)
+                    slot = at
+                    value = v0
+                    st.append((lo, mid))
+                    st1.append((lo1, mid1))
+                elif r < v0 + v1:
+                    prefix.append(1)
+                    slot = at + 1
+                    value = v1
+                    st.append((mid, hi))
+                    st1.append((mid1, hi1))
+                else:
+                    return None
+                level += 1
+                continue
             col, st = affected[0]
             m = col[st[-1][0]] & -w | w
             cuts = []
@@ -303,8 +364,10 @@ def sample_once(
             level += 1
         return ctx.prefix_codes(prefix)
     except OverflowError:
-        ctx.depth = level  # the walk below its cut leaves `depth` at the cut
-        children_values(ctx)  # raises `bound`'s CoverError at the node that overflowed
+        # `bound` reads every term, so every stack is cut to the node that overflowed.
+        ctx.reset()
+        ctx.bind_prefix(prefix)
+        children_values(ctx)  # raises `bound`'s CoverError there
         raise
     finally:
         ctx.reset()

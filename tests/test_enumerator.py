@@ -1,9 +1,11 @@
 """Branch-and-bound enumeration: correctness, pruning shape, call bound."""
 import csv
+import inspect
 import json
 import random
+import sys
 from bisect import bisect_left
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given
@@ -338,6 +340,47 @@ class TestBisectBound:
             order = rng.sample(q.order, len(q.order))
             count, columns, calls = self.bisects_and_calls(monkeypatch, q, order)
             assert count <= 2 * columns * calls
+
+    @staticmethod
+    def bisects_per_code(monkeypatch, q, order=None):
+        """Per code the scan reads: the columns on its variable, and the bisects
+        charged to it by column. A line tracer spots where `_seek_search` reads
+        the next code of its scanned column; a bisect is charged to the code
+        read last."""
+        lines, first = inspect.getsourcelines(enumerator._seek_search)
+        read = first + next(i for i, line in enumerate(lines) if line.strip() == "a = col_s[pos]")
+        scan = enumerator._seek_search.__code__
+        codes = []
+
+        def trace_lines(frame, event, arg):
+            if event == "line" and frame.f_lineno == read:
+                codes.append((len(frame.f_locals["aff"]), Counter()))
+            return trace_lines
+
+        def counting_bisect(col, *args):
+            codes[-1][1][id(col)] += 1
+            return bisect_left(col, *args)
+
+        monkeypatch.setattr(enumerator, "bisect_left", counting_bisect)
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: trace_lines if frame.f_code is scan else None)
+        try:
+            run_bin(q, None, order)
+        finally:
+            sys.settrace(previous)
+            monkeypatch.undo()
+        return codes
+
+    def test_each_scanned_code_costs_at_most_three_bisects_per_column(self, monkeypatch):
+        rng = random.Random(43)
+        most = 0
+        for i in range(100):
+            q = random_query(rng, max_vars=5, max_domain=40) if i % 2 else random_query(rng)
+            order = rng.sample(q.order, len(q.order))
+            for columns, bisects in self.bisects_per_code(monkeypatch, q, order):
+                assert len(bisects) <= columns
+                most = max(most, *bisects.values(), 0)
+        assert most == 3  # a generic leaf: a seek, then a again and a + 1 in each other column
 
     def test_disjoint_halves_take_one_seek(self, monkeypatch):
         # R holds the low half of 2^12 codes and S the high half: the first

@@ -1,4 +1,5 @@
 """Guided trace-tree walks: uniformity, trial counts, emptiness detection."""
+import itertools
 import math
 import random
 from collections import Counter
@@ -319,10 +320,10 @@ class TestValueStore:
         cuts = []  # every prefix the walk cut the cursors to
         node = {0: ()}  # a store slot's prefix
 
-        def tracking_bind_prefix(prefix):
+        def tracking_bind_prefix(prefix, *columns):
             path[:] = prefix
             cuts.append(tuple(prefix))
-            bind_prefix(prefix)
+            bind_prefix(prefix, *columns)
 
         def tracking_reset():
             path.clear()
@@ -699,6 +700,90 @@ class TestWalkAgainstReference:
         node.bind_prefix([0, 0, 0])  # x1 = 0, x2's first bit 0
         assert reported == [(3, [st[-1] for st in node.stacks])]
         assert s.ctx.depth == 0 and all(len(st) == 1 for st in s.ctx.stacks)
+
+    def test_an_overflow_below_a_lean_cut_reports_the_bound_of_the_full_node(self):
+        # The degree term x3 -> x4 (N = 1, weight 2000) turns live at x3's last
+        # level, where x3 = 0 has two x4 partners (the data breaks N, which
+        # `wcjoin sample` would refuse). A walk whose cached prefix ends below
+        # R's last level cuts it without R, which stays at its root range of
+        # 2 rows; `bound`, which reads R's term, must see R's 1 row there. The
+        # CLI exits 2 on this CoverError.
+        tables = [
+            ("R", ("x1", "x2"), [["0", "0"], ["0", "1"]]),
+            ("S", ("x2", "x3"), [["0", "0"], ["0", "2"]]),
+            ("U", ("x3", "x4"), [["0", "0"], ["0", "1"], ["2", "3"]]),
+        ]
+        q = encode_instance(tables, ("x1", "x2", "x3", "x4"))
+        base, edge = cardinality_constraints(q), frozenset({"x3", "x4"})
+        cs = ConstraintSet(base.variables, base.edges,
+                           base.constraints + (DegreeConstraint(frozenset({"x3"}), edge, 1, edge),))
+        weights = (1, 1, 0, 2000)
+        message = "bound 2^2000 overflows a float"
+        skipped = 0
+        for seed in range(10):
+            s = Sampler(q, cs, FractionalCover(tuple(map(Fraction, weights))))
+            r_stack = s.ctx.stacks[0]
+            cuts = []
+            bind_prefix = s.ctx.bind_prefix
+
+            def recording_bind_prefix(prefix, *columns):
+                cuts.append((len(prefix), columns))
+                bind_prefix(prefix, *columns)
+
+            s.ctx.bind_prefix = recording_bind_prefix
+            with pytest.raises(CoverError) as exc:
+                s.sample(20, random.Random(seed))
+            assert str(exc.value) == message
+            assert s.ctx.depth == 0 and all(len(st) == 1 for st in s.ctx.stacks)
+            # The walk's own cut, then the report's full one.
+            (depth, (columns,)), (full_depth, ()) = cuts[-2:]
+            assert full_depth >= depth
+            skipped += all(st is not r_stack for pairs in columns for _, st in pairs)
+        assert skipped
+
+
+class TestLeanCut:
+    """The walk cuts its cached prefix only in the stacks that levels at or below
+    its frontier read (`EstimatorContext.frontier_cuts`). Every prefix of every
+    code tuple is cut both ways; no RNG draws."""
+
+    @staticmethod
+    def read_below(ctx, level):
+        """The stacks the plans of levels >= level read: columns, and live or unnarrowed terms."""
+        read = {}
+        for affected, _, terms, _ in ctx.frontier_plans[level:]:
+            read.update((id(st), st) for _, st in affected)
+            read.update((id(x), x) for _, table, x in terms if table is not None)
+        return list(read.values())
+
+    def check(self, ctx, widths):
+        """The lean cut against `bind_prefix`'s full cut: the stacks it skipped."""
+        k, skipped = ctx.per_var, 0
+        index = {id(st): i for i, st in enumerate(ctx.stacks)}
+        widths.update(len(affected) for affected in ctx.affected)
+        grid = itertools.product(range(1 << k), repeat=len(ctx.order))
+        bits = [tuple((c >> (k - 1 - b)) & 1 for c in codes for b in range(k)) for codes in grid]
+        for level in range(1, ctx.levels):
+            read = self.read_below(ctx, level)
+            for prefix in sorted({b[:level] for b in bits}):
+                ctx.bind_prefix(prefix)
+                full = [st[-1] for st in ctx.stacks]
+                ctx.reset()
+                ctx.bind_prefix(prefix, ctx.frontier_cuts[level])
+                assert ctx.depth == level
+                assert all(st[-1] == full[index[id(st)]] for st in read)
+                skipped += sum(len(st) == 1 and top != st[0]
+                               for st, top in zip(ctx.stacks, full))
+                ctx.reset()
+        return skipped
+
+    def test_agm_and_pm_random_queries(self):
+        widths, skipped = set(), 0
+        for seed in range(30):
+            q, cs = random_degree_instance(random.Random(seed), max_vars=3)
+            for constraint_set in (None, cs):
+                skipped += self.check(Sampler(q, constraint_set).ctx, widths)
+        assert {1, 2, 3} <= widths and skipped
 
 
 def walk_probabilities(ctx, store):

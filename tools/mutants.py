@@ -55,19 +55,19 @@ MUTANTS = (
      ""),
     # The walk's rebind: one code interval per variable of a cached prefix.
     ("bind-prefix-interval-one-short", "index.py",
-     "                narrow(level, a, a + width[level])\n",
-     "                narrow(level, a, a + width[level] - 1)\n"),
+     "        narrow(columns[last], codes[last], codes[last] + w)\n",
+     "        narrow(columns[last], codes[last], codes[last] + w - 1)\n"),
     ("reset-keeps-depth", "index.py",
      "            del st[1:]\n        self.depth = 0\n",
      "            del st[1:]\n"),
     # The one code reader: only the variables a prefix binds fully.
     ("prefix-codes-counts-a-partial-variable", "index.py",
-     "            for i in range(0, len(prefix) - p + 1, p)\n",
-     "            for i in range(0, len(prefix) - p + 2, p)\n"),
+     "[: len(prefix) // self.per_var]",
+     "[: -(-len(prefix) // self.per_var)]"),
     # The sampler's two-way draw and its refutation climb.
     ("v1-dropped", "sampler.py",
-     "        elif r < v0 + values[at + 1]:",
-     "        elif r < v0:"),
+     "            if r < value + v1:\n",
+     "            if r < value:\n"),
     ("refute-stops-after-one-slot", "sampler.py",
      "            if values[at] or values[at + 1]:",
      "            if True:"),
@@ -77,11 +77,20 @@ MUTANTS = (
     ("coverage-check-dropped", "sampler.py",
      "            if uncovered is not None:",
      "            if False:"),
-    # The walk below its cut: the cut itself, the one-pass expansion's
-    # midpoint, bounds and term plan, and the drawn child's push.
+    # The walk below its cut: the cut itself, the stacks it leaves out (here
+    # also those that terms read down to the frontier variable's end), and
+    # the overflow report.
     ("cut-one-level-short", "sampler.py",
-     "    ctx.bind_prefix(prefix)\n",
-     "    ctx.bind_prefix(prefix[:-1])\n"),
+     "    ctx.bind_prefix(prefix, ctx.frontier_cuts[level])\n",
+     "    ctx.bind_prefix(prefix[:-1], ctx.frontier_cuts[level - 1])\n"),
+    ("cut-drops-a-stack-a-later-term-reads", "estimators.py",
+     "if last[id(st)] >= level]",
+     "if last[id(st)] >= (level // k + 1) * k]"),
+    ("overflow-escapes-as-overflow-error", "sampler.py",
+     "        children_values(ctx)  # raises",
+     "        pass  # raises"),
+    # The generic expansion (one or three and more columns): its midpoint,
+    # bounds and term plan, and the drawn child's push.
     ("frontier-mid-high", "sampler.py",
      "            m = col[st[-1][0]] & -w | w\n",
      "            m = (col[st[-1][0]] & -w | w) + 1\n"),
@@ -89,17 +98,22 @@ MUTANTS = (
      "                        t0 += x\n                        t1 += x\n",
      "                        t0 += x\n"),
     ("dead-child-bounded", "sampler.py",
-     "            v1 = exp(t1) if live1 else 0.0\n",
-     "            v1 = exp(t1)\n"),
+     "\n                v1 = exp(t1) if live1 else 0.0\n",
+     "\n                v1 = exp(t1)\n"),
     ("frontier-v1-dropped", "sampler.py",
-     "            elif r < v0 + v1:",
-     "            elif r < v0:"),
+     "\n            elif r < v0 + v1:",
+     "\n            elif r < v0:"),
     ("child-1-pushes-child-0-rows", "sampler.py",
-     "                    st.append((mid, hi))\n",
-     "                    st.append((st[-1][0], mid))\n"),
-    ("overflow-escapes-as-overflow-error", "sampler.py",
-     "        children_values(ctx)  # raises",
-     "        pass  # raises"),
+     "in zip(affected, cuts):\n                    st.append((mid, hi))\n",
+     "in zip(affected, cuts):\n                    st.append((st[-1][0], mid))\n"),
+    # The two-column kernel: both live flags need both columns, and child 1
+    # pushes its own range of the second column.
+    ("kernel-live-flag-joined-with-or", "sampler.py",
+     "                live0 = lo < mid and lo1 < mid1\n",
+     "                live0 = lo < mid or lo1 < mid1\n"),
+    ("kernel-child-1-pushes-child-0-range", "sampler.py",
+     "                    st1.append((mid1, hi1))\n",
+     "                    st1.append((lo1, mid1))\n"),
     # The stretches: a's side dies where a column stops holding its prefix,
     # a stretch ends where the plan does, and one that stops mid-variable
     # pushes the rows of the prefix it settled. A plan's value table is read
@@ -160,6 +174,11 @@ MUTANTS = (
     ("leaf-not-recorded", "enumerator.py",
      "                if dif is not diff:\n                    dif.append(a)\n",
      ""),
+    # Answers, counts and the aggregate bisect bound stay right; only the
+    # per-code cost of the scan sees a second seek of each code.
+    ("generic-scan-seeks-each-code-twice", "enumerator.py",
+     "                    q = bisect_left(col, a, lo, hi)\n",
+     "                    q = bisect_left(col, a, lo, hi)\n                    q = bisect_left(col, a, lo, hi)\n"),
     # Answers and counts stay right; only the bisect bound sees the extra scans.
     ("no-seek", "enumerator.py",
      "            if miss:\n                # Seek past the codes sharing a's prefix one bit longer than L(a).\n"

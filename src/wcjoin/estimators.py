@@ -319,21 +319,20 @@ class EstimatorContext(Cursors):
         ]
 
     @cached_property
-    def frontier_cuts(self) -> list[list[list]]:
-        """Per level L, the (column, stack) pairs the sampler's cut to a prefix of length L narrows.
+    def frontier_cuts(self) -> list[list[tuple]]:
+        """Per level L, the `cut_plan` of the sampler's cut to a prefix of length L.
 
         Below the cut the walk reads only stacks that some level >= L
         narrows: its plans (`frontier_plans`) read the levels' columns, and
         keep a term only while a later level narrows the term's stack. So
-        `frontier_cuts[L][u]` holds the pairs of variable u that the prefix
-        binds whose stacks a level >= L narrows, for `Cursors.bind_prefix`.
-        Built with the plans, on the first expansion.
+        plan L lists only the variables the prefix binds that have such a
+        stack, each with those stacks' pairs. Built with the plans, on the
+        first expansion; `Cursors.bind_prefix` reads the prefix's bits once
+        and narrows once per entry.
         """
-        k = self.per_var
         last = {id(st): level for level, affected in enumerate(self.affected) for _, st in affected}
         return [
-            [[(col, st) for col, st in self.affected[u * k] if last[id(st)] >= level]
-             for u in range((level + k - 1) // k)]
+            self.cut_plan(level, {i for i, end in last.items() if end >= level})
             for level in range(self.levels)
         ]
 

@@ -18,11 +18,13 @@ interval off a prefix of child indices or off the rows.
 - `split`, `sibling`: `bind` at bit levels, and `sampler.children_values`.
   `split` pushes child 0 and tells which children have rows; `sibling`
   turns child 0 into child 1.
-- `bind_prefix`: root to a prefix's node, one cut per variable, the codes
-  read off the prefix's bits as one int. The sampler's walk cuts its
-  cached prefix with it, in only the stacks its later levels read, and
-  `reset` returns. `bind` and `bind_prefix` share one narrowing loop,
-  two bisects per (column, stack) pair.
+- `bind_prefix`: root to a prefix's node by a `cut_plan`, one cut per
+  entry, each code read off the prefix's bits as one int by the entry's
+  shift and mask. By default every variable the prefix binds is cut, in
+  all its stacks; the sampler's walk passes a plan that cuts only the
+  stacks its later levels read, and `reset` returns. `bind` and
+  `bind_prefix` share one narrowing loop, two bisects per (column, stack)
+  pair.
 - `prefix_codes`: the one code reader, arithmetic on child indices alone.
 - `seek`: where a code's rows start in one column's range, and how much of
   the code the range holds, for the sampler's stretches.
@@ -106,28 +108,47 @@ class Cursors:
             self._narrow(self.affected[self.depth], d, d + 1)
             self.depth += 1
 
-    def bind_prefix(self, prefix: Sequence[int], columns: Sequence[Sequence] | None = None) -> None:
+    def bind_prefix(self, prefix: Sequence[int], plan: Sequence[tuple] | None = None) -> None:
         """Move from the root to the node of a prefix of child indices.
 
         Each variable the prefix binds, wholly or in part, is cut once to one
         code interval [a, a + w), where w is the width of the prefix's last
         level on it. So the stacks hold one entry per variable, not one per
-        level: every move but `unbind` may follow. `columns[u]` lists the
-        (column, stack) pairs variable u cuts; by default, all it narrows.
-        The sampler's walk passes fewer (`EstimatorContext.frontier_cuts`).
+        level: every move but `unbind` may follow. `plan` is a `cut_plan`
+        for the prefix's length; by default every stack is cut. The sampler's
+        walk passes one that cuts fewer (`EstimatorContext.frontier_cuts`).
         """
         depth = self.depth = len(prefix)
-        if not depth:
-            return
-        if columns is None:
-            columns = self.affected[:: self.per_var]
-        codes = self._codes(prefix)
-        last = len(codes) - 1
-        w = 1 << (-depth % self.per_var)  # the width of the prefix's last level
         narrow = self._narrow
-        for u in range(last):
-            narrow(columns[u], codes[u], codes[u] + 1)
-        narrow(columns[last], codes[last], codes[last] + w)
+        if plan is None:
+            if self.per_var == 1:  # one level per variable: the child index is the code
+                for pairs, d in zip(self.affected, prefix):
+                    narrow(pairs, d, d + 1)
+                return
+            plan = self.cut_plan(depth)
+        if plan:
+            x = int(bytes(prefix).translate(_BITS), 2)  # the prefix's bits as one int
+            for shift, mask, w, pairs in plan:
+                a = (x >> shift & mask) * w
+                narrow(pairs, a, a + w)
+
+    def cut_plan(self, depth: int, keep: set[int] | None = None) -> list[tuple]:
+        """What `bind_prefix` cuts for a prefix of `depth` two-way levels.
+
+        Per variable u the prefix binds: (shift, mask, w, pairs). u is cut
+        to [a, a + w) with a = `(x >> shift & mask) * w` for the prefix's
+        bits x, w being the width of the prefix's last level on u (1 if it
+        binds u wholly); `pairs` are the (column, stack) pairs u narrows
+        whose stack's id is in `keep`, by default all. A variable left no
+        pairs has no entry.
+        """
+        k, plan = self.per_var, []
+        for u in range(-(-depth // k)):
+            pairs = [p for p in self.affected[u * k] if keep is None or id(p[1]) in keep]
+            if pairs:
+                bits = min(k, depth - u * k)  # the bits of u the prefix holds
+                plan.append((depth - u * k - bits, (1 << bits) - 1, 1 << (k - bits), pairs))
+        return plan
 
     def split(self) -> tuple[bool, bool]:
         """Move to child 0 of a two-way node; whether child 0 and child 1 have rows.
@@ -173,20 +194,15 @@ class Cursors:
             del st[1:]
         self.depth = 0
 
-    def _codes(self, prefix: Sequence[int]) -> Sequence[int]:
-        """The code of every variable a prefix of child indices binds, its unbound bits 0."""
-        k = self.per_var
-        if k == 1 or not prefix:
-            return prefix  # one level per variable: the child index is the code
-        pad = -len(prefix) % k
-        x = int(bytes(prefix).translate(_BITS), 2) << pad  # the prefix's bits as one int
-        n = (len(prefix) + pad) // k
-        mask = (1 << k) - 1
-        return [x >> (n - 1 - u) * k & mask for u in range(n)]
-
     def prefix_codes(self, prefix: Sequence[int]) -> tuple[int, ...]:
         """The codes of the variables a prefix of child indices binds fully, in order."""
-        return tuple(self._codes(prefix)[: len(prefix) // self.per_var])
+        k = self.per_var
+        n = len(prefix) // k
+        if k == 1 or not n:
+            return tuple(prefix[:n])
+        x = int(bytes(prefix).translate(_BITS), 2) >> len(prefix) % k  # their bits as one int
+        mask = (1 << k) - 1
+        return tuple(x >> (n - 1 - u) * k & mask for u in range(n))
 
 
 def seek(col: Sequence[int], a: int, lo: int, hi: int, k: int) -> tuple[int, int]:

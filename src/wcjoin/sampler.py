@@ -11,16 +11,17 @@ A Sampler's only learned state is its ValueStore: the child values of every
 prefix its walks have expanded, each estimated once. A walk first draws
 through the store with the cursors at the root, so a walk that ends there
 moves no cursor. At the first node the store lacks, it cuts the cursors to
-its prefix (`Cursors.bind_prefix`), but only the stacks that this level or
-a later one reads (`EstimatorContext.frontier_cuts`), and expands that node
-and every later one in one pass: one bisect per column at the midpoint,
-both children's bounds in one loop over the level's terms
-(`EstimatorContext.frontier_plans`), and after the draw a push of the drawn
-child's ranges only. A level on exactly two columns has a kernel of its
-own that keeps both columns' cuts in locals. `children_values` is that
-expansion by cursor moves, the tests' reference; the walk reports a bound
-that overflows through it, after cutting every stack, as `bound` reads
-every term.
+its prefix (`Cursors.bind_prefix`) by that level's cut plan
+(`EstimatorContext.frontier_cuts`): it reads the prefix's bits as one int
+and narrows only the variables with a stack that this level or a later one
+reads, in those stacks. Then it expands that node and every later one in
+one pass: one bisect per column at the midpoint, both children's bounds in
+one loop over the level's terms (`EstimatorContext.frontier_plans`), and
+after the draw a push of the drawn child's ranges only. A level on exactly
+two columns has a kernel of its own that keeps both columns' cuts in
+locals. `children_values` is that expansion by cursor moves, the tests'
+reference; the walk reports a bound that overflows through it, after
+cutting every stack, as `bound` reads every term.
 
 Where a level's bound reads one live row count, of column j, and j's rows
 agree on the next bits of the variable, the levels down to where they part
@@ -35,8 +36,11 @@ those of the expansion level by level.
 The walk reads an answer's codes off its prefix, and `Cursors.reset` returns
 the cursors to the root. A node whose children are all 0 is proven
 answer-free: its slot is zeroed, and so is every ancestor's whose children
-are then all 0. On instances with no answers the root's slot reaches 0
-after finitely many refutations, which is how emptiness is detected.
+are then all 0. The walk appended the blocks of the nodes below its cut one
+level after another, so the climb finds their slots by arithmetic; it walks
+from the root only once it reaches the cut (`_refute`). On instances with
+no answers the root's slot reaches 0 after finitely many refutations,
+which is how emptiness is detected.
 """
 from __future__ import annotations
 
@@ -144,13 +148,27 @@ def children_values(ctx: EstimatorContext) -> list[float]:
     return [v0, 0.0]
 
 
-def _refute(store: ValueStore, prefix: Sequence[int]) -> None:
-    """Zero the slot of the node at `prefix`, then each ancestor's whose children are all 0."""
+def _refute(store: ValueStore, prefix: Sequence[int], first: int, cut: int) -> None:
+    """Zero the slot of the node at `prefix`, then each ancestor's whose children are all 0.
+
+    A walk that cut at depth `cut` appended one block per level from offset
+    `first` on, so the node it reached at depth D > cut sits at
+    first + 2 * (D - cut - 1) + prefix[D - 1]. Only a climb that reaches
+    the cut finds the slots above it from the root.
+    """
     values, child = store.values, store.child
-    slots = [0]  # the slots of the nodes on the path, by depth
-    for d in prefix:
+    depth = len(prefix)
+    while depth > cut:
+        depth -= 1
+        at = first + 2 * (depth - cut)  # the block of the node at `depth`
+        values[at + prefix[depth]] = 0.0
+        store.refuted += 1
+        if values[at] or values[at + 1]:
+            return
+    slots = [0]  # the slots of the nodes down to the cut, by depth
+    for d in prefix[:depth]:
         slots.append(child[slots[-1]] + d)
-    for i in range(len(slots) - 1, -1, -1):
+    for i in range(depth, -1, -1):
         values[slots[i]] = 0.0
         store.refuted += 1
         if i:
@@ -199,6 +217,7 @@ def sample_once(
     if level == levels:
         return ctx.prefix_codes(prefix)
     plans, exp, k = ctx.frontier_plans, math.exp, ctx.per_var
+    cut, first = level, len(values)  # where the walk's own blocks start (`_refute`)
     ctx.bind_prefix(prefix, ctx.frontier_cuts[level])
     try:
         while level < levels:
@@ -248,7 +267,7 @@ def sample_once(
                             slot = at + d
                             w >>= 1
                     if dead < stop:
-                        _refute(store, prefix)
+                        _refute(store, prefix, first, cut)
                         return None
                     p = a & -low  # the prefix settled: each column's rows of it hold q
                     for col, st, lo, q, hi in seeks:
@@ -268,7 +287,7 @@ def sample_once(
                 live0 = lo < mid and lo1 < mid1
                 live1 = mid < hi and mid1 < hi1
                 if not (live0 or live1):
-                    _refute(store, prefix)
+                    _refute(store, prefix, first, cut)
                     return None
                 n0, n1 = (mid - lo, mid1 - lo1), (hi - mid, hi1 - mid1)  # the children's counts
                 if single is None:
@@ -321,7 +340,7 @@ def sample_once(
                 elif mid == hi:
                     live1 = False
             if not (live0 or live1):
-                _refute(store, prefix)
+                _refute(store, prefix, first, cut)
                 return None
             if single is None:
                 # `bound`'s float operations for both children; a dead child gets none.

@@ -1,7 +1,11 @@
 """Guided trace-tree walks: uniformity, trial counts, emptiness detection."""
+import bisect
+import hashlib
 import itertools
 import math
 import random
+import sys
+from array import array
 from collections import Counter
 from fractions import Fraction
 
@@ -45,6 +49,7 @@ from conftest import (
     random_query,
     tight_degree_instance,
 )
+from test_enumerator import deep_path_tables, path_join
 
 
 # Answer-free although every relation is nonempty and every prefix of length
@@ -120,7 +125,7 @@ class TestChildrenValues:
         ctx.reset()
         assert ctx.depth == 0 and ctx.estimate() == store.up_root
         at = add_block(store, 0, values)
-        _refute(store, [0])  # a refuted child counts 0
+        _refute(store, [0], at, 0)  # a refuted child counts 0; the block at `at` is the root's
         assert list(store.values[at : at + 2]) == [0.0, values[1]]
         assert store.refuted == 1 and store.values[0] == store.up_root
         assert children_values(ctx) == values
@@ -726,9 +731,9 @@ class TestWalkAgainstReference:
             cuts = []
             bind_prefix = s.ctx.bind_prefix
 
-            def recording_bind_prefix(prefix, *columns):
-                cuts.append((len(prefix), columns))
-                bind_prefix(prefix, *columns)
+            def recording_bind_prefix(prefix, *plan):
+                cuts.append((len(prefix), plan))
+                bind_prefix(prefix, *plan)
 
             s.ctx.bind_prefix = recording_bind_prefix
             with pytest.raises(CoverError) as exc:
@@ -736,54 +741,174 @@ class TestWalkAgainstReference:
             assert str(exc.value) == message
             assert s.ctx.depth == 0 and all(len(st) == 1 for st in s.ctx.stacks)
             # The walk's own cut, then the report's full one.
-            (depth, (columns,)), (full_depth, ()) = cuts[-2:]
+            (depth, (plan,)), (full_depth, ()) = cuts[-2:]
             assert full_depth >= depth
-            skipped += all(st is not r_stack for pairs in columns for _, st in pairs)
+            skipped += all(st is not r_stack for *_, pairs in plan for _, st in pairs)
         assert skipped
 
 
 class TestLeanCut:
     """The walk cuts its cached prefix only in the stacks that levels at or below
-    its frontier read (`EstimatorContext.frontier_cuts`). Every prefix of every
-    code tuple is cut both ways; no RNG draws."""
+    its frontier read, with the call `bind_prefix(prefix, frontier_cuts[L])`.
+    Checked at every prefix against every stack's top range at the prefix's
+    node, and by what the cut costs; no RNG draws."""
 
     @staticmethod
-    def read_below(ctx, level):
-        """The stacks the plans of levels >= level read: columns, and live or unnarrowed terms."""
-        read = {}
-        for affected, _, terms, _ in ctx.frontier_plans[level:]:
+    def reads(ctx):
+        """Per level L, the stacks the plans of levels >= L read: columns, and live or unnarrowed terms."""
+        reads, read = [], {}
+        for affected, _, terms, _ in reversed(ctx.frontier_plans):
             read.update((id(st), st) for _, st in affected)
             read.update((id(x), x) for _, table, x in terms if table is not None)
-        return list(read.values())
+            reads.append(list(read.values()))
+        return reads[::-1]
 
-    def check(self, ctx, widths):
-        """The lean cut against `bind_prefix`'s full cut: the stacks it skipped."""
-        k, skipped = ctx.per_var, 0
+    def check(self, ctx, nodes):
+        """The walk's cut at each (prefix, top ranges of every stack there): the stacks it skipped."""
         index = {id(st): i for i, st in enumerate(ctx.stacks)}
-        widths.update(len(affected) for affected in ctx.affected)
+        reads, skipped = self.reads(ctx), 0
+        for prefix, full in nodes:
+            level = len(prefix)
+            ctx.bind_prefix(prefix, ctx.frontier_cuts[level])
+            assert ctx.depth == level
+            assert all(st[-1] == full[index[id(st)]] for st in reads[level])
+            skipped += sum(len(st) == 1 and top != st[0] for st, top in zip(ctx.stacks, full))
+            ctx.reset()
+        return skipped
+
+    @staticmethod
+    def full_cuts(ctx):
+        """Every prefix of every code tuple, with the top ranges of `bind_prefix`'s full cut."""
+        k = ctx.per_var
         grid = itertools.product(range(1 << k), repeat=len(ctx.order))
         bits = [tuple((c >> (k - 1 - b)) & 1 for c in codes for b in range(k)) for codes in grid]
-        for level in range(1, ctx.levels):
-            read = self.read_below(ctx, level)
-            for prefix in sorted({b[:level] for b in bits}):
-                ctx.bind_prefix(prefix)
-                full = [st[-1] for st in ctx.stacks]
-                ctx.reset()
-                ctx.bind_prefix(prefix, ctx.frontier_cuts[level])
-                assert ctx.depth == level
-                assert all(st[-1] == full[index[id(st)]] for st in read)
-                skipped += sum(len(st) == 1 and top != st[0]
-                               for st, top in zip(ctx.stacks, full))
-                ctx.reset()
-        return skipped
+        for prefix in sorted({b[:level] for b in bits for level in range(1, ctx.levels)}):
+            ctx.bind_prefix(prefix)
+            yield prefix, [st[-1] for st in ctx.stacks]
+            ctx.reset()
 
     def test_agm_and_pm_random_queries(self):
         widths, skipped = set(), 0
         for seed in range(30):
             q, cs = random_degree_instance(random.Random(seed), max_vars=3)
             for constraint_set in (None, cs):
-                skipped += self.check(Sampler(q, constraint_set).ctx, widths)
+                ctx = Sampler(q, constraint_set).ctx
+                widths.update(len(affected) for affected in ctx.affected)
+                skipped += self.check(ctx, list(self.full_cuts(ctx)))
         assert {1, 2, 3} <= widths and skipped
+
+    def test_prefixes_of_more_than_a_thousand_bits(self):
+        # 121 variables x 10 bits: at every prefix of every answer's 1210
+        # bits, against a second context that binds the prefix level by level.
+        tables = deep_path_tables()
+        order = tuple(f"x{i}" for i in range(121))
+        q = encode_instance(tables, order)
+        cs = cardinality_constraints(q)
+        cover = FractionalCover((Fraction(1),) * len(cs.constraints))  # no LP
+        ctx, ref = (EstimatorContext(q, cs, cover, order, bits=True) for _ in range(2))
+        assert ctx.levels == 1210
+        answers = [tuple(q.dictionary.encode(v) for v in row) for row in path_join(tables)]
+        assert len(answers) >= 3
+
+        def nodes(codes):
+            bits = [(c >> (9 - b)) & 1 for c in codes for b in range(10)]
+            for level in range(1, ctx.levels):
+                ref.bind(bits[level - 1])
+                yield bits[:level], [st[-1] for st in ref.stacks]
+            ref.reset()
+
+        assert sum(self.check(ctx, nodes(codes)) for codes in answers)
+
+    def test_a_walks_cut_bisects_twice_per_pair_it_needs(self, monkeypatch):
+        # One `_narrow` per variable the prefix binds that has a stack some
+        # level at or below the cut narrows, two bisects per such (column,
+        # stack) pair, and no other Python call: no code list per variable.
+        cuts = []
+
+        def needed(ctx, level):
+            """Per variable the prefix binds, its pairs whose stack a level >= `level` narrows."""
+            last = {id(st): depth for depth, pairs in enumerate(ctx.affected) for _, st in pairs}
+            k = ctx.per_var
+            return [[p for p in ctx.affected[u * k] if last[id(p[1])] >= level]
+                    for u in range(-(-level // k))]
+
+        def spy(ctx):
+            bind_prefix = ctx.bind_prefix
+
+            def profiled_bind_prefix(prefix, *plan):
+                calls = []
+
+                def profile(frame, event, arg):
+                    if event == "call":
+                        calls.append(frame.f_code.co_name)
+                    elif event == "c_call" and arg is bisect.bisect_left:
+                        calls.append("bisect")
+
+                previous = sys.getprofile()
+                sys.setprofile(profile)
+                try:
+                    bind_prefix(prefix, *plan)
+                finally:
+                    sys.setprofile(previous)
+                pairs = needed(ctx, len(prefix))
+                expected = ["bind_prefix"]
+                for var in pairs:
+                    if var:
+                        expected += ["_narrow"] + ["bisect"] * (2 * len(var))
+                assert calls == expected
+                bound = sum(len(ctx.affected[u * ctx.per_var]) for u in range(len(pairs)))
+                cuts.append(bound - sum(map(len, pairs)))  # the pairs the cut skipped
+
+            monkeypatch.setattr(ctx, "bind_prefix", profiled_bind_prefix)
+
+        for seed in range(3):
+            q, cs = degree_path_instance(random.Random(seed))
+            s = Sampler(q, cs)
+            spy(s.ctx)
+            s.sample(20, random.Random(seed))
+        s = Sampler(encode_instance(TRIANGLE_TABLES, ("x1", "x2", "x3")))
+        spy(s.ctx)
+        s.sample(20, random.Random(1))
+        assert len(cuts) > 50 and any(cuts)
+
+
+class TestRefuteClimb:
+    """`_refute` finds the slots of the walk's own nodes by arithmetic and walks
+    from the root only once the climb reaches the cut. After every refutation
+    of seeded sessions on FD paths, against the root walk on a copy of the
+    store; the check draws nothing."""
+
+    @staticmethod
+    def root_walk(values, child, prefix):
+        """The climb with every slot found from the root: the slots it zeroes."""
+        slots = [0]
+        for d in prefix:
+            slots.append(child[slots[-1]] + d)
+        for i in range(len(slots) - 1, -1, -1):
+            values[slots[i]] = 0.0
+            if i and (values[child[slots[i - 1]]] or values[child[slots[i - 1]] + 1]):
+                return len(slots) - i
+        return len(slots)
+
+    def test_against_the_root_walk(self, monkeypatch):
+        refute, climbs = sampler_module._refute, Counter()
+
+        def checked_refute(store, prefix, first, cut):
+            values, refuted = array("d", store.values), store.refuted
+            zeroed = self.root_walk(values, store.child, prefix)
+            refute(store, prefix, first, cut)
+            assert store.values.tobytes() == values.tobytes()
+            assert store.refuted == refuted + zeroed
+            if len(prefix) == cut:
+                climbs["from the cut"] += 1
+            else:
+                climbs["past the cut" if zeroed > len(prefix) - cut else "below the cut"] += 1
+
+        monkeypatch.setattr(sampler_module, "_refute", checked_refute)
+        for seed in range(6):
+            q, cs = degree_path_instance(random.Random(seed))
+            Sampler(q, cs).sample(100, random.Random(seed))
+        assert len(climbs) == 3, climbs
 
 
 def walk_probabilities(ctx, store):
@@ -927,6 +1052,28 @@ class TestPinnedOutput:
             "mean_trials_per_success": 1.2,
         }
         assert s.store.refuted == 6
+
+    def test_pm_degree_path_with_stretches(self):
+        # The CI's FD path and its `sample --estimator pm --seed 1 --count
+        # 200` run (`degree_path_instance` over seed 0): degree bounds x2 -> x3
+        # .. x4 -> x5 and the FD x5 -> x6, so walks settle stretches, cut
+        # across several variables, and 10 of the 17 refutations climb past
+        # the walk's cut.
+        q, cs = degree_path_instance(random.Random(0))
+        s = Sampler(q, cs)
+        answers, stats = s.sample(200, random.Random(1))
+        assert hashlib.sha256(repr(answers).encode()).hexdigest() == (
+            "7960656366e15e3a1caa884480e5b84565d56197270eaedbe6a34104ab632a83"
+        )
+        assert stats.as_dict() == {
+            "trials": 2020,
+            "failures": 1820,
+            "answers_returned": 200,
+            "up_root": 159.99999999999994,
+            "final_up_root": 159.99999999999994,
+            "mean_trials_per_success": 10.1,
+        }
+        assert s.store.refuted == 98
 
     def test_answer_free_triangle(self):
         s = Sampler(encode_instance(ANSWER_FREE_TABLES, ("x1", "x2", "x3")))

@@ -53,22 +53,41 @@ MUTANTS = (
     ("narrow-lower-bisect-dropped", "index.py",
      "            lo = bisect_left(col, a, lo, hi)\n",
      ""),
-    # The walk's rebind: one code interval per variable of a cached prefix.
+    # The walk's rebind: one code interval per entry of a cut plan, read off
+    # the prefix's bits. The frontier variable holds only its leading bits,
+    # padded to a code interval of width w; a full variable ends `shift`
+    # bits above the prefix's end.
     ("bind-prefix-interval-one-short", "index.py",
-     "        narrow(columns[last], codes[last], codes[last] + w)\n",
-     "        narrow(columns[last], codes[last], codes[last] + w - 1)\n"),
+     "                narrow(pairs, a, a + w)\n",
+     "                narrow(pairs, a, a + w - 1)\n"),
+    ("frontier-pad-off-by-one", "index.py",
+     "1 << (k - bits), pairs))",
+     "1 << (k - bits) + (bits < k), pairs))"),
+    ("full-variable-shift-off-by-one-level", "index.py",
+     "plan.append((depth - u * k - bits,",
+     "plan.append((depth - u * k - bits + (bits == k),"),
     ("reset-keeps-depth", "index.py",
      "            del st[1:]\n        self.depth = 0\n",
      "            del st[1:]\n"),
     # The one code reader: only the variables a prefix binds fully.
     ("prefix-codes-counts-a-partial-variable", "index.py",
-     "[: len(prefix) // self.per_var]",
-     "[: -(-len(prefix) // self.per_var)]"),
-    # The sampler's two-way draw and its refutation climb.
+     "        n = len(prefix) // k\n",
+     "        n = -(-len(prefix) // k)\n"),
+    # The sampler's two-way draw and its refutation climb: through the
+    # blocks the walk appended, then from the root once it reaches the cut.
     ("v1-dropped", "sampler.py",
      "            if r < value + v1:\n",
      "            if r < value:\n"),
     ("refute-stops-after-one-slot", "sampler.py",
+     "\n        if values[at] or values[at + 1]:",
+     "\n        if True:"),
+    ("refute-block-offset-off-by-one", "sampler.py",
+     "        at = first + 2 * (depth - cut)",
+     "        at = first + 2 * (depth - cut - 1)"),
+    ("refute-never-climbs-above-the-cut", "sampler.py",
+     "    slots = [0]  # the slots of the nodes down to the cut",
+     "    return\n    slots = [0]  # the slots of the nodes down to the cut"),
+    ("refute-root-walk-stops-after-one-slot", "sampler.py",
      "            if values[at] or values[at + 1]:",
      "            if True:"),
     ("root-finite-check-dropped", "sampler.py",
@@ -78,14 +97,18 @@ MUTANTS = (
      "            if uncovered is not None:",
      "            if False:"),
     # The walk below its cut: the cut itself, the stacks it leaves out (here
-    # also those that terms read down to the frontier variable's end), and
+    # also those that terms read down to the frontier variable's end), its
+    # cost (every stack cut, which only the per-cut bisect count sees), and
     # the overflow report.
     ("cut-one-level-short", "sampler.py",
      "    ctx.bind_prefix(prefix, ctx.frontier_cuts[level])\n",
      "    ctx.bind_prefix(prefix[:-1], ctx.frontier_cuts[level - 1])\n"),
+    ("walk-cuts-every-stack", "sampler.py",
+     "    ctx.bind_prefix(prefix, ctx.frontier_cuts[level])\n",
+     "    ctx.bind_prefix(prefix)\n"),
     ("cut-drops-a-stack-a-later-term-reads", "estimators.py",
-     "if last[id(st)] >= level]",
-     "if last[id(st)] >= (level // k + 1) * k]"),
+     "if end >= level}",
+     "if end >= (level // self.per_var + 1) * self.per_var}"),
     ("overflow-escapes-as-overflow-error", "sampler.py",
      "        children_values(ctx)  # raises",
      "        pass  # raises"),

@@ -35,7 +35,8 @@ import time
 from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
+from operator import itemgetter
 from pathlib import Path
 
 from .constraints import (
@@ -275,18 +276,27 @@ def _answer_writer(fh, order, values):
     """Write `order` as the CSV header; return write(rows), which writes a list
     of code rows decoded through `values`, byte for byte as csv.writer would.
 
-    Where no value needs quoting and every row has at least two fields (a lone
-    empty field is written as ""), a row is its values joined by commas, and
-    a list of rows is decoded and joined by C-level calls alone, one write in all.
+    A list of rows is decoded by one C-level gather over its codes, in row
+    order, and `zip(*[fields] * width)` regroups the fields into rows. Where
+    no value needs quoting and every row has at least two fields (a lone
+    empty field is written as ""), a row is its fields joined by commas, one
+    write in all; otherwise csv.writer writes the regrouped rows.
     """
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(order)
-    if len(order) < 2 or _QUOTED.search("".join(values)):
-        return lambda rows: writer.writerows([values[c] for c in row] for row in rows)
-    decode = values.__getitem__
+    width = len(order)
+
+    def decoded(rows):
+        codes = tuple(chain.from_iterable(rows))
+        # itemgetter returns a lone item bare, and takes no call without one.
+        fields = itemgetter(*codes)(values) if len(codes) > 1 else [values[c] for c in codes]
+        return zip(*[iter(fields)] * width)
+
+    if width < 2 or _QUOTED.search("".join(values)):
+        return lambda rows: writer.writerows(decoded(rows))
 
     def write(rows):
-        lines = list(map(",".join, zip(*[map(decode, column) for column in zip(*rows)])))
+        lines = list(map(",".join, decoded(rows)))
         lines.append("")  # the last row's newline
         fh.write("\n".join(lines))
 

@@ -37,8 +37,9 @@ The walk reads an answer's codes off its prefix, and `Cursors.reset` returns
 the cursors to the root. A node whose children are all 0 is proven
 answer-free: its slot is zeroed, and so is every ancestor's whose children
 are then all 0. The walk appended the blocks of the nodes below its cut one
-level after another, so the climb finds their slots by arithmetic; it walks
-from the root only once it reaches the cut (`_refute`). On instances with
+level after another, so the climb finds their slots by arithmetic, and it
+holds the cut node's slot; it walks from the root only once it goes past
+the cut node's parent (`_refute`). On instances with
 no answers the root's slot reaches 0 after finitely many refutations,
 which is how emptiness is detected.
 """
@@ -148,13 +149,14 @@ def children_values(ctx: EstimatorContext) -> list[float]:
     return [v0, 0.0]
 
 
-def _refute(store: ValueStore, prefix: Sequence[int], first: int, cut: int) -> None:
+def _refute(store: ValueStore, prefix: Sequence[int], first: int, cut: int, cut_slot: int) -> None:
     """Zero the slot of the node at `prefix`, then each ancestor's whose children are all 0.
 
-    A walk that cut at depth `cut` appended one block per level from offset
-    `first` on, so the node it reached at depth D > cut sits at
-    first + 2 * (D - cut - 1) + prefix[D - 1]. Only a climb that reaches
-    the cut finds the slots above it from the root.
+    A walk that cut at depth `cut`, at the node in slot `cut_slot`, appended one
+    block per level from offset `first` on, so the node it reached at depth
+    D > cut sits at first + 2 * (D - cut - 1) + prefix[D - 1], and the cut
+    node's parent's block at cut_slot - prefix[cut - 1]. Only a climb that goes
+    past that parent finds the slots above it from the root.
     """
     values, child = store.values, store.child
     depth = len(prefix)
@@ -165,7 +167,15 @@ def _refute(store: ValueStore, prefix: Sequence[int], first: int, cut: int) -> N
         store.refuted += 1
         if values[at] or values[at + 1]:
             return
-    slots = [0]  # the slots of the nodes down to the cut, by depth
+    values[cut_slot] = 0.0
+    store.refuted += 1
+    if not depth:
+        return
+    at = cut_slot - prefix[depth - 1]  # the block of the cut node's parent
+    if values[at] or values[at + 1]:
+        return
+    depth -= 1
+    slots = [0]  # the slots of the nodes down to the cut node's parent, by depth
     for d in prefix[:depth]:
         slots.append(child[slots[-1]] + d)
     for i in range(depth, -1, -1):
@@ -217,7 +227,8 @@ def sample_once(
     if level == levels:
         return ctx.prefix_codes(prefix)
     plans, exp, k = ctx.frontier_plans, math.exp, ctx.per_var
-    cut, first = level, len(values)  # where the walk's own blocks start (`_refute`)
+    # The cut, its node's slot and where the walk's own blocks start (`_refute`).
+    cut, cut_slot, first = level, slot, len(values)
     ctx.bind_prefix(prefix, ctx.frontier_cuts[level])
     try:
         while level < levels:
@@ -267,7 +278,7 @@ def sample_once(
                             slot = at + d
                             w >>= 1
                     if dead < stop:
-                        _refute(store, prefix, first, cut)
+                        _refute(store, prefix, first, cut, cut_slot)
                         return None
                     p = a & -low  # the prefix settled: each column's rows of it hold q
                     for col, st, lo, q, hi in seeks:
@@ -287,7 +298,7 @@ def sample_once(
                 live0 = lo < mid and lo1 < mid1
                 live1 = mid < hi and mid1 < hi1
                 if not (live0 or live1):
-                    _refute(store, prefix, first, cut)
+                    _refute(store, prefix, first, cut, cut_slot)
                     return None
                 n0, n1 = (mid - lo, mid1 - lo1), (hi - mid, hi1 - mid1)  # the children's counts
                 if single is None:
@@ -340,7 +351,7 @@ def sample_once(
                 elif mid == hi:
                     live1 = False
             if not (live0 or live1):
-                _refute(store, prefix, first, cut)
+                _refute(store, prefix, first, cut, cut_slot)
                 return None
             if single is None:
                 # `bound`'s float operations for both children; a dead child gets none.

@@ -362,7 +362,7 @@ PLAIN = ("a", "b", "0", " ", "é", "雪")
 
 @st.composite
 def answer_outputs(draw):
-    """(order, values, rows): 1-3 variables and 0-3000 code rows over distinct values."""
+    """(order, values, rows): 1-6 variables and 0-3000 code rows over distinct values."""
     # Sizes come from a Random that hypothesis seeds: its own integers favour
     # small values, and most outputs would hold no row.
     rng = draw(st.randoms(use_true_random=True))
@@ -370,7 +370,7 @@ def answer_outputs(draw):
     values = draw(
         st.lists(st.text(st.sampled_from(alphabet), max_size=4), min_size=1, max_size=12, unique=True)
     )
-    order = [f"x{i}" for i in range(rng.randint(1, 3))]
+    order = [f"x{i}" for i in range(rng.randint(1, 6))]  # 6: degree-chain-join's width
     n = rng.choice([0, 1, 1023, 1024, 1025, 2048, 2049, rng.randint(0, 3000)])  # chunk edges
     rows = [tuple(rng.randrange(len(values)) for _ in order) for _ in range(n)]
     return order, values, rows
@@ -380,6 +380,7 @@ def answer_outputs(draw):
 @given(answer_outputs())
 @example((["x0", "x1"], ["a", 'say "hi"'], [(0, 1), (1, 0)] * 700))  # a quote, no comma
 @example((["x0"], ["", "a"], [(0,), (1,)]))  # a lone empty field is written as ""
+@example((["x0"], ["ab"], [(0,)] * 1025))  # a chunk of one field is one row, not two
 def test_answers_are_written_as_csv_writer_writes_them(tmp_path_factory, output):
     order, values, rows = output
     folder = tmp_path_factory.mktemp("answers")

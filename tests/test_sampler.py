@@ -125,7 +125,7 @@ class TestChildrenValues:
         ctx.reset()
         assert ctx.depth == 0 and ctx.estimate() == store.up_root
         at = add_block(store, 0, values)
-        _refute(store, [0], at, 0)  # a refuted child counts 0; the block at `at` is the root's
+        _refute(store, [0], at, 0, 0)  # a refuted child counts 0; the block at `at` is the root's
         assert list(store.values[at : at + 2]) == [0.0, values[1]]
         assert store.refuted == 1 and store.values[0] == store.up_root
         assert children_values(ctx) == values
@@ -873,42 +873,48 @@ class TestLeanCut:
 
 
 class TestRefuteClimb:
-    """`_refute` finds the slots of the walk's own nodes by arithmetic and walks
-    from the root only once the climb reaches the cut. After every refutation
-    of seeded sessions on FD paths, against the root walk on a copy of the
-    store; the check draws nothing."""
+    """`_refute` finds the slots of the walk's own nodes by arithmetic, zeroes
+    the cut node's slot that the walk passes it, and walks from the root only
+    once the climb goes past the cut node's parent. After every refutation of
+    seeded sessions on FD paths, against the root walk on a copy of the store;
+    the check draws nothing."""
 
     @staticmethod
     def root_walk(values, child, prefix):
-        """The climb with every slot found from the root: the slots it zeroes."""
+        """The climb with every slot found from the root: its slots, and how many it zeroes."""
         slots = [0]
         for d in prefix:
             slots.append(child[slots[-1]] + d)
         for i in range(len(slots) - 1, -1, -1):
             values[slots[i]] = 0.0
             if i and (values[child[slots[i - 1]]] or values[child[slots[i - 1]] + 1]):
-                return len(slots) - i
-        return len(slots)
+                return slots, len(slots) - i
+        return slots, len(slots)
 
     def test_against_the_root_walk(self, monkeypatch):
         refute, climbs = sampler_module._refute, Counter()
 
-        def checked_refute(store, prefix, first, cut):
+        def checked_refute(store, prefix, first, cut, cut_slot):
             values, refuted = array("d", store.values), store.refuted
-            zeroed = self.root_walk(values, store.child, prefix)
-            refute(store, prefix, first, cut)
+            slots, zeroed = self.root_walk(values, store.child, prefix)
+            assert cut_slot == slots[cut]
+            refute(store, prefix, first, cut, cut_slot)
             assert store.values.tobytes() == values.tobytes()
             assert store.refuted == refuted + zeroed
-            if len(prefix) == cut:
-                climbs["from the cut"] += 1
+            below = len(prefix) - cut  # the slots zeroed below the cut node
+            start = "from the cut" if not below else "from below the cut"
+            if zeroed <= below:
+                climbs[start, "stops below the cut"] += 1
+            elif zeroed == below + 1:
+                climbs[start, "stops at the cut node's parent"] += 1
             else:
-                climbs["past the cut" if zeroed > len(prefix) - cut else "below the cut"] += 1
+                climbs[start, "goes past the cut node's parent"] += 1
 
         monkeypatch.setattr(sampler_module, "_refute", checked_refute)
         for seed in range(6):
             q, cs = degree_path_instance(random.Random(seed))
             Sampler(q, cs).sample(100, random.Random(seed))
-        assert len(climbs) == 3, climbs
+        assert len(climbs) == 5, climbs  # a climb from the cut cannot stop below it
 
 
 def walk_probabilities(ctx, store):

@@ -74,7 +74,8 @@ MUTANTS = (
      "        n = len(prefix) // k\n",
      "        n = -(-len(prefix) // k)\n"),
     # The sampler's two-way draw and its refutation climb: through the
-    # blocks the walk appended, then from the root once it reaches the cut.
+    # blocks the walk appended, then the cut node's slot and its parent's
+    # block, and from the root once it goes past that parent.
     ("v1-dropped", "sampler.py",
      "            if r < value + v1:\n",
      "            if r < value:\n"),
@@ -84,9 +85,18 @@ MUTANTS = (
     ("refute-block-offset-off-by-one", "sampler.py",
      "        at = first + 2 * (depth - cut)",
      "        at = first + 2 * (depth - cut - 1)"),
-    ("refute-never-climbs-above-the-cut", "sampler.py",
-     "    slots = [0]  # the slots of the nodes down to the cut",
-     "    return\n    slots = [0]  # the slots of the nodes down to the cut"),
+    ("refute-cut-node-slot-kept", "sampler.py",
+     "    values[cut_slot] = 0.0\n",
+     ""),
+    ("refute-cut-parent-block-at-the-cut-slot", "sampler.py",
+     "    at = cut_slot - prefix[depth - 1]",
+     "    at = cut_slot"),
+    ("refute-cut-parent-check-skipped", "sampler.py",
+     "    if values[at] or values[at + 1]:\n        return\n    depth -= 1\n",
+     "    depth -= 1\n"),
+    ("refute-never-climbs-past-the-cut-parent", "sampler.py",
+     "    slots = [0]  # the slots of the nodes down to the cut node's parent",
+     "    return\n    slots = [0]  # the slots of the nodes down to the cut node's parent"),
     ("refute-root-walk-stops-after-one-slot", "sampler.py",
      "            if values[at] or values[at + 1]:",
      "            if True:"),
@@ -288,12 +298,24 @@ MUTANTS = (
      "            False\n"),
     # The answer writer joins fields itself only where csv.writer would quote
     # none, and `join` writes the chunk its sink holds when the search ends.
+    # A chunk's one gather is regrouped by the order's width, its last line
+    # ends in a newline, and a chunk of one field stays one field (a bare
+    # str from itemgetter would be split into its characters).
     ("plain-check-misses-quote", "cli.py",
      "_QUOTED = re.compile('[,\"\\r\\n\\0]')",
      "_QUOTED = re.compile('[,\\r\\n\\0]')"),
     ("last-chunk-dropped", "cli.py",
      "        write(chunk)\n        return stats\n",
      "        return stats\n"),
+    ("writer-regroups-by-the-wrong-width", "cli.py",
+     "        return zip(*[iter(fields)] * width)\n",
+     "        return zip(*[iter(fields)] * (width - 1))\n"),
+    ("writer-last-newline-dropped", "cli.py",
+     "        lines.append(\"\")  # the last row's newline\n",
+     ""),
+    ("one-field-chunk-split-into-characters", "cli.py",
+     "if len(codes) > 1 else",
+     "if codes else"),
     # The default guard is the first relation variable set holding B.
     ("guard-last-edge", "cli.py",
      "    for e in edges:\n        if b <= e:",

@@ -143,6 +143,12 @@ def _cache_keys(on_var: list) -> list:
     of the key's relations are all of x0..x(i-1), every prefix has a key of
     its own and i is not cached (None); else prefixes that differ only
     outside them share one subtree. The key may be empty (a cross product).
+
+    The cached variables are a suffix. i's key relations are those with a
+    variable before i and one at or after it. If a later variable j is not
+    cached, each of x0..x(i-1) lies in a key relation of j, which holds it
+    before i and a variable at or after j: a key relation of i too. So i is
+    not cached either, and the search caches from the first cached one down.
     """
     held: dict[int, tuple[list, list[int]]] = {}  # each relation's stack and variables
     for i, aff in enumerate(on_var):
@@ -353,11 +359,8 @@ def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
             # Record the visit of variable j, or link and replay the entry
             # its key already has.
             ks = keys[j]
-            if ks is None:
-                hit = None
-            else:
-                key = ks[0][-1][0] if len(ks) == 1 else tuple([st[-1][0] for st in ks])
-                hit = caches[j].get(key)
+            key = ks[0][-1][0] if len(ks) == 1 else tuple([st[-1][0] for st in ks])
+            hit = caches[j].get(key)
             child = hit or [0] * skip
             if j > first:
                 entry[i].append(a)
@@ -369,8 +372,7 @@ def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
                 _replay(hit, j, last, codes, sink, skip)
                 continue
             made[j].append(child)
-            if ks is not None:
-                caches[j][key] = child
+            caches[j][key] = child
             entry[j] = child
         if j == last:
             head = tuple(codes)

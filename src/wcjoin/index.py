@@ -12,12 +12,10 @@ is, node for node, the plain tree of `binary.bin_query`'s bit-level copy.
 
 The moves, and who makes them. None keeps a code: each reads its code
 interval off a prefix of child indices or off the rows.
-- `bind`/`unbind`: one level down or up, for `enumerator.wcj`'s step search
-  and `estimators.verify_estimator`. Over bit levels `bind` is `split`, then
-  `sibling` for child 1; else two bisects per column cut [d, d + 1).
-- `split`, `sibling`: `bind` at bit levels, and `sampler.children_values`.
-  `split` pushes child 0 and tells which children have rows; `sibling`
-  turns child 0 into child 1.
+- `bind`/`unbind`: one level down or up, for `enumerator.wcj`'s step search,
+  `estimators.verify_estimator` and `sampler.children_values`. `bind(d)`
+  cuts child d's code interval, two bisects per column; at bit levels it
+  reads the node's interval off the first range that has rows.
 - `bind_prefix`: root to a prefix's node by a `cut_plan`, one cut per
   entry, each code read off the prefix's bits as one int by the entry's
   shift and mask. By default every variable the prefix binds is cut, in
@@ -99,14 +97,24 @@ class Cursors:
             st.append((lo, bisect_left(col, c, lo, hi)))
 
     def bind(self, d: int) -> None:
-        """Move to child d: `split` (+ `sibling` if d = 1) over bit levels, else cut [d, d + 1)."""
+        """Move to child d: cut its code interval [a + d*w, a + (d+1)*w), w the level's width.
+
+        At plain levels a = 0. At bit levels the codes of a nonempty range
+        share the node's prefix, so its first code gives the node's interval
+        [a, a + 2w); with every range empty, any a keeps them so.
+        """
+        level = self.depth
+        pairs = self.affected[level]
+        a, w = 0, self._width[level]
         if self.per_var > 1:
-            self.split()
-            if d:
-                self.sibling()
-        else:
-            self._narrow(self.affected[self.depth], d, d + 1)
-            self.depth += 1
+            for col, st in pairs:
+                lo, hi = st[-1]
+                if lo < hi:
+                    a = col[lo] & -2 * w
+                    break
+        a += d * w
+        self._narrow(pairs, a, a + w)
+        self.depth = level + 1
 
     def bind_prefix(self, prefix: Sequence[int], plan: Sequence[tuple] | None = None) -> None:
         """Move from the root to the node of a prefix of child indices.
@@ -149,39 +157,6 @@ class Cursors:
                 bits = min(k, depth - u * k)  # the bits of u the prefix holds
                 plan.append((depth - u * k - bits, (1 << bits) - 1, 1 << (k - bits), pairs))
         return plan
-
-    def split(self) -> tuple[bool, bool]:
-        """Move to child 0 of a two-way node; whether child 0 and child 1 have rows.
-
-        The codes of a nonempty range share the node's prefix, so its first
-        code gives the midpoint m (with every range empty, any m keeps them
-        so). One bisect per column at m splits (lo, hi) into child 0's
-        (lo, mid), which is pushed, and child 1's (mid, hi).
-        """
-        level = self.depth
-        affected = self.affected[level]
-        m = w = self._width[level]
-        for col, st in affected:
-            lo, hi = st[-1]
-            if lo < hi:
-                m = col[lo] & -w | w
-                break
-        live0 = live1 = True
-        for col, st in affected:
-            lo, hi = st[-1]
-            mid = bisect_left(col, m, lo, hi)
-            st.append((lo, mid))
-            if mid == lo:
-                live0 = False
-            if mid == hi:
-                live1 = False
-        self.depth = level + 1
-        return live0, live1
-
-    def sibling(self) -> None:
-        """Turn child 0 as `split` pushed it, (lo, mid), into child 1: (mid, parent's hi)."""
-        for _, st in self.affected[self.depth - 1]:
-            st[-1] = (st[-1][1], st[-2][1])
 
     def unbind(self) -> None:
         self.depth -= 1

@@ -15,13 +15,14 @@ its prefix (`Cursors.bind_prefix`) by that level's cut plan
 (`EstimatorContext.frontier_cuts`): it reads the prefix's bits as one int
 and narrows only the variables with a stack that this level or a later one
 reads, in those stacks. Then it expands that node and every later one in
-one pass: one bisect per column at the midpoint, both children's bounds in
-one loop over the level's terms (`EstimatorContext.frontier_plans`), and
-after the draw a push of the drawn child's ranges only. A level on exactly
-two columns has a kernel of its own that keeps both columns' cuts in
-locals. `children_values` is that expansion by cursor moves, the tests'
-reference; the walk reports a bound that overflows through it, after
-cutting every stack, as `bound` reads every term.
+one pass: one bisect per column at the midpoint pushes child 0's rows and
+gives both children's row counts (a level on exactly two columns has a cut
+of its own that keeps both columns in locals), one loop over the level's
+terms (`EstimatorContext.frontier_plans`) gives both children's bounds, and
+one draw picks a child; child 1 turns the pushed rows into its own.
+`children_values` is that expansion by cursor moves, the tests' reference;
+the walk reports a bound that overflows through it, after cutting every
+stack, as `bound` reads every term.
 
 Where a level's bound reads one live row count, of column j, and j's rows
 agree on the next bits of the variable, the levels down to where they part
@@ -132,21 +133,17 @@ class ValueStore:
 
 
 def children_values(ctx: EstimatorContext) -> list[float]:
-    """Expand the current node, which must be consistent: its two children's values.
+    """Expand the current node: its two children's values, the context left at the node.
 
-    The walk's expansion by cursor moves, kept as its reference. One `split`
-    serves both children, and the context stays on a child: child 1 if its
-    value is positive, else child 0. A child left with no rows in some column
-    is inconsistent, so its value is 0.0 without an estimate; a child with
-    rows in every narrowed column is consistent, so its value is the product
-    bound without a consistency scan.
+    The walk's expansion by cursor moves, kept as its reference: per child,
+    `bind`, `estimate` and `unbind`.
     """
-    live0, live1 = ctx.split()
-    v0 = ctx.bound() if live0 else 0.0
-    if live1:
-        ctx.sibling()
-        return [v0, ctx.bound()]
-    return [v0, 0.0]
+    values = []
+    for d in range(2):
+        ctx.bind(d)
+        values.append(ctx.estimate())
+        ctx.unbind()
+    return values
 
 
 def _refute(store: ValueStore, prefix: Sequence[int], first: int, cut: int, cut_slot: int) -> None:
@@ -286,70 +283,35 @@ def sample_once(
                         st.append((lo, bisect_left(col, p + low, q, hi)))
                     level = stop
                     continue
+            # Cut each column at the midpoint m: push child 0's rows (lo, mid)
+            # and keep both children's row counts, in locals on two columns.
+            # A walk that ends at this node leaves the pushed rows to `reset`.
+            col, st = affected[0]
+            lo, hi = st[-1]
+            m = col[lo] & -w | w
             if len(affected) == 2:
-                # The two-column kernel: the generic expansion below, with
-                # both columns' cuts held in locals and pushed directly.
-                (col, st), (col1, st1) = affected
-                lo, hi = st[-1]
+                col1, st1 = affected[1]
                 lo1, hi1 = st1[-1]
-                m = col[lo] & -w | w
                 mid = bisect_left(col, m, lo, hi)
                 mid1 = bisect_left(col1, m, lo1, hi1)
+                st.append((lo, mid))
+                st1.append((lo1, mid1))
+                n0, n1 = (mid - lo, mid1 - lo1), (hi - mid, hi1 - mid1)
                 live0 = lo < mid and lo1 < mid1
                 live1 = mid < hi and mid1 < hi1
-                if not (live0 or live1):
-                    _refute(store, prefix, first, cut, cut_slot)
-                    return None
-                n0, n1 = (mid - lo, mid1 - lo1), (hi - mid, hi1 - mid1)  # the children's counts
-                if single is None:
-                    t0 = t1 = 0.0
-                    for j, table, stack in terms:
-                        if j >= 0:
-                            t0 += table[n0[j]]
-                            t1 += table[n1[j]]
-                        else:
-                            x = stack if table is None else table[stack[-1][1] - stack[-1][0]]
-                            t0 += x
-                            t1 += x
-                    v0 = exp(t0) if live0 else 0.0
-                    v1 = exp(t1) if live1 else 0.0
-                else:
-                    v0 = table[n0[j]] if live0 else 0.0
-                    v1 = table[n1[j]] if live1 else 0.0
-                at = len(values)
-                values.append(v0)
-                values.append(v1)
-                child.extend(_NEW_BLOCK)
-                child[slot] = at
-                r = random() * value
-                if r < v0:
-                    prefix.append(0)
-                    slot = at
-                    value = v0
+            else:
+                n0, n1 = [], []
+                live0 = live1 = True
+                for col, st in affected:
+                    lo, hi = st[-1]
+                    mid = bisect_left(col, m, lo, hi)
                     st.append((lo, mid))
-                    st1.append((lo1, mid1))
-                elif r < v0 + v1:
-                    prefix.append(1)
-                    slot = at + 1
-                    value = v1
-                    st.append((mid, hi))
-                    st1.append((mid1, hi1))
-                else:
-                    return None
-                level += 1
-                continue
-            col, st = affected[0]
-            m = col[st[-1][0]] & -w | w
-            cuts = []
-            live0 = live1 = True
-            for col, st in affected:
-                lo, hi = st[-1]
-                mid = bisect_left(col, m, lo, hi)
-                cuts.append((lo, mid, hi))
-                if mid == lo:
-                    live0 = False
-                elif mid == hi:
-                    live1 = False
+                    n0.append(mid - lo)
+                    n1.append(hi - mid)
+                    if mid == lo:
+                        live0 = False
+                    elif mid == hi:
+                        live1 = False
             if not (live0 or live1):
                 _refute(store, prefix, first, cut, cut_slot)
                 return None
@@ -358,9 +320,8 @@ def sample_once(
                 t0 = t1 = 0.0
                 for j, table, stack in terms:
                     if j >= 0:
-                        lo, mid, hi = cuts[j]
-                        t0 += table[mid - lo]
-                        t1 += table[hi - mid]
+                        t0 += table[n0[j]]
+                        t1 += table[n1[j]]
                     else:
                         x = stack if table is None else table[stack[-1][1] - stack[-1][0]]
                         t0 += x
@@ -368,9 +329,8 @@ def sample_once(
                 v0 = exp(t0) if live0 else 0.0
                 v1 = exp(t1) if live1 else 0.0
             else:
-                lo, mid, hi = cuts[j]
-                v0 = table[mid - lo] if live0 else 0.0
-                v1 = table[hi - mid] if live1 else 0.0
+                v0 = table[n0[j]] if live0 else 0.0
+                v1 = table[n1[j]] if live1 else 0.0
             at = len(values)  # the block, as the store's docstring lays it out
             values.append(v0)
             values.append(v1)
@@ -380,13 +340,11 @@ def sample_once(
             if r < v0:
                 d = 0
                 value = v0
-                for (_, st), (lo, mid, _) in zip(affected, cuts):
-                    st.append((lo, mid))
             elif r < v0 + v1:
                 d = 1
                 value = v1
-                for (_, st), (_, mid, hi) in zip(affected, cuts):
-                    st.append((mid, hi))
+                for _, st in affected:  # child 0's rows (lo, mid) become child 1's (mid, hi)
+                    st[-1] = (st[-1][1], st[-2][1])
             else:
                 return None
             prefix.append(d)

@@ -130,8 +130,7 @@ class TestLoadSpec:
             return err[0]
 
         def every_command_exits_2(spec):
-            for command in ("join", "sample", "cover", "validate"):
-                exits_2([command, spec])
+            return {exits_2([command, spec]) for command in ("join", "sample", "cover", "validate")}
 
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -179,6 +178,11 @@ class TestLoadSpec:
         ):
             bad.write_text(json.dumps({**doc, **extra}))
             every_command_exits_2(str(bad))
+        # An explicit guard that holds B but names no relation's variable set.
+        bad.write_text(json.dumps({**doc, "constraints": [{**card, "guard": ["x3", "x2", "x1"]}]}))
+        assert every_command_exits_2(str(bad)) == {
+            "error: guard ['x1', 'x2', 'x3'] is not a relation variable set"
+        }
         relations = {**doc["relations"], "R": {"path": "R.csv", "variables": 5}}
         bad.write_text(json.dumps({"relations": relations}))
         exits_2(["join", str(bad)])
@@ -530,6 +534,18 @@ def test_unwritable_output_file_exits_2(tmp_path, capsys, monkeypatch):
     assert main(["join", spec, "--output", out]) == EXIT_PARSE
     assert capsys.readouterr().err == f"error: cannot write {out}: Permission denied\n"
     assert sorted(tmp_path.rglob("*")) == files
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("command", ["join", "sample"])
+@pytest.mark.parametrize("flag", ["--output", "--stats-out"])
+def test_a_full_device_exits_2(tmp_path, capsys, command, flag):
+    # /dev/full opens for writing, so the check before the run passes; the
+    # write fails with ENOSPC, which is one error line, not a traceback.
+    spec = write_instance(tmp_path)
+    assert main([command, spec, flag, "/dev/full"]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err == "error: cannot write /dev/full: No space left on device\n"
 
 
 def test_output_and_stats_out_naming_one_file_exit_2(tmp_path, capsys, monkeypatch):

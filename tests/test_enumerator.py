@@ -451,6 +451,19 @@ class TestSubtreeCache:
         assert key_sizes(q, order) == [None, 0, 1]
         assert self.assert_matches_reference(monkeypatch, q, order) == 4
 
+    def test_cached_variables_are_a_suffix(self):
+        # The search caches every variable from the first cached one down
+        # (`_cache_keys`), and looks up a key at each of them.
+        rng = random.Random(30)
+        cached = 0
+        for _ in range(3000):
+            q = random_query(rng)
+            sizes = key_sizes(q, tuple(rng.sample(q.order, len(q.order))))
+            first = next((i for i, n in enumerate(sizes) if n is not None), len(sizes))
+            assert None not in sizes[first:], sizes
+            cached += first < len(sizes)
+        assert cached > 500
+
     @pytest.mark.parametrize("seed", [4, 5])
     def test_four_cycle_keys_x4_by_two_stacks(self, monkeypatch, seed):
         # x4's subtree reads T's rows of x3 and U's rows of x1, not x2. S

@@ -175,6 +175,8 @@ class TestPrefixCodes:
 
 
 class TestSplit:
+    """A two-way node splits into its children by `bind(0)` and `bind(1)`."""
+
     @staticmethod
     def state(cur):
         return [list(st) for st in cur.stacks], cur.depth
@@ -189,9 +191,11 @@ class TestSplit:
 
     def check_walks(self, make_cursors):
         # At every node of random root-to-leaf walks, consistent or not,
-        # split() is bind(0) and split() + sibling() is bind(1). Both reach
-        # the top ranges that bind_prefix cuts from the root, and so does
-        # bind(d) straight after bind_prefix.
+        # bind(d) pushes one range on each stack the level narrows and on no
+        # other, unbind returns to the node, and the two children's ranges
+        # split the node's: child 0 keeps its start, child 1 its end. Both
+        # reach the top ranges that bind_prefix cuts from the root, and so
+        # does bind(d) straight after bind_prefix.
         rng = random.Random(11)
         nodes = 0
         for _ in range(150):
@@ -200,30 +204,33 @@ class TestSplit:
             assert cur.fanout == 2
             prefix = []
             while cur.depth < cur.levels:
-                children, tops = [], []
+                node, depth = self.state(cur)
+                narrowed = [any(st is s for _, s in cur.affected[depth]) for st in cur.stacks]
+                tops, live = [], []
                 for d in range(2):
                     cur.bind(d)
-                    children.append(self.state(cur))
+                    child = self.state(cur)
+                    assert child[1] == depth + 1
+                    for before, after, cut in zip(node, child[0], narrowed):
+                        assert (after[:-1] if cut else after) == before
+                    tops.append(self.top(cur))
+                    live.append(self.live(cur))
                     cur.unbind()
+                    assert self.state(cur) == (node, depth)
                     ref.reset()
                     ref.bind_prefix(prefix + [d])
-                    tops.append(self.top(ref))
+                    assert self.top(ref) == tops[d]
                     ref.reset()
                     ref.bind_prefix(prefix)
                     ref.bind(d)
                     assert self.top(ref) == tops[d]
-                live0, live1 = cur.split()
-                assert self.state(cur) == children[0]
-                assert self.top(cur) == tops[0]
-                assert live0 == self.live(cur)
-                cur.sibling()
-                assert self.state(cur) == children[1]
-                assert self.top(cur) == tops[1]
-                assert live1 == self.live(cur)
-                cur.unbind()
+                for st, cut, child0, child1 in zip(node, narrowed, tops[0][0], tops[1][0]):
+                    if cut:
+                        (lo, hi), (lo0, mid0), (mid1, hi1) = st[-1], child0, child1
+                        assert lo == lo0 and mid0 == mid1 and hi1 == hi
                 nodes += 1
-                live = [d for d, ok in enumerate((live0, live1)) if ok]
-                d = rng.choice(live) if live and rng.random() < 0.9 else rng.randrange(2)
+                ok = [d for d in range(2) if live[d]]
+                d = rng.choice(ok) if ok and rng.random() < 0.9 else rng.randrange(2)
                 prefix.append(d)
                 cur.bind(d)
         assert nodes > 1000
@@ -247,14 +254,14 @@ class TestSplit:
         ref = Cursors([r, s], ("x1", "x2"), 4, bits=True)
         cur.bind_prefix([0, 0, 1])
         assert [st[-1] for st in cur.stacks] == [(1, 1), (0, 2)]
-        for d, live in enumerate(cur.split()):
-            if d:
-                cur.sibling()
+        for d in range(2):
+            cur.bind(d)
             ref.reset()
             ref.bind_prefix([0, 0, 1, d])
-            assert live is False
+            assert not self.live(cur)
             assert self.top(cur) == self.top(ref)
             assert cur.stacks[1][-1] == [(0, 1), (1, 2)][d]
+            cur.unbind()
 
     def test_sampler_rejects_contexts_that_are_not_two_way(self, triangle_query):
         ctx = build_agm_context(triangle_query)  # one level per variable, 4 values

@@ -117,13 +117,13 @@ class TestChildrenValues:
         # Root value 8 splits between the x1#1 = 0 and x1#1 = 1 subtrees.
         assert sum(values) <= store.up_root + 1e-9
         assert values[0] > 0.0 and values[1] > 0.0
-        # The context stays on child 1; child 0 is one bind from the root.
-        assert ctx.depth == 1 and ctx.estimate() == values[1]
-        ctx.reset()
-        ctx.bind(0)
-        assert ctx.depth == 1 and ctx.estimate() == values[0]
-        ctx.reset()
-        assert ctx.depth == 0 and ctx.estimate() == store.up_root
+        # The context returns to the node; each child is one bind from it.
+        assert ctx.depth == 0 and all(len(st) == 1 for st in ctx.stacks)
+        assert ctx.estimate() == store.up_root
+        for d in range(2):
+            ctx.bind(d)
+            assert ctx.depth == 1 and ctx.estimate() == values[d]
+            ctx.unbind()
         at = add_block(store, 0, values)
         _refute(store, [0], at, 0, 0)  # a refuted child counts 0; the block at `at` is the root's
         assert list(store.values[at : at + 2]) == [0.0, values[1]]
@@ -131,7 +131,7 @@ class TestChildrenValues:
         assert children_values(ctx) == values
         ctx.reset()
 
-    def test_stays_on_child_0_when_child_1_is_empty(self):
+    def test_an_empty_child_is_0(self):
         # x1 takes codes 0, 1 and 2 (two bits), so below x1#1 = 1 only child 0 has rows.
         ctx = bin_ctx(encode_instance([("R", ("x1",), [["a"], ["b"], ["c"]])], ("x1",)))
         ctx.bind(0)
@@ -141,9 +141,13 @@ class TestChildrenValues:
         ctx.bind(1)
         values = children_values(ctx)
         assert values == [1.0, 0.0]
-        # On row (1, 0) of the bit copy, which encodes "c".
-        assert ctx.depth == 2 and ctx.stacks == [[(0, 3), (2, 3), (2, 3)]]
-        assert ctx.estimate() == 1.0
+        assert ctx.depth == 1 and ctx.stacks == [[(0, 3), (2, 3)]]
+        # Child 0 is row (1, 0) of the bit copy, which encodes "c"; child 1 has no rows.
+        ctx.bind(0)
+        assert ctx.stacks == [[(0, 3), (2, 3), (2, 3)]] and ctx.estimate() == 1.0
+        ctx.unbind()
+        ctx.bind(1)
+        assert ctx.stacks == [[(0, 3), (2, 3), (3, 3)]] and ctx.estimate() == 0.0
         ctx.reset()
 
 
@@ -367,7 +371,7 @@ class TestValueStore:
         monkeypatch.setattr(math, "exp", counting_exp)
         monkeypatch.setattr(s.ctx, "bind_prefix", tracking_bind_prefix)
         monkeypatch.setattr(s.ctx, "reset", tracking_reset)
-        for name in ("bind", "unbind", "split", "sibling", "bound"):
+        for name in ("bind", "unbind", "estimate", "bound"):
             monkeypatch.setattr(s.ctx, name, forbidden)
         s.sample(200, random.Random(42))
         assert estimates > 0 and path == []
@@ -936,7 +940,6 @@ def walk_probabilities(ctx, store):
             block = store.values[at : at + ctx.fanout]
         else:
             block = children_values(ctx)
-            ctx.unbind()  # back from the child the expansion stands on
         for d, vd in enumerate(block):
             if vd > 0.0:
                 ctx.bind(d)

@@ -36,19 +36,17 @@ RUN_TIMEOUT_S = 900  # per mutant; the tests' own limit normally ends a hang fir
 
 # (name, file, old, new)
 MUTANTS = (
-    # Cursors: the sampler's midpoint split, its midpoint read off the rows.
-    ("split-mid-high", "index.py",
-     "                m = col[lo] & -w | w\n",
-     "                m = (col[lo] & -w | w) + 1\n"),
-    ("split-mid-low", "index.py",
-     "                m = col[lo] & -w | w\n",
-     "                m = (col[lo] & -w | w) - 1\n"),
-    ("split-mid-read-off-an-empty-range", "index.py",
-     "            if lo < hi:\n",
-     "            if True:\n"),
-    ("sibling-keeps-child0-hi", "index.py",
-     "            st[-1] = (st[-1][1], st[-2][1])",
-     "            st[-1] = (st[-1][1], st[-1][1])"),
+    # Cursors: bind's child interval, the node's read off the first range
+    # with rows, child d's the d-th half of it.
+    ("bind-reads-an-empty-range", "index.py",
+     "                if lo < hi:\n",
+     "                if True:\n"),
+    ("bind-node-interval-keeps-the-level-bit", "index.py",
+     "                    a = col[lo] & -2 * w\n",
+     "                    a = col[lo] & -w\n"),
+    ("bind-child-1-interval-a-code-late", "index.py",
+     "        a += d * w\n",
+     "        a += d * (w + 1)\n"),
     # The one narrowing loop of bind and bind_prefix: two bisects per column.
     ("narrow-lower-bisect-dropped", "index.py",
      "            lo = bisect_left(col, a, lo, hi)\n",
@@ -122,11 +120,11 @@ MUTANTS = (
     ("overflow-escapes-as-overflow-error", "sampler.py",
      "        children_values(ctx)  # raises",
      "        pass  # raises"),
-    # The generic expansion (one or three and more columns): its midpoint,
-    # bounds and term plan, and the drawn child's push.
+    # The expansion below the cut: its midpoint, bounds and term plan, and
+    # the drawn child's rows.
     ("frontier-mid-high", "sampler.py",
-     "            m = col[st[-1][0]] & -w | w\n",
-     "            m = (col[st[-1][0]] & -w | w) + 1\n"),
+     "            m = col[lo] & -w | w\n",
+     "            m = (col[lo] & -w | w) + 1\n"),
     ("unnarrowed-term-to-child-0-only", "sampler.py",
      "                        t0 += x\n                        t1 += x\n",
      "                        t0 += x\n"),
@@ -136,17 +134,20 @@ MUTANTS = (
     ("frontier-v1-dropped", "sampler.py",
      "\n            elif r < v0 + v1:",
      "\n            elif r < v0:"),
-    ("child-1-pushes-child-0-rows", "sampler.py",
-     "in zip(affected, cuts):\n                    st.append((mid, hi))\n",
-     "in zip(affected, cuts):\n                    st.append((st[-1][0], mid))\n"),
-    # The two-column kernel: both live flags need both columns, and child 1
-    # pushes its own range of the second column.
+    ("child-1-keeps-child-0-rows", "sampler.py",
+     "                    st[-1] = (st[-1][1], st[-2][1])\n",
+     "                    st[-1] = (st[-1][0], st[-1][1])\n"),
+    ("child-1-keeps-child-0-hi", "sampler.py",
+     "                    st[-1] = (st[-1][1], st[-2][1])\n",
+     "                    st[-1] = (st[-1][1], st[-1][1])\n"),
+    # The two-column kernel: both live flags need both columns, and child 0
+    # is pushed with its own range of the second column.
     ("kernel-live-flag-joined-with-or", "sampler.py",
      "                live0 = lo < mid and lo1 < mid1\n",
      "                live0 = lo < mid or lo1 < mid1\n"),
-    ("kernel-child-1-pushes-child-0-range", "sampler.py",
-     "                    st1.append((mid1, hi1))\n",
-     "                    st1.append((lo1, mid1))\n"),
+    ("kernel-child-0-pushes-the-whole-range", "sampler.py",
+     "                st1.append((lo1, mid1))\n",
+     "                st1.append((lo1, hi1))\n"),
     # The stretches: a's side dies where a column stops holding its prefix,
     # a stretch ends where the plan does, and one that stops mid-variable
     # pushes the rows of the prefix it settled. A plan's value table is read
@@ -162,8 +163,8 @@ MUTANTS = (
      "                    p = a & -low  #",
      "                    p, low = a, 1  #"),
     ("value-table-child-0-reads-child-1-rows", "sampler.py",
-     "                v0 = table[mid - lo] if live0 else 0.0\n",
-     "                v0 = table[hi - mid] if live0 else 0.0\n"),
+     "                v0 = table[n0[j]] if live0 else 0.0\n",
+     "                v0 = table[n1[j]] if live0 else 0.0\n"),
     ("stretch-ignores-another-live-count", "estimators.py",
      "            live = {j for j, table, _ in terms if table is not None}",
      "            live = {j for j, table, _ in terms if j >= 0}"),
@@ -282,6 +283,16 @@ MUTANTS = (
     ("pm-validation-dropped", "cli.py",
      "        if broken is not None:",
      "        if False:"),
+    ("guard-check-dropped", "cli.py",
+     "            if guard not in edges:\n",
+     "            if False:\n"),
+    # A named output that fails while it is written is one error line.
+    ("write-error-clause-dropped", "cli.py",
+     "    try:\n        with open(path, \"w\", newline=\"\", encoding=\"utf-8\") as fh:\n"
+     "            return emit(fh)\n    except OSError as exc:\n"
+     "        raise SpecError(f\"cannot write {path}: {exc.strerror or exc}\") from exc\n",
+     "    with open(path, \"w\", newline=\"\", encoding=\"utf-8\") as fh:\n"
+     "        return emit(fh)\n"),
     # load_spec streams each relation's rows into the encoder and closes
     # every file it opened.
     ("rows-materialised", "cli.py",

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .core import Dictionary, JoinQuery, Relation
+from .core import Dictionary, JoinQuery, Relation, _unchecked
 from .constraints import ConstraintSet, DegreeConstraint
 from .index import bit_width
 
@@ -55,16 +55,22 @@ def bin_relation(rel: Relation, layout: BitLayout) -> Relation:
     rows = frozenset(
         tuple(bit for code in row for bit in bin_value(code, b)) for row in rel.rows
     )
-    return Relation(variables, rows)
+    return _unchecked(Relation, variables=variables, rows=rows)
 
 
 def bin_query(query: JoinQuery, layout: BitLayout | None = None) -> JoinQuery:
-    """Binarised query over domain {0,1}; relation cardinalities are preserved."""
+    """Binarised query over domain {0,1}; relation cardinalities are preserved.
+
+    A given `layout` must be `make_layout` of an order of the query's own
+    variables and its domain size: the result is built without the
+    constructors' checks.
+    """
     if layout is None:
         layout = make_layout(query.order, query.domain_size)
     relations = tuple(bin_relation(rel, layout) for rel in query.relations)
     dictionary = Dictionary({"0": 0, "1": 1}, ("0", "1"))
-    return JoinQuery(layout.bin_order, relations, 2, dictionary)
+    return _unchecked(JoinQuery, order=layout.bin_order, relations=relations, domain_size=2,
+                      dictionary=dictionary)
 
 
 def debin_row(bits: Sequence[int], layout: BitLayout) -> tuple[int, ...]:

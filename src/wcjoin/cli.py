@@ -109,28 +109,25 @@ def _pick_guard(edges: tuple[frozenset[str], ...], b: frozenset[str], what: str)
 class _CsvRows:
     """A relation's CSV rows after its header, read once, as the encoder consumes them.
 
+    Iterating returns `filter(None, reader)`, which passes each row on in C.
     A blank line is skipped, as `csv.DictReader` does: `csv.reader` reads it
-    as [], while a one-column "" reads as ['']. A read error becomes a
-    SpecError naming the relation. `len()` is the number of rows handed on,
-    which is all of them once the encoder is done.
+    as [], while a one-column "" reads as ['']. `begun` tells `load_spec`
+    which relation the encoder was reading when a read error hit. `len()` is
+    the number of lines read past the header: once the encoder is done, the
+    row count, plus any blank lines and the extra lines of fields that hold
+    a line break.
     """
 
-    def __init__(self, name: str, reader):
-        self._name = name
+    def __init__(self, reader):
         self._reader = reader
-        self._count = 0
+        self.begun = False
 
     def __iter__(self):
-        n = 0
-        try:
-            for n, row in enumerate(filter(None, self._reader), 1):
-                yield row
-        except (OSError, UnicodeDecodeError, csv.Error) as exc:
-            raise SpecError(f"cannot read relation {self._name!r}: {exc}") from exc
-        self._count = n
+        self.begun = True
+        return filter(None, self._reader)
 
     def __len__(self) -> int:
-        return self._count
+        return self._reader.line_num - 1
 
 
 def load_spec(path: str | Path) -> LoadedSpec:
@@ -170,13 +167,16 @@ def load_spec(path: str | Path) -> LoadedSpec:
             declared = entry.get("variables")
             if declared is not None and _names(declared, f"relation {name!r}: 'variables'") != header:
                 raise SpecError(f"relation {name!r}: header does not match declared variables")
-            tables.append((name, header, _CsvRows(name, reader)))
+            tables.append((name, header, _CsvRows(reader)))
 
         order = doc.get("order")
         if order is None:
             order = list(dict.fromkeys(v for _, header, _ in tables for v in header))
         try:
             query = encode_instance(tables, _names(order, "'order'"))
+        except (OSError, UnicodeDecodeError, csv.Error) as exc:
+            name = next(name for name, _, rows in reversed(tables) if rows.begun)
+            raise SpecError(f"cannot read relation {name!r}: {exc}") from exc
         except ValueError as exc:
             raise SpecError(str(exc)) from exc
 

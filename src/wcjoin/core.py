@@ -3,6 +3,13 @@
 Everything inside the engine works on dense integer codes; raw values only
 exist at the input/output boundary, where a Dictionary translates them.
 Partial assignments ("tuples") are plain dicts mapping variable name to code.
+
+The public `Relation(...)` and `JoinQuery(...)` constructors check every row
+and every code. `encode_instance` is the one place raw tables are checked: it
+checks headers, row widths, the order and coverage as it assigns the codes,
+then builds its values by `_unchecked`, which skips the per-row re-checks.
+`project`, `filter_relation` and `binary.bin_query` build theirs the same
+way, since their rows come from a relation already checked.
 """
 from __future__ import annotations
 
@@ -14,6 +21,14 @@ from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 class EncodingError(ValueError):
     """Raw tables cannot be turned into a join query."""
+
+
+def _unchecked(cls, **fields):
+    """A frozen dataclass value built from fields already checked, skipping `__post_init__`."""
+    value = object.__new__(cls)
+    for name, field_value in fields.items():
+        object.__setattr__(value, name, field_value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -125,9 +140,15 @@ def encode_instance(
                     backward.append(raw)
                 codes.append(code)
             encoded.add(tuple(codes))
-        relations.append(Relation(header, frozenset(encoded)))
+        relations.append(_unchecked(Relation, variables=header, rows=frozenset(encoded)))
+    if len(order_set) != len(order):
+        raise EncodingError(f"duplicate variable in order {order}")
+    missing = order_set.difference(*(rel.variables for rel in relations))
+    if missing:
+        raise EncodingError(f"variables {missing} not covered by any relation")
     dictionary = Dictionary(forward, tuple(backward))
-    return JoinQuery(order, tuple(relations), len(backward), dictionary)
+    return _unchecked(JoinQuery, order=order, relations=tuple(relations),
+                      domain_size=len(backward), dictionary=dictionary)
 
 
 def filter_relation(rel: Relation, t: Mapping[str, int]) -> Relation:
@@ -139,7 +160,7 @@ def filter_relation(rel: Relation, t: Mapping[str, int]) -> Relation:
     for row in rel.rows:
         if tuple(row[i] for i in shared) == target:
             out.add(tuple(row[i] for i in keep))
-    return Relation(tuple(rel.variables[i] for i in keep), frozenset(out))
+    return _unchecked(Relation, variables=tuple(rel.variables[i] for i in keep), rows=frozenset(out))
 
 
 def rows_at(
@@ -161,4 +182,5 @@ def project(rel: Relation, variables: Iterable[str]) -> Relation:
     """R|Y: deduplicated restriction of every row to Y (intersected with X_R)."""
     keep_set = set(variables)
     keep = [i for i, v in enumerate(rel.variables) if v in keep_set]
-    return Relation(tuple(rel.variables[i] for i in keep), frozenset(rows_at(rel.rows, keep)))
+    return _unchecked(Relation, variables=tuple(rel.variables[i] for i in keep),
+                      rows=frozenset(rows_at(rel.rows, keep)))

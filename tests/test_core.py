@@ -2,9 +2,14 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from wcjoin.binary import bin_query, make_layout
 from wcjoin.core import (
+    Dictionary,
     EncodingError,
+    JoinQuery,
     Relation,
     encode_instance,
     filter_relation,
@@ -101,3 +106,83 @@ class TestAlgebra:
             assert filter_relation(project(r, rest | {v}), t) == project(
                 filter_relation(r, t), rest
             )
+
+
+class TestPublicConstructorsCheckRows:
+    """`Relation(...)` and `JoinQuery(...)` check every row and every code."""
+
+    def query(self, relations, order=("x1", "x2"), domain_size=3):
+        values = tuple(str(i) for i in range(domain_size))
+        dictionary = Dictionary({v: i for i, v in enumerate(values)}, values)
+        return JoinQuery(order, tuple(relations), domain_size, dictionary)
+
+    def test_row_width_differs_from_variables(self):
+        with pytest.raises(ValueError, match="arity"):
+            rel(("x1", "x2"), [(0, 1), (2,)])
+
+    @pytest.mark.parametrize("code", [-1, 3])
+    def test_code_outside_the_domain(self, code):
+        with pytest.raises(ValueError, match="outside active domain"):
+            self.query([rel(("x1", "x2"), [(0, 1), (code, 0)])])
+
+    def test_relation_variable_not_in_order(self):
+        with pytest.raises(ValueError, match="not in order"):
+            self.query([rel(("x1", "x2"), [(0, 1)]), rel(("x3",), [(0,)])])
+
+    def test_uncovered_variable(self):
+        with pytest.raises(ValueError, match="not covered"):
+            self.query([rel(("x1",), [(0,)])])
+
+
+@st.composite
+def raw_tables(draw):
+    """Raw tables as `random_query` draws them, with duplicate rows left in,
+    plus an empty relation and a one-column table; and their variable order."""
+    # Sizes come from a Random that hypothesis seeds: its own integers favour
+    # small values.
+    rng = draw(st.randoms(use_true_random=True))
+    n = rng.randint(1, 4)
+    variables = [f"x{i + 1}" for i in range(n)]
+    d = rng.randint(1, 6)
+    tables = []
+    for j in range(rng.randint(1, 3)):
+        vs = tuple(rng.sample(variables, rng.randint(1, n)))
+        rows = [[str(rng.randrange(d)) for _ in vs] for _ in range(rng.randint(0, 12))]
+        tables.append((f"R{j}", vs, rows + rows[: rng.randint(0, len(rows))]))
+    tables.append(("E", tuple(rng.sample(variables, rng.randint(1, n))), []))
+    tables.append(("C", (rng.choice(variables),), [[str(rng.randrange(d))] for _ in range(4)]))
+    missing = tuple(v for v in variables if not any(v in vs for _, vs, _ in tables))
+    if missing:
+        tables.append(("Rcov", missing, [["0"] * len(missing)]))
+    rng.shuffle(tables)
+    return tables, variables
+
+
+def assert_checked(value):
+    """`value` equals what the public constructors build from its fields, and a
+    relation hashes as that does."""
+    if isinstance(value, Relation):
+        assert type(value.variables) is tuple and type(value.rows) is frozenset
+        checked = Relation(value.variables, value.rows)
+        assert hash(value) == hash(checked)
+    else:
+        assert type(value.order) is tuple and type(value.relations) is tuple
+        for r in value.relations:
+            assert_checked(r)
+        checked = JoinQuery(value.order, value.relations, value.domain_size, value.dictionary)
+    assert value == checked
+
+
+@given(raw_tables(), st.randoms(use_true_random=True))
+def test_trusted_values_pass_the_public_checks(case, rng):
+    """What encode_instance, project, filter_relation and bin_query build
+    without the per-row checks would pass them."""
+    q = encode_instance(*case)
+    assert_checked(q)
+    assert_checked(bin_query(q))
+    assert_checked(bin_query(q, make_layout(rng.sample(q.order, len(q.order)), q.domain_size)))
+    for r in q.relations:
+        keep = rng.sample(r.variables, rng.randint(0, len(r.variables)))
+        assert_checked(project(r, keep))
+        t = {v: rng.randrange(q.domain_size) for v in keep}
+        assert_checked(filter_relation(r, t))

@@ -279,6 +279,19 @@ MUTANTS = (
     ("permutation-check-dropped", "constraints.py",
      "    if sorted(order) != sorted(query.order):",
      "    if False:"),
+    # The public constructors check every row and code (killed by
+    # test_core's TestPublicConstructorsCheckRows); encode_instance, which
+    # builds its values without those checks, checks coverage itself
+    # (test_core's test_uncovered_variable_rejected).
+    ("relation-arity-check-dropped", "core.py",
+     "            if len(row) != width:\n",
+     "            if False:\n"),
+    ("query-domain-check-dropped", "core.py",
+     "                    if not 0 <= code < self.domain_size:\n",
+     "                    if False:\n"),
+    ("encode-coverage-check-dropped", "core.py",
+     "    if missing:\n        raise EncodingError(",
+     "    if False:\n        raise EncodingError("),
     # The front end.
     ("pm-validation-dropped", "cli.py",
      "        if broken is not None:",
@@ -296,8 +309,15 @@ MUTANTS = (
     # load_spec streams each relation's rows into the encoder and closes
     # every file it opened.
     ("rows-materialised", "cli.py",
-     "            tables.append((name, header, _CsvRows(name, reader)))",
-     "            tables.append((name, header, list(_CsvRows(name, reader))))"),
+     "            tables.append((name, header, _CsvRows(reader)))",
+     "            tables.append((name, header, list(_CsvRows(reader))))"),
+    # A read error while the rows are encoded names the relation being read
+    # (the late faults of test_cli's test_malformed_specs_exit_2).
+    ("read-error-clause-dropped", "cli.py",
+     "        except (OSError, UnicodeDecodeError, csv.Error) as exc:\n"
+     "            name = next(name for name, _, rows in reversed(tables) if rows.begun)\n"
+     "            raise SpecError(f\"cannot read relation {name!r}: {exc}\") from exc\n",
+     ""),
     ("relation-file-left-open", "cli.py",
      "                fh = files.enter_context(\n"
      "                    open(path.parent / entry[\"path\"], newline=\"\", encoding=\"utf-8-sig\")\n"

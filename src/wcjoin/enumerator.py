@@ -196,7 +196,7 @@ def _replay(entry: list, i: int, last: int, codes: list[int], sink: Sink, skip: 
 
 def _smallest(aff: list) -> tuple[tuple, list]:
     """The narrowed column with the fewest rows (the first such), and the others
-    as (column, stack, lo, hi), with their top ranges."""
+    as (column, stack, runs, lo, hi), with their top ranges."""
     # A plain loop: min() with a key made the whole search 8-15 % slower.
     scan = aff[0]
     for cs in aff:
@@ -222,10 +222,13 @@ def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
     Otherwise `a` is a consistent leaf: the search pushes every column's
     rows of `a` and enters the next variable. At the last variable the leaf
     is an answer instead: the scan emits it, appends `a` to the visit's
-    entry when the visit is recorded, and seeks past it. Each scanned code
+    entry when the visit is recorded, and steps past it. A column's rows of
+    `a` end `a`'s run length (`Cursors.runs`) after its first row there, so
+    a leaf costs no bisect beyond the seeks that found it (a trie iterator
+    moves into a code's rows without searching again). Each scanned code
     is a distinct consistent leaf or inconsistent child and costs at most
-    three bisects per column, so the paper's bound on recursive calls
-    bounds the work too.
+    two bisects per column, so the paper's bound on recursive calls bounds
+    the work too.
 
     A variable on exactly two columns is scanned by a dedicated kernel: the
     other column's range is read once per node, the lower neighbour only on
@@ -254,11 +257,15 @@ def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
     # depths starts, -1 one past where it ends.
     diff = [0] * (levels + 2)
     diff[0], diff[1] = 1, -1
-    on_var = cur.affected[::k]
+    # Each variable's (column, stack, runs) triples.
+    on_var = [
+        [(col, st, runs) for (col, st), runs in zip(aff, rs)]
+        for aff, rs in zip(cur.affected[::k], cur.runs)
+    ]
     last = len(on_var) - 1
     codes = [0] * last
     saved = [None] * last  # the scan of each variable above the current one
-    keys = _cache_keys(on_var)
+    keys = _cache_keys(cur.affected[::k])
     first = next((i for i, ks in enumerate(keys) if ks is not None), last + 1)
     caches = [{} for _ in on_var]  # entry by key, at each cached variable
     made = [[] for _ in on_var]  # the entries recorded at each variable
@@ -273,18 +280,18 @@ def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
             # narrowed column with the fewest rows.
             aff = on_var[i]
             if len(aff) == 2:  # the two-column kernel
-                scan, (ocol, ost) = aff
+                scan, (ocol, ost, orun) = aff
                 pos, end = scan[1][-1]
                 olo, ohi = ost[-1]
                 if ohi - olo < end - pos:
-                    scan, ocol, ost = (ocol, ost), scan[0], scan[1]
+                    scan, (ocol, ost, orun) = (ocol, ost, orun), scan
                     pos, end, olo, ohi = olo, ohi, pos, end
                 others = None
             else:
                 scan, others = _smallest(aff)
                 pos, end = scan[1][-1]
-                ocol = ost = olo = ohi = None
-            col_s = scan[0]
+                ocol = ost = orun = olo = ohi = None
+            col_s, run_s = scan[0], scan[2]
             # A recorded visit counts into its entry: its index t there is
             # depth i*k + t. A code's nodes run from index bound - d to one
             # short of bound - miss.
@@ -307,7 +314,7 @@ def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
                         miss = m
             else:
                 miss = 0
-                for col, st, lo, hi in others:
+                for col, st, _, lo, hi in others:
                     q = bisect_left(col, a, lo, hi)
                     m = (col[q] ^ a).bit_length() if q < hi else k
                     if m and q > lo:
@@ -325,33 +332,34 @@ def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
             elif i < last:
                 break
             else:
-                # a is an answer: emit it, record it and seek past it.
+                # a is an answer: emit it, record it and step past its run.
                 sink(head + (a,))
                 if dif is not diff:
                     dif.append(a)
-                pos = bisect_left(col_s, a + 1, pos + 1, end)
+                pos += run_s[pos]
         else:
             # Variable i is done: climb to the scan of the variable above.
             if not i:
                 break
             i -= 1
             aff = on_var[i]
-            for _, st in aff:
+            for _, st, _ in aff:
                 st.pop()
-            scan, others, ocol, ost, olo, ohi, pos, end, prev, dif, bound = saved[i]
-            col_s = scan[0]
+            scan, others, ocol, ost, orun, olo, ohi, pos, end, prev, dif, bound = saved[i]
+            col_s, run_s = scan[0], scan[2]
             continue
-        # a is a consistent leaf: push every column's rows of a.
-        nxt = bisect_left(col_s, a + 1, pos + 1, end)
+        # a is a consistent leaf: push every column's rows of a, which end
+        # its run length after its first row there.
+        nxt = pos + run_s[pos]
         scan[1].append((pos, nxt))
         if ocol is not None:
-            ost.append((q, bisect_left(ocol, a + 1, q, ohi)))
+            ost.append((q, q + orun[q]))
         else:
             # The generic scan seeks a again here: keeping each column's q
             # in a list per scanned code cost answer-dense joins 5 %.
-            for col, st, lo, hi in others:
+            for col, st, run, lo, hi in others:
                 q = bisect_left(col, a, lo, hi)
-                st.append((q, bisect_left(col, a + 1, q, hi)))
+                st.append((q, q + run[q]))
         codes[i] = a
         pos = nxt
         j = i + 1
@@ -367,7 +375,7 @@ def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
                 entry[i].append(child)
             if hit:
                 hit[0] += 1
-                for _, st in aff:
+                for _, st, _ in aff:
                     st.pop()
                 _replay(hit, j, last, codes, sink, skip)
                 continue
@@ -376,7 +384,7 @@ def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
             entry[j] = child
         if j == last:
             head = tuple(codes)
-        saved[i] = (scan, others, ocol, ost, olo, ohi, pos, end, a, dif, bound)
+        saved[i] = (scan, others, ocol, ost, orun, olo, ohi, pos, end, a, dif, bound)
         i = j
         enter = True
     # Each hit on an entry, and each extra visit of a parent it is linked to,

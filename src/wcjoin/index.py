@@ -1,7 +1,8 @@
 """The one cursor engine every search drives, over sorted relations.
 
-`build` puts a relation's columns in the global variable order and sorts its
-rows, so the rows agreeing with a bound prefix stay contiguous. `Cursors`
+`build` lays a relation's columns out in the global variable order with its
+rows sorted, so the rows agreeing with a bound prefix stay contiguous, and
+gives each column its run lengths: where a code's rows end. `Cursors`
 keeps a stack of row ranges per relation; a level narrows each relation on
 that level's variable to a code interval [a, c), and unbinding pops. Plain
 levels are variables, child d being [d, d+1). Bit levels are the b bits of
@@ -27,15 +28,19 @@ interval off a prefix of child indices or off the rows.
 - `seek`: where a code's rows start in one column's range, and how much of
   the code the range holds, for the sampler's stretches.
 The bit search (`enumerator.wcj_binarised`) and the sampler's walk below its
-cut read the columns and push the ranges they descend into themselves.
+cut read the columns and push the ranges they descend into themselves; the
+bit search reads a leaf's rows off the run lengths (`runs`).
 """
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
+from collections import Counter, deque
+from itertools import accumulate, chain, repeat
 from operator import itemgetter
 from typing import Sequence
 
-from .core import Relation, rows_at
+from .core import Relation
 
 _BITS = bytes.maketrans(b"\0\1", b"01")  # child indices 0 and 1 as the digits of a binary int
 
@@ -47,15 +52,63 @@ def bit_width(domain_size: int) -> int:
     return max(1, (domain_size - 1).bit_length()) if domain_size else 1
 
 
-def build(rel: Relation, order: Sequence[str]) -> list[tuple[int, ...]]:
-    """A relation's rows with its columns in the global variable order, sorted."""
+def build(rel: Relation, order: Sequence[str]) -> list[tuple[list[int], Sequence[int]]]:
+    """A relation's columns in the global variable order, each with its run lengths.
+
+    The columns hold the rows in sorted order. They are cut from a grouping
+    of the rows on their leading code: each group's tails are sorted alone
+    and the groups laid out in code order, so no row tuple is sorted; with
+    one row per leading code, the tails are read off in code order. A run
+    is a block of rows that agree on a column and every earlier one; at its
+    first row, the column's run lengths hold how many rows it has. So at a
+    code's first row in a range that agrees on the earlier columns, the run
+    length says where the code's rows end. A first column's runs are its
+    groups, and a last column's runs are single rows, as the rows are distinct.
+    """
     positions = {v: i for i, v in enumerate(order)}
     for v in rel.variables:
         if v not in positions:
             raise ValueError(f"variable {v!r} not in global order")
     perm = sorted(range(len(rel.variables)), key=lambda i: positions[rel.variables[i]])
-    # The rows are distinct already, and so are their permutations.
-    return sorted(rel.rows if perm == sorted(perm) else rows_at(rel.rows, perm))
+    if not perm:
+        return []
+    # Maps over the rows: `zip(*rows)` would make an iterator per row, each
+    # one an object for the garbage collector to count.
+    lead = list(map(itemgetter(perm[0]), rel.rows))
+    if len(perm) == 1:
+        return [(sorted(lead), b"\1" * len(lead))]
+    # A tail list per leading code, in code order: one tail column groups
+    # its codes, wider tails their code tuples.
+    keys = sorted(set(lead))
+    tails = map(itemgetter(*perm[1:]), rel.rows)
+    if len(keys) == len(lead):  # one row per leading code: no group to sort
+        tail_of = dict(zip(lead, tails))
+        del lead
+        columns, flat = [keys], list(map(tail_of.__getitem__, keys))
+        del tail_of
+        first_runs: Sequence[int] = b"\1" * len(flat)
+    else:
+        groups = {code: [] for code in keys}
+        deque(map(list.append, map(groups.__getitem__, lead), tails), 0)
+        del lead
+        deque(map(list.sort, groups.values()), 0)
+        sizes = list(map(len, groups.values()))
+        columns = [list(chain.from_iterable(map(repeat, keys, sizes)))]
+        flat = list(chain.from_iterable(groups.values()))
+        del groups  # freed before the runs are made
+        # A first column's runs, set at each group's first row.
+        first_runs = array("I", [0]) * len(flat)
+        deque(map(first_runs.__setitem__, accumulate(sizes, initial=0), sizes), 0)
+    if len(perm) == 2:
+        columns.append(flat)
+    else:  # the tails are code tuples
+        columns += [list(map(itemgetter(j), flat)) for j in range(len(perm) - 1)]
+    runs = [first_runs]
+    for c in range(1, len(perm) - 1):  # a middle column's runs: how many rows share a prefix
+        prefixes = list(zip(*columns[: c + 1]))
+        runs.append(array("I", map(Counter(prefixes).__getitem__, prefixes)))
+    runs.append(b"\1" * len(flat))
+    return list(zip(columns, runs))
 
 
 class Cursors:
@@ -64,7 +117,10 @@ class Cursors:
     `stacks[i]` holds relation i's half-open row ranges (lo, hi), the top one
     matching the bound prefix; `affected[level]` lists the (column, stack)
     pairs a level narrows. With `depth`, the stacks are all the state. The
-    module docstring lists the moves and their callers.
+    module docstring lists the moves and their callers. `runs[u][j]` are
+    the run lengths (`build`) of the column of `affected[u * per_var][j]`,
+    on variable u: a code's rows in a range that agrees on the earlier
+    columns end its run length after its first row there.
     """
 
     def __init__(
@@ -80,13 +136,14 @@ class Cursors:
         pos = {v: i for i, v in enumerate(order)}
         self.stacks: list[list[tuple[int, int]]] = []
         on_var: list[list[tuple[list[int], list[tuple[int, int]]]]] = [[] for _ in range(n)]
+        self.runs: list[list[Sequence[int]]] = [[] for _ in range(n)]
         for rel in relations:
-            rows = build(rel, order)
-            variables = sorted(rel.variables, key=pos.__getitem__)
-            stack = [(0, len(rows))]
+            stack = [(0, len(rel.rows))]
             self.stacks.append(stack)
-            for i, v in enumerate(variables):
-                on_var[pos[v]].append((list(map(itemgetter(i), rows)), stack))
+            variables = sorted(rel.variables, key=pos.__getitem__)
+            for v, (col, runs) in zip(variables, build(rel, order)):
+                on_var[pos[v]].append((col, stack))
+                self.runs[pos[v]].append(runs)
         self.affected = [on_var[level // per_var] for level in range(self.levels)]
 
     def _narrow(self, pairs: Sequence[tuple], a: int, c: int) -> None:

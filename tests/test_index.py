@@ -4,7 +4,7 @@ import random
 import pytest
 
 from wcjoin.binary import bin_query, bin_value, bit_width
-from wcjoin.core import Relation, filter_relation
+from wcjoin.core import Relation, filter_relation, rows_at
 from wcjoin.estimators import build_agm_context
 from wcjoin.index import Cursors, build, seek
 from wcjoin.sampler import ValueStore
@@ -22,16 +22,32 @@ def columns(cur):
     return [[col for col, _ in aff] for aff in cur.affected]
 
 
+def built(rel, order):
+    """`build`'s columns, each with its run lengths at the rows that start a run:
+    the first row, and each row that differs from the one above on the column
+    or an earlier one."""
+    result, out = build(rel, order), []
+    for c, (col, runs) in enumerate(result):
+        earlier = [e for e, _ in result[: c + 1]]
+        starts = [i for i in range(len(col)) if not i or any(e[i] != e[i - 1] for e in earlier)]
+        out.append((col, {i: runs[i] for i in starts}))
+    return out
+
+
 class TestBuild:
     def test_triangle_relation_sorted(self, triangle_query):
         r = triangle_query.relations[0]
-        assert build(r, TRIANGLE_ORDER) == [(0, 0), (1, 0), (1, 1), (2, 1)]
+        # Rows (0, 0), (1, 0), (1, 1), (2, 1): code 1 leads a run of two.
+        assert built(r, TRIANGLE_ORDER) == [
+            ([0, 1, 1, 2], {0: 1, 1: 2, 3: 1}),
+            ([0, 0, 1, 1], {0: 1, 1: 1, 2: 1, 3: 1}),
+        ]
         cur = Cursors([r], TRIANGLE_ORDER, 4, bits=False)
         assert columns(cur) == [[[0, 1, 1, 2]], [[0, 0, 1, 1]], []]
 
     def test_columns_permuted_to_global_order(self):
         r = Relation(("x3", "x1"), frozenset({(5, 0), (2, 1)}))
-        assert build(r, ("x1", "x2", "x3")) == [(0, 5), (1, 2)]
+        assert built(r, ("x1", "x2", "x3")) == [([0, 1], {0: 1, 1: 1}), ([5, 2], {0: 1, 1: 1})]
         cur = Cursors([r], ("x1", "x2", "x3"), 6, bits=False)
         assert columns(cur) == [[[0, 1]], [], [[5, 2]]]
 
@@ -40,12 +56,41 @@ class TestBuild:
             build(Relation(("x9",), frozenset({(0,)})), ("x1",))
 
     def test_empty_relation(self):
-        assert build(Relation(("x1",), frozenset()), ("x1",)) == []
+        assert built(Relation(("x1",), frozenset()), ("x1",)) == [([], {})]
         cur = Cursors([Relation(("x1",), frozenset())], ("x1",), 4, bits=False)
         assert cur.stacks == [[(0, 0)]]
         assert columns(cur) == [[[]]]  # one empty column per variable
         cur.bind(3)
         assert count(cur.stacks[0]) == 0
+
+    def test_columns_and_runs_against_the_sorted_rows(self):
+        # Each column is the matching column of the relation's rows permuted
+        # to the order and sorted. At each row that starts a run, the run
+        # length counts the rows from there on that agree with it on the
+        # column and every earlier one.
+        rng = random.Random(12)
+        seen = set()
+        for _ in range(300):
+            q = random_query(rng)
+            order = tuple(rng.sample(q.order, len(q.order)))
+            for r in q.relations:
+                perm = sorted(range(len(r.variables)), key=lambda i: order.index(r.variables[i]))
+                rows = sorted(rows_at(r.rows, perm))
+                result = build(r, order)
+                assert len(result) == len(perm)
+                for c, (col, runs) in enumerate(result):
+                    assert col == [row[c] for row in rows]
+                    assert len(runs) == len(rows)
+                    for i, row in enumerate(rows):
+                        if i and rows[i - 1][: c + 1] == row[: c + 1]:
+                            continue  # not the first row of its run
+                        j = i
+                        while j < len(rows) and rows[j][: c + 1] == row[: c + 1]:
+                            j += 1
+                        assert runs[i] == j - i, (r, order, c, i)
+                seen.add((len(perm), min(len(rows), 2)))
+        # Every arity from 1 to 4, each seen empty, with one row and with more.
+        assert seen == {(arity, size) for arity in range(1, 5) for size in range(3)}
 
 
 class TestNarrow:

@@ -47,6 +47,21 @@ MUTANTS = (
     ("bind-child-1-interval-a-code-late", "index.py",
      "        a += d * w\n",
      "        a += d * (w + 1)\n"),
+    # build: each group's tails sorted, and each column's run lengths, by
+    # which the bit search ends a leaf's rows: a first column's its groups,
+    # a middle column's the rows sharing its prefix.
+    ("group-tails-unsorted", "index.py",
+     "        deque(map(list.sort, groups.values()), 0)\n",
+     ""),
+    ("one-row-groups-in-row-order", "index.py",
+     "list(map(tail_of.__getitem__, keys))",
+     "list(tail_of.values())"),
+    ("first-column-run-one-row-short", "index.py",
+     "accumulate(sizes, initial=0), sizes)",
+     "accumulate(sizes, initial=0), [n - 1 for n in sizes])"),
+    ("middle-column-runs-of-the-first-column", "index.py",
+     "        runs.append(array(\"I\", map(Counter(prefixes).__getitem__, prefixes)))\n",
+     "        runs.append(runs[0])\n"),
     # The one narrowing loop of bind and bind_prefix: two bisects per column.
     ("narrow-lower-bisect-dropped", "index.py",
      "            lo = bisect_left(col, a, lo, hi)\n",
@@ -185,16 +200,17 @@ MUTANTS = (
     ("one-neighbour-only", "enumerator.py",
      "                    if m and q > lo:\n                        m = min(m, (col[q - 1] ^ a).bit_length())\n",
      ""),
-    ("a+1-bisect-dropped", "enumerator.py",
-     "st.append((q, bisect_left(col, a + 1, q, hi)))",
+    # A leaf's rows in each column end its run length after its first row.
+    ("leaf-run-dropped", "enumerator.py",
+     "st.append((q, q + run[q]))",
      "st.append((q, hi))"),
     # The two-column kernel: both neighbours of a miss, and the other
     # column's rows of a leaf pushed directly.
     ("two-column-one-neighbour-only", "enumerator.py",
      "                if miss and q > olo:\n",
      "                if False:\n"),
-    ("two-column-a+1-bisect-dropped", "enumerator.py",
-     "ost.append((q, bisect_left(ocol, a + 1, q, ohi)))",
+    ("two-column-leaf-run-dropped", "enumerator.py",
+     "ost.append((q, q + orun[q]))",
      "ost.append((q, ohi))"),
     # The last variable's leaves: each answer is emitted under the codes of
     # its own descent and recorded in a recorded visit, and the scan goes on
@@ -203,8 +219,8 @@ MUTANTS = (
      "        if j == last:\n            head = tuple(codes)\n",
      "        if j == last and not head:\n            head = tuple(codes)\n"),
     ("leaf-seek-skips-the-next-code", "enumerator.py",
-     "pos = bisect_left(col_s, a + 1, pos + 1, end)",
-     "pos = bisect_left(col_s, a + 2, pos + 1, end)"),
+     "pos += run_s[pos]\n",
+     "pos += run_s[pos] + 1\n"),
     ("leaf-not-recorded", "enumerator.py",
      "                if dif is not diff:\n                    dif.append(a)\n",
      ""),

@@ -22,8 +22,11 @@ neighbours in the others, and one bisect seeks past each block of codes that
 some column lacks (leapfrog seeks on dyadic prefixes; Veldhuizen, ICDT 2014).
 A variable on exactly two columns, as in triangles, paths and cycles over
 binary relations, is scanned by a dedicated two-column loop. The last
-variable is scanned like every other, and its consistent leaves are the
-answers.
+variable's consistent leaves are the answers. An uncached last variable on
+two columns, as in a triangle, is settled at its parent's leaves: the
+parent's scan reads both columns' rows of its leaf code and scans them by
+the two-column loop's rules in place, entering no node of its own. Any
+other last variable is scanned like every other.
 Over `binary.bin_query`'s copy, wcj() is the independent reference the bit
 search is tested against.
 
@@ -234,6 +237,19 @@ def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
     other column's range is read once per node, the lower neighbour only on
     a miss, and a leaf pushes that column's rows of `a` directly.
 
+    The last variable is settled at its parent's leaves when it is
+    uncached, lies on exactly two columns and has a parent: in a triangle,
+    or wherever its two relations hold every earlier variable. Each node
+    entry of the parent notes where each of those columns reads its rows of
+    a leaf code: the scanned column's run, the other column's run (or, in
+    the generic scan, that column's seek), or its stack's top range, which
+    the node does not move. At a leaf the parent's scan reads the two
+    ranges, scans the smaller against the other as the kernel does, the
+    first on a tie, counts into the same depths and emits the answers in
+    code order. It then goes on past the leaf's rows: no range is pushed,
+    no scan saved and none climbed out of. A last variable on one column or
+    on three or more, or a cached one, is entered as above.
+
     Subtrees are cached by the rows they read (`_cache_keys`). From the
     first cached variable down, every visit of variable i is recorded as
     one flat list, its entry: [extra, its count differences at depths
@@ -272,6 +288,14 @@ def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
     entry = [None] * (last + 1)  # the entry of the current visit at each variable
     skip = k + 2  # an entry is [extra, its k + 1 count differences, items...]
     head = ()  # the codes above the last variable, at a visit of it
+    # An uncached last variable on two columns is settled at its parent's
+    # leaves (see above). Leaves of variables before `stop` descend; node
+    # entries before `split` are neither recorded nor the settling parent's.
+    settle = 0 < last < first and len(on_var[last]) == 2
+    stop = last - 1 if settle else last
+    split = stop if settle else first
+    if settle:
+        (lcol0, lst0, _), (lcol1, lst1, _) = on_var[last]
     i = 0
     enter = True
     while True:
@@ -295,8 +319,29 @@ def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
             # A recorded visit counts into its entry: its index t there is
             # depth i*k + t. A code's nodes run from index bound - d to one
             # short of bound - miss.
-            bound = (i * k if i < first else 0) + k + 1
-            dif = diff if i < first else entry[i]
+            if i < split:
+                bound = i * k + k + 1
+                dif = diff
+            elif i >= first:
+                bound = k + 1
+                dif = entry[i]
+            else:
+                # The settling parent: where each of the last variable's
+                # columns reads its rows of a leaf code. 1: the scanned
+                # column's run; 2: the other column's run; (column, runs,
+                # lo, hi): that column's seek; 0: its stack's top range,
+                # fixed over the node.
+                bound = i * k + k + 1
+                dif = diff
+                lo0, hi0 = lst0[-1]
+                lo1, hi1 = lst1[-1]
+                src0 = 1 if lst0 is scan[1] else 2 if lst0 is ost else 0
+                src1 = 1 if lst1 is scan[1] else 2 if lst1 is ost else 0
+                for col, st, run, lo, hi in others or ():
+                    if st is lst0:
+                        src0 = col, run, lo, hi
+                    elif st is lst1:
+                        src1 = col, run, lo, hi
             prev = col_s[pos] ^ (1 << (k - 1))  # differs from the first code in its top bit
             enter = False
         while pos < end:
@@ -329,8 +374,60 @@ def _seek_search(cur: Cursors, sink: Sink) -> EnumerationStats:
             if miss:
                 # Seek past the codes sharing a's prefix one bit longer than L(a).
                 pos = bisect_left(col_s, ((a >> (miss - 1)) + 1) << (miss - 1), pos + 1, end)
-            elif i < last:
+            elif i < stop:
                 break
+            elif i < last:
+                # a is a leaf of the settling parent: scan the last variable's
+                # columns over their rows of a as the two-column kernel does,
+                # with no push, and go on at the end of a's rows.
+                nxt = pos + run_s[pos]
+                if src0 == 1:
+                    lo0, hi0 = pos, nxt
+                elif src0 == 2:
+                    lo0 = q
+                    hi0 = q + orun[q]
+                elif src0:
+                    col, run, lo, hi = src0
+                    lo0 = bisect_left(col, a, lo, hi)
+                    hi0 = lo0 + run[lo0]
+                if src1 == 1:
+                    lo1, hi1 = pos, nxt
+                elif src1 == 2:
+                    lo1 = q
+                    hi1 = q + orun[q]
+                elif src1:
+                    col, run, lo, hi = src1
+                    lo1 = bisect_left(col, a, lo, hi)
+                    hi1 = lo1 + run[lo1]
+                if hi1 - lo1 < hi0 - lo0:
+                    lcol, lpos, lend, xcol, xlo, xhi = lcol1, lo1, hi1, lcol0, lo0, hi0
+                else:
+                    lcol, lpos, lend, xcol, xlo, xhi = lcol0, lo0, hi0, lcol1, lo1, hi1
+                lprev = lcol[lpos] ^ (1 << (k - 1))
+                head = None
+                while lpos < lend:
+                    b = lcol[lpos]
+                    q = bisect_left(xcol, b, xlo, xhi)
+                    miss = (xcol[q] ^ b).bit_length() if q < xhi else k
+                    if miss and q > xlo:
+                        m = (xcol[q - 1] ^ b).bit_length()
+                        if m < miss:
+                            miss = m
+                    d = (lprev ^ b).bit_length()
+                    if d > miss:
+                        diff[levels + 1 - d] += 1
+                        diff[levels + 1 - miss] -= 1
+                    lprev = b
+                    if miss:
+                        lpos = bisect_left(lcol, ((b >> (miss - 1)) + 1) << (miss - 1), lpos + 1, lend)
+                    else:
+                        # b is an answer; a last column's runs are single rows.
+                        if head is None:
+                            codes[i] = a
+                            head = tuple(codes)
+                        sink(head + (b,))
+                        lpos += 1
+                pos = nxt
             else:
                 # a is an answer: emit it, record it and step past its run.
                 sink(head + (a,))

@@ -1,6 +1,7 @@
 """Branch-and-bound enumeration: correctness, pruning shape, call bound."""
 import csv
 import inspect
+import itertools
 import json
 import random
 import sys
@@ -29,7 +30,7 @@ from wcjoin.oracle import nested_loop_join, prefix_counts
 from wcjoin.sampler import EmptyAnswerSetError, Sampler
 
 from conftest import TRIANGLE_ANSWERS, TRIANGLE_TABLES, coded_query, random_query
-from test_differential import queries, reference_join
+from test_differential import assert_same_join, queries, reference_join
 
 
 def run(query, order=None):
@@ -343,22 +344,26 @@ class TestBisectBound:
 
     @staticmethod
     def bisects_per_code(monkeypatch, q, order=None):
-        """Per code the scan reads: the columns on its variable, and the bisects
-        charged to it by column. A line tracer spots where `_seek_search` reads
-        the next code of its scanned column; a bisect is charged to the code
-        read last."""
+        """Per code the bit search reads: whether a settled last variable's scan
+        read it, the columns on its variable, and the bisects charged to it by
+        column. A line tracer spots where `_seek_search` reads the next code of
+        its scanned column, or of a settled last variable's (on two columns); a
+        bisect is charged to the code read last."""
         lines, first = inspect.getsourcelines(enumerator._seek_search)
-        read = first + next(i for i, line in enumerate(lines) if line.strip() == "a = col_s[pos]")
+        where = {line.strip(): first + i for i, line in enumerate(lines)}
+        read, settled = where["a = col_s[pos]"], where["b = lcol[lpos]"]
         scan = enumerator._seek_search.__code__
         codes = []
 
         def trace_lines(frame, event, arg):
             if event == "line" and frame.f_lineno == read:
-                codes.append((len(frame.f_locals["aff"]), Counter()))
+                codes.append((False, len(frame.f_locals["aff"]), Counter()))
+            elif event == "line" and frame.f_lineno == settled:
+                codes.append((True, 2, Counter()))
             return trace_lines
 
         def counting_bisect(col, *args):
-            codes[-1][1][id(col)] += 1
+            codes[-1][2][id(col)] += 1
             return bisect_left(col, *args)
 
         monkeypatch.setattr(enumerator, "bisect_left", counting_bisect)
@@ -377,7 +382,7 @@ class TestBisectBound:
         for i in range(100):
             q = random_query(rng, max_vars=5, max_domain=40) if i % 2 else random_query(rng)
             order = rng.sample(q.order, len(q.order))
-            for columns, bisects in self.bisects_per_code(monkeypatch, q, order):
+            for _, columns, bisects in self.bisects_per_code(monkeypatch, q, order):
                 assert len(bisects) <= columns
                 most = max(most, *bisects.values(), 0)
         # A generic leaf: a seek, then a again in each other column. Its rows
@@ -505,10 +510,11 @@ def last_columns(q, order):
 
 
 class TestLastVariable:
-    """The bit search scans the last variable like every other: its consistent
-    leaves are the answers, emitted and, in a recorded visit, appended to the
-    entry. Answers, their order and every counter must stay those of the
-    uncached search: wcj over `bin_query`'s copy."""
+    """The last variable's consistent leaves are the answers, emitted and, in
+    a recorded visit, appended to the entry; on two columns and uncached, it
+    is settled at its parent's leaves (TestSettledLastVariable). Answers,
+    their order and every counter must stay those of the uncached search:
+    wcj over `bin_query`'s copy."""
 
     @staticmethod
     def run_and_compare(monkeypatch, q, order, spy_bisect=None):
@@ -543,7 +549,8 @@ class TestLastVariable:
     @pytest.mark.parametrize("columns", [1, 2, 3])
     def test_last_variable_on_one_two_and_three_columns(self, monkeypatch, columns):
         # x3 ends R; S and T add its second and third column, so its scan
-        # takes the generic loop, the two-column kernel, then the generic loop.
+        # takes the generic loop, is settled at x2's leaves (R and S hold x1
+        # and x2), then takes the generic loop.
         rng = random.Random(8)
         r = (("x1", "x2", "x3"), {(rng.randrange(8), rng.randrange(8), rng.randrange(32))
                                   for _ in range(60)})
@@ -569,7 +576,8 @@ class TestLastVariable:
     def test_two_column_scan_past_both_ends_of_the_other_column(self, monkeypatch, order):
         # x2's smallest column is R's, codes 1, 7 and 12: 1 falls before S's
         # first row (q == lo) and 12 past its last (q == hi). x2 is the last
-        # variable in order (x1, x2) and the first in (x2, x1).
+        # variable in order (x1, x2), settled at the root's leaves, and the
+        # first in (x2, x1).
         s_codes = [5, 6, 7, 8, 9]
         r = (("x1", "x2"), [(0, 1), (0, 7), (0, 12)])
         q = coded_query(order, [r, (("x2",), [(c,) for c in s_codes])], 16)
@@ -584,6 +592,102 @@ class TestLastVariable:
         self.run_and_compare(monkeypatch, q, order, spy_bisect)
         assert {(1, "lo"), (12, "hi")} <= outside
         assert last_columns(q, order) == (2 if order[-1] == "x2" else 1)
+
+
+def random_triangle(seed, domain, rows):
+    """A coded triangle R(x1,x2) S(x2,x3) T(x1,x3), each relation `rows` distinct random pairs."""
+    rng = random.Random(seed)
+    pairs = [(a, b) for a in range(domain) for b in range(domain)]
+    edges = (("x1", "x2"), ("x2", "x3"), ("x1", "x3"))
+    return coded_query(("x1", "x2", "x3"), [(vs, rng.sample(pairs, rows)) for vs in edges], domain)
+
+
+class TestSettledLastVariable:
+    """An uncached last variable on two columns is settled at its parent's
+    leaves, with no node of its own. Answers, their order and every counter
+    must stay those of wcj over `bin_query`'s copy, and its scan does the
+    two-column kernel's work."""
+
+    @staticmethod
+    def compare(monkeypatch, q, order):
+        """Check that the settle reads codes, compare both searches and return the answers."""
+        reads = TestBisectBound.bisects_per_code(monkeypatch, q, order)
+        assert any(settled for settled, _, _ in reads)
+        assert TestLastVariable.run_and_compare(monkeypatch, q, order) == []  # nothing cached
+        return run_bin(q, None, order)[0]
+
+    @pytest.mark.parametrize("domain, rows", [(32, 100), (8, 40)])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_triangle_in_every_order(self, monkeypatch, seed, domain, rows):
+        q = random_triangle(seed, domain, rows)
+        for order in itertools.permutations(q.order):
+            out = self.compare(monkeypatch, q, order)
+            if domain == 8:  # dense: some leaves of the parent hold several answers
+                assert max(Counter(t[:-1] for t in out).values()) > 1
+
+    def test_last_relations_hold_every_earlier_variable(self, monkeypatch):
+        # x4 lies on S and T, which hold x3 and x1, x2: x4 is uncached. T's
+        # range is fixed over x3's nodes; S's is x3's leaf rows.
+        rng = random.Random(3)
+        triples = [(a, b, c) for a in range(6) for b in range(6) for c in range(6)]
+        r = (("x1", "x2", "x3"), rng.sample(triples, 120))
+        s = (("x3", "x4"), rng.sample([(c, d) for c in range(6) for d in range(6)], 24))
+        t = (("x1", "x2", "x4"), rng.sample(triples, 120))
+        order = ("x1", "x2", "x3", "x4")
+        self.compare(monkeypatch, coded_query(order, [r, s, t], 6), order)
+
+    @pytest.mark.parametrize("unary", [False, True])
+    def test_parent_on_two_and_three_columns(self, monkeypatch, unary):
+        # U(x2) puts x2 on three columns, so its nodes take the generic scan
+        # and a leaf seeks S's rows of its code for x3.
+        q = random_triangle(4, 16, 90)
+        if unary:
+            u = (("x2",), [(c,) for c in range(0, 16, 2)])
+            q = coded_query(q.order, [(r.variables, r.rows) for r in q.relations] + [u], 16)
+        order = ("x1", "x2", "x3")
+        cur = Cursors(q.relations, order, q.domain_size, True)
+        assert len(cur.affected[cur.per_var]) == (3 if unary else 2)
+        self.compare(monkeypatch, q, order)
+
+    @pytest.mark.parametrize("second", [("x1", "x2"), ("x2",)])
+    def test_two_variable_query_settles_at_the_root(self, monkeypatch, second):
+        # The root's leaves settle x2, from R's rows of x1 and S's rows of x1
+        # or all of S's rows.
+        rng = random.Random(5)
+        pairs = [(a, b) for a in range(16) for b in range(16)]
+        r = (("x1", "x2"), rng.sample(pairs, 120))
+        s = (second, rng.sample(pairs, 120) if len(second) == 2 else [(c,) for c in range(1, 16, 3)])
+        order = ("x1", "x2")
+        self.compare(monkeypatch, coded_query(order, [r, s], 16), order)
+
+    def test_random_queries_under_random_orders(self, monkeypatch):
+        rng = random.Random(47)
+        settled = 0
+        for i in range(400):
+            q = random_query(rng, max_vars=5, max_domain=20) if i % 2 else random_query(rng)
+            order = rng.sample(q.order, len(q.order))
+            reads = TestBisectBound.bisects_per_code(monkeypatch, q, order)
+            settled += any(s for s, _, _ in reads)
+            assert_same_join(q, order)
+        assert settled > 40
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_the_settle_does_the_two_column_kernels_work(self, monkeypatch, seed):
+        # With a unary U(x4) after it, x3 is no longer last: its nodes are
+        # entered and scanned by the two-column kernel, and x4, cached with
+        # an empty key, costs no bisect. The settle seeks exactly as often.
+        rng = random.Random(seed)
+        q = random_triangle(seed, 8, 40)
+        tables = [(r.variables, r.rows) for r in q.relations]
+        for _ in range(6):
+            order = tuple(rng.sample(q.order, 3))
+            with_u = coded_query(order + ("x4",), tables + [(("x4",), [(5,)])], 8)
+            out, _ = run_bin(q, None, order)
+            out_u, _ = run_bin(with_u, None, order + ("x4",))
+            assert out_u == [t + (5,) for t in out]
+            count, _, _ = TestBisectBound.bisects_and_calls(monkeypatch, q, order)
+            count_u, _, _ = TestBisectBound.bisects_and_calls(monkeypatch, with_u, order + ("x4",))
+            assert count == count_u
 
 
 def deep_path_tables(n_vars=121, pool=1000, seed=12):

@@ -224,6 +224,33 @@ MUTANTS = (
     ("leaf-not-recorded", "enumerator.py",
      "                if dif is not diff:\n                    dif.append(a)\n",
      ""),
+    # A settled last variable: each of its columns reads its rows of the
+    # parent's leaf from the source its node entry noted (the other
+    # column's run, that column's seek, or the stack's fixed range), and
+    # its scan keeps the two-column kernel's rules: both neighbours, the
+    # last variable's depths, the first column on a tie (only the kernel's
+    # bisect count sees that), and the head of the leaf's own prefix.
+    ("settle-other-column-read-as-the-scanned", "enumerator.py",
+     "                elif src0 == 2:\n                    lo0 = q\n                    hi0 = q + orun[q]\n",
+     "                elif src0 == 2:\n                    lo0, hi0 = pos, nxt\n"),
+    ("settle-seek-read-as-the-fixed-range", "enumerator.py",
+     "                        src0 = col, run, lo, hi\n",
+     "                        src0 = 0\n"),
+    ("settle-fixed-range-of-the-other-stack", "enumerator.py",
+     "                lo1, hi1 = lst1[-1]\n",
+     "                lo1, hi1 = lst0[-1]\n"),
+    ("settle-one-neighbour-only", "enumerator.py",
+     "                    if miss and q > xlo:\n",
+     "                    if False:\n"),
+    ("settle-counts-a-depth-early", "enumerator.py",
+     "                        diff[levels + 1 - d] += 1\n",
+     "                        diff[levels - d] += 1\n"),
+    ("settle-tie-scans-the-second-column", "enumerator.py",
+     "                if hi1 - lo1 < hi0 - lo0:\n",
+     "                if hi1 - lo1 <= hi0 - lo0:\n"),
+    ("settle-head-kept-across-leaves", "enumerator.py",
+     "                head = None\n",
+     ""),
     # Answers, counts and the aggregate bisect bound stay right; only the
     # per-code cost of the scan sees a second seek of each code.
     ("generic-scan-seeks-each-code-twice", "enumerator.py",
